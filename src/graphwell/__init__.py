@@ -10,15 +10,11 @@ from .calculus import (
     PairFunction,
     check_admissible,
     dirichlet_energy_sq,
-    grad_length,
     gradient_form,
     gradient_form_all,
-    inner_H_lambda,
     integrate,
     laplacian,
     laplacian_all,
-    norm_H_lambda_sq,
-    norm_H_Omega_sq,
     norm_H_sq,
     norm_Lq,
 )
@@ -53,17 +49,13 @@ from .functional import (
     LambdaProblem,
     NehariDiagnostics,
     Problem,
-    coupling_integral,
     energy_J_lambda,
     energy_J_Omega,
-    energy_of,
     grad_J_lambda,
     grad_J_Omega,
     nehari_diagnostics,
-    nehari_project,
-    nehari_scale,
-    norm_sq_of,
-    residual_of,
+    norm_H_lambda_sq,
+    norm_H_Omega_sq,
     signed_power,
 )
 from .graph import (
@@ -72,8 +64,6 @@ from .graph import (
     WeightedGraph,
     as_domain,
     boundary,
-    closure,
-    graph_distance,
     validate_graph,
 )
 from .problem_io import (
@@ -88,7 +78,6 @@ from .problem_io import (
 from .solver import (
     SolveResult,
     SolverConfig,
-    descent_step,
     solve_dirichlet,
     solve_ground_state,
 )

@@ -15,10 +15,10 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 import numpy as np
 
 from .errors import DomainViolationError
-from .graph import WeightedGraph, as_domain, closure
+from .graph import WeightedGraph, as_domain
 
 if TYPE_CHECKING:  # circular at runtime only
-    from .functional import DirichletProblem, LambdaProblem
+    from .functional import DirichletProblem
 
 
 class PairFunction(NamedTuple):
@@ -76,11 +76,6 @@ def gradient_form_all(g: WeightedGraph, u: np.ndarray, v: np.ndarray) -> np.ndar
     return acc / (2.0 * g.mu)
 
 
-def grad_length(g: WeightedGraph, u, x: int) -> float:
-    """|grad u|(x) = sqrt(Gamma(u,u)(x))."""
-    return math.sqrt(max(gradient_form(g, u, u, x), 0.0))
-
-
 def integrate(g: WeightedGraph, f, over: Iterable[int] | None = None) -> float:
     """Integral of f against the vertex measure, over all of V by default."""
     f = as_vertex_function(g, f)
@@ -96,28 +91,6 @@ def dirichlet_energy_sq(g: WeightedGraph, u: np.ndarray) -> float:
     """sum over edges of w (du)^2, which equals the integral of |grad u|^2."""
     du = u[g.edge_j] - u[g.edge_i]
     return float(np.dot(g.edge_w, du * du))
-
-
-def norm_H_lambda_sq(p: "LambdaProblem", w) -> float:
-    """Squared H_lambda norm: gradient terms plus (lambda a + 1), (lambda b + 1) mass."""
-    u, v = as_pair(p.graph, w)
-    g = p.graph
-    grad = dirichlet_energy_sq(g, u) + dirichlet_energy_sq(g, v)
-    mass = float(np.dot(g.mu, p.coef_u * u * u + p.coef_v * v * v))
-    return grad + mass
-
-
-def inner_H_lambda(p: "LambdaProblem", w1, w2) -> float:
-    u1, v1 = as_pair(p.graph, w1)
-    u2, v2 = as_pair(p.graph, w2)
-    g = p.graph
-    du1 = u1[g.edge_j] - u1[g.edge_i]
-    du2 = u2[g.edge_j] - u2[g.edge_i]
-    dv1 = v1[g.edge_j] - v1[g.edge_i]
-    dv2 = v2[g.edge_j] - v2[g.edge_i]
-    grad = float(np.dot(g.edge_w, du1 * du2 + dv1 * dv2))
-    mass = float(np.dot(g.mu, p.coef_u * u1 * u2 + p.coef_v * v1 * v2))
-    return grad + mass
 
 
 def norm_H_sq(g: WeightedGraph, w) -> float:
@@ -140,21 +113,6 @@ def check_admissible(d: "DirichletProblem", w) -> PairFunction:
         lab = d.graph.label_of(int(bad_v[0]))
         raise DomainViolationError(f"v is nonzero at {lab}, outside the b-well interior")
     return PairFunction(u, v)
-
-
-def norm_H_Omega_sq(d: "DirichletProblem", w) -> float:
-    """Squared H_Omega norm of an admissible pair.
-
-    Gradient terms are summed over the closed wells, mass terms over the open
-    wells; for admissible pairs every omitted vertex contributes zero anyway.
-    """
-    u, v = check_admissible(d, w)
-    g = d.graph
-    gamma_sum = gradient_form_all(g, u, u) + gradient_form_all(g, v, v)
-    grad = float(np.dot(g.mu[d.closure_mask], gamma_sum[d.closure_mask]))
-    union = d.union_mask
-    mass = float(np.dot(g.mu[union], u[union] ** 2 + v[union] ** 2))
-    return grad + mass
 
 
 def norm_Lq(g: WeightedGraph, w, q: float) -> float:

@@ -91,6 +91,11 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(**kwargs)
 
 
+def _usage_error(message) -> int:
+    print(f"graphwell: {message}", file=sys.stderr)
+    return EXIT_PARSE
+
+
 def _emit_solution(args, pf: ProblemFile, result) -> int:
     write_solution(pf.graph, result, args.out if args.out else sys.stdout)
     print(f"energy {result.energy:.12g}  residual {result.residual_norm:.3e}  "
@@ -106,13 +111,15 @@ def _cmd_solve(args) -> int:
         if len(pf.lambdas) == 1:
             lam = pf.lambdas[0]
         else:
-            print(f"graphwell: --lambda required (file declares {len(pf.lambdas)} values)",
-                  file=sys.stderr)
-            return EXIT_PARSE
+            return _usage_error(f"--lambda required (file declares {len(pf.lambdas)} values)")
     alpha = args.alpha if args.alpha is not None else pf.alpha
     beta = args.beta if args.beta is not None else pf.beta
-    problem = functional.LambdaProblem(pf.graph, pf.potentials, lam, alpha, beta)
-    result = solve_ground_state(problem, _solver_config(args))
+    try:
+        problem = functional.LambdaProblem(pf.graph, pf.potentials, lam, alpha, beta)
+        cfg = _solver_config(args)
+    except ValueError as exc:
+        return _usage_error(exc)
+    result = solve_ground_state(problem, cfg)
     return _emit_solution(args, pf, result)
 
 
@@ -120,8 +127,12 @@ def _cmd_dirichlet(args) -> int:
     pf = parse_problem_file(args.problem)
     alpha = args.alpha if args.alpha is not None else pf.alpha
     beta = args.beta if args.beta is not None else pf.beta
-    problem = DirichletProblem(pf.graph, pf.omega_a, pf.omega_b, alpha, beta)
-    result = solve_dirichlet(problem, _solver_config(args))
+    try:
+        problem = DirichletProblem(pf.graph, pf.omega_a, pf.omega_b, alpha, beta)
+        cfg = _solver_config(args)
+    except ValueError as exc:
+        return _usage_error(exc)
+    result = solve_dirichlet(problem, cfg)
     return _emit_solution(args, pf, result)
 
 
@@ -131,8 +142,7 @@ def _cmd_sweep(args) -> int:
         try:
             lambdas = tuple(float(t) for t in args.lambdas.split(","))
         except ValueError:
-            print(f"graphwell: bad --lambdas list: {args.lambdas!r}", file=sys.stderr)
-            return EXIT_PARSE
+            return _usage_error(f"bad --lambdas list: {args.lambdas!r}")
     elif len(pf.lambdas) >= 2:
         lambdas = pf.lambdas
     else:
@@ -140,13 +150,12 @@ def _cmd_sweep(args) -> int:
     alpha = args.alpha if args.alpha is not None else pf.alpha
     beta = args.beta if args.beta is not None else pf.beta
     family = LambdaFamily(pf.graph, pf.potentials, alpha, beta)
-    dirichlet = DirichletProblem(pf.graph, pf.omega_a, pf.omega_b, alpha, beta)
     try:
+        dirichlet = DirichletProblem(pf.graph, pf.omega_a, pf.omega_b, alpha, beta)
         cfg = SweepConfig(lambdas=lambdas, solver=_solver_config(args),
                           warm_start=args.warm_start)
     except ValueError as exc:
-        print(f"graphwell: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _usage_error(exc)
     records = lambda_sweep(family, dirichlet, cfg)
     write_sweep(records, args.out if args.out else sys.stdout)
     bad = sum(1 for r in records if not r.converged)
@@ -162,7 +171,10 @@ def _cmd_check(args) -> int:
     residual vs finite differences, and the sup-norm embedding bound."""
     pf = parse_problem_file(args.problem)
     g = pf.graph
-    rng = np.random.default_rng([args.seed, 101])
+    try:
+        rng = np.random.default_rng([args.seed, 101])
+    except ValueError as exc:
+        return _usage_error(f"--seed: {exc}")
     n = g.vertex_count
     failures = 0
 
@@ -201,7 +213,7 @@ def _cmd_check(args) -> int:
         for _ in range(50):
             w = calculus.PairFunction(rng.standard_normal(n), rng.standard_normal(n))
             lhs = calculus.norm_Lq(g, w, np.inf)
-            rhs = bound * np.sqrt(calculus.norm_H_lambda_sq(plam, w))
+            rhs = bound * np.sqrt(functional.norm_H_lambda_sq(plam, w))
             if lhs > rhs * (1 + 1e-12):
                 violations += 1
     failures += _report("sup-norm embedding bound", violations == 0,

@@ -1,9 +1,17 @@
 """Energy functionals, strong-form residuals, and Nehari-manifold algebra.
 
-Two problem flavors share one algebraic skeleton: J(w) = (1/2) ||w||^2 -
-coupling(w)/(alpha+beta), with the norm and the integration domain depending
-on the flavor. The dispatch helpers at the bottom let the solver treat both
-uniformly.
+Both problem flavors carry the same kernel data: graph and measure, mass
+coefficients coef_u, coef_v (lam a + 1, lam b + 1, or ones), masks mask_a,
+mask_b of the unknowns (all true, or the wells), the exponents and the seed
+support `overlap`. From that data alone the kernel functions
+(coupling_integral, norm_sq_of, energy_of, residual_of, nehari_scale) compute
+J(w) = (1/2) ||w||^2 - coupling(w)/(alpha+beta) and its residual, zero off the
+masks. They trust their input; energy_J_*, grad_J_*, norm_H_*_sq and
+nehari_diagnostics validate the pair once and then call them.
+
+The masked-kernel identity: on admissible pairs (u = 0 off Omega_a, v = 0 off
+Omega_b, with the wells the zero sets of a and b) the lam a, lam b terms drop
+out, so J_lambda = J_Omega for every lambda and the residuals agree on the wells.
 """
 
 from __future__ import annotations
@@ -13,10 +21,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import calculus
-from .calculus import PairFunction, as_pair, check_admissible, laplacian_all
+from .calculus import PairFunction, as_pair, check_admissible, dirichlet_energy_sq, laplacian_all
 from .errors import DegeneratePairError, GraphValidationError
-from .graph import PotentialField, WeightedGraph, as_domain, closure
+from .graph import PotentialField, WeightedGraph, as_domain
+
+
+def _freeze(obj, **arrays: np.ndarray) -> None:
+    """Set read-only array fields on a frozen dataclass."""
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,6 +44,8 @@ class LambdaProblem:
     beta: float
     coef_u: np.ndarray = field(init=False, repr=False)
     coef_v: np.ndarray = field(init=False, repr=False)
+    mask_a: np.ndarray = field(init=False, repr=False)
+    mask_b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.potentials.a.shape != (self.graph.vertex_count,):
@@ -38,16 +54,20 @@ class LambdaProblem:
             raise ValueError(f"lambda must be positive and finite, got {self.lam}")
         if not self.alpha > 1 or not self.beta > 1:
             raise ValueError(f"alpha and beta must exceed 1, got {self.alpha}, {self.beta}")
-        cu = self.lam * self.potentials.a + 1.0
-        cv = self.lam * self.potentials.b + 1.0
-        cu.setflags(write=False)
-        cv.setflags(write=False)
-        object.__setattr__(self, "coef_u", cu)
-        object.__setattr__(self, "coef_v", cv)
+        free = np.ones(self.graph.vertex_count, dtype=bool)
+        _freeze(self, coef_u=self.lam * self.potentials.a + 1.0,
+                coef_v=self.lam * self.potentials.b + 1.0, mask_a=free, mask_b=free)
 
     @property
     def gamma(self) -> float:
         return self.alpha + self.beta
+
+    @property
+    def overlap(self) -> frozenset:
+        return self.potentials.overlap
+
+    def check_pair(self, w) -> PairFunction:
+        return as_pair(self.graph, w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,8 +81,8 @@ class DirichletProblem:
     beta: float
     mask_a: np.ndarray = field(init=False, repr=False)
     mask_b: np.ndarray = field(init=False, repr=False)
-    union_mask: np.ndarray = field(init=False, repr=False)
-    closure_mask: np.ndarray = field(init=False, repr=False)
+    coef_u: np.ndarray = field(init=False, repr=False)
+    coef_v: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         g = self.graph
@@ -81,16 +101,8 @@ class DirichletProblem:
         mask_a[list(omega_a)] = True
         mask_b = np.zeros(n, dtype=bool)
         mask_b[list(omega_b)] = True
-        closure_mask = np.zeros(n, dtype=bool)
-        closure_mask[list(closure(g, omega_a) | closure(g, omega_b))] = True
-        for m in (mask_a, mask_b, closure_mask):
-            m.setflags(write=False)
-        union = mask_a | mask_b
-        union.setflags(write=False)
-        object.__setattr__(self, "mask_a", mask_a)
-        object.__setattr__(self, "mask_b", mask_b)
-        object.__setattr__(self, "union_mask", union)
-        object.__setattr__(self, "closure_mask", closure_mask)
+        ones = np.ones(n)
+        _freeze(self, mask_a=mask_a, mask_b=mask_b, coef_u=ones, coef_v=ones)
 
     @property
     def gamma(self) -> float:
@@ -99,6 +111,9 @@ class DirichletProblem:
     @property
     def overlap(self) -> frozenset:
         return self.omega_a & self.omega_b
+
+    def check_pair(self, w) -> PairFunction:
+        return check_admissible(self, w)
 
 
 @dataclass(frozen=True)
@@ -131,63 +146,33 @@ def signed_power(u: np.ndarray, p: float) -> np.ndarray:
 
 
 def coupling_integral(p: Problem, w) -> float:
-    """Integral of |u|^alpha |v|^beta, over V or over the union of wells."""
-    u, v = as_pair(p.graph, w)
-    dens = np.abs(u) ** p.alpha * np.abs(v) ** p.beta
-    if isinstance(p, DirichletProblem):
-        mask = p.union_mask
-        return float(np.dot(p.graph.mu[mask], dens[mask]))
-    return float(np.dot(p.graph.mu, dens))
+    """Integral of |u|^alpha |v|^beta over V."""
+    u, v = w
+    return float(np.dot(p.graph.mu, np.abs(u) ** p.alpha * np.abs(v) ** p.beta))
 
 
-def energy_J_lambda(p: LambdaProblem, w) -> float:
-    return 0.5 * calculus.norm_H_lambda_sq(p, w) - coupling_integral(p, w) / p.gamma
+def norm_sq_of(p: Problem, w) -> float:
+    """Squared norm: all-edge gradient terms plus coef_u, coef_v weighted mass."""
+    u, v = w
+    g = p.graph
+    grad = dirichlet_energy_sq(g, u) + dirichlet_energy_sq(g, v)
+    mass = float(np.dot(g.mu, p.coef_u * u * u + p.coef_v * v * v))
+    return grad + mass
 
 
-def grad_J_lambda(p: LambdaProblem, w) -> PairFunction:
-    """Strong-form residual of system (1); its L2(dmu) pairing is the weak form."""
-    u, v = as_pair(p.graph, w)
+def energy_of(p: Problem, w) -> float:
+    return 0.5 * norm_sq_of(p, w) - coupling_integral(p, w) / p.gamma
+
+
+def residual_of(p: Problem, w) -> PairFunction:
+    """Strong-form residual, zero off the masks; its L2(dmu) pairing is the weak form."""
+    u, v = w
     g = p.gamma
     ru = (-laplacian_all(p.graph, u) + p.coef_u * u
           - (p.alpha / g) * signed_power(u, p.alpha - 1.0) * np.abs(v) ** p.beta)
     rv = (-laplacian_all(p.graph, v) + p.coef_v * v
           - (p.beta / g) * np.abs(u) ** p.alpha * signed_power(v, p.beta - 1.0))
-    return PairFunction(ru, rv)
-
-
-def energy_J_Omega(d: DirichletProblem, w) -> float:
-    return 0.5 * calculus.norm_H_Omega_sq(d, w) - coupling_integral(d, w) / d.gamma
-
-
-def grad_J_Omega(d: DirichletProblem, w) -> PairFunction:
-    """Residual of system (2) on interior vertices, pinned to 0 elsewhere."""
-    u, v = check_admissible(d, w)
-    g = d.gamma
-    ru = (-laplacian_all(d.graph, u) + u
-          - (d.alpha / g) * signed_power(u, d.alpha - 1.0) * np.abs(v) ** d.beta)
-    rv = (-laplacian_all(d.graph, v) + v
-          - (d.beta / g) * np.abs(u) ** d.alpha * signed_power(v, d.beta - 1.0))
-    ru = np.where(d.mask_a, ru, 0.0)
-    rv = np.where(d.mask_b, rv, 0.0)
-    return PairFunction(ru, rv)
-
-
-def norm_sq_of(p: Problem, w) -> float:
-    if isinstance(p, DirichletProblem):
-        return calculus.norm_H_Omega_sq(p, w)
-    return calculus.norm_H_lambda_sq(p, w)
-
-
-def energy_of(p: Problem, w) -> float:
-    if isinstance(p, DirichletProblem):
-        return energy_J_Omega(p, w)
-    return energy_J_lambda(p, w)
-
-
-def residual_of(p: Problem, w) -> PairFunction:
-    if isinstance(p, DirichletProblem):
-        return grad_J_Omega(p, w)
-    return grad_J_lambda(p, w)
+    return PairFunction(np.where(p.mask_a, ru, 0.0), np.where(p.mask_b, rv, 0.0))
 
 
 def nehari_scale(p: Problem, w) -> float:
@@ -203,19 +188,47 @@ def nehari_scale(p: Problem, w) -> float:
     return float((norm_sq / coupling) ** (1.0 / (p.gamma - 2.0)))
 
 
-def nehari_project(p: Problem, w) -> PairFunction:
-    t = nehari_scale(p, w)
-    u, v = as_pair(p.graph, w)
-    return PairFunction(t * u, t * v)
+def norm_H_lambda_sq(p: LambdaProblem, w) -> float:
+    """Squared H_lambda norm: gradient terms plus (lambda a + 1), (lambda b + 1) mass."""
+    return norm_sq_of(p, as_pair(p.graph, w))
+
+
+def norm_H_Omega_sq(d: DirichletProblem, w) -> float:
+    """Squared H_Omega norm of an admissible pair, else DomainViolationError.
+
+    It is the all-edge gradient sum plus unit mass. An admissible pair vanishes
+    off the wells, so this equals the gradient form summed over the closed
+    wells plus the mass over the open wells.
+    """
+    return norm_sq_of(d, check_admissible(d, w))
+
+
+def energy_J_lambda(p: LambdaProblem, w) -> float:
+    return energy_of(p, as_pair(p.graph, w))
+
+
+def grad_J_lambda(p: LambdaProblem, w) -> PairFunction:
+    """Strong-form residual of system (1); its L2(dmu) pairing is the weak form."""
+    return residual_of(p, as_pair(p.graph, w))
+
+
+def energy_J_Omega(d: DirichletProblem, w) -> float:
+    return energy_of(d, check_admissible(d, w))
+
+
+def grad_J_Omega(d: DirichletProblem, w) -> PairFunction:
+    """Residual of system (2) on interior vertices, pinned to 0 elsewhere."""
+    return residual_of(d, check_admissible(d, w))
 
 
 def nehari_diagnostics(p: Problem, w) -> NehariDiagnostics:
+    w = p.check_pair(w)
     norm_sq = norm_sq_of(p, w)
     coupling = coupling_integral(p, w)
     return NehariDiagnostics(
         norm_sq=norm_sq,
         coupling=coupling,
         defect=norm_sq - coupling,
-        energy=energy_of(p, w),
+        energy=0.5 * norm_sq - coupling / p.gamma,
         nontrivial=bool(norm_sq > 0.0 and coupling > 0.0),
     )

@@ -206,26 +206,6 @@ def _bfs_reach(g: WeightedGraph, source: int) -> np.ndarray:
     return reached
 
 
-def graph_distance(g: WeightedGraph, x: int, y: int) -> int:
-    """Hop-count distance: minimal number of edges joining x and y."""
-    x = g.check_vertex(x)
-    y = g.check_vertex(y)
-    if x == y:
-        return 0
-    dist = np.full(g.vertex_count, -1, dtype=np.int64)
-    dist[x] = 0
-    queue = deque([x])
-    while queue:
-        z = queue.popleft()
-        for t in g.neighbors(z)[0]:
-            if dist[t] < 0:
-                dist[t] = dist[z] + 1
-                if t == y:
-                    return int(dist[t])
-                queue.append(int(t))
-    raise GraphValidationError(f"no path between {g.label_of(x)} and {g.label_of(y)}")
-
-
 def as_domain(g: WeightedGraph, members: Iterable[int]) -> frozenset:
     """Normalize an iterable of vertex ids into a validated DomainSet."""
     dom = frozenset(int(v) for v in members)
@@ -245,8 +225,3 @@ def boundary(g: WeightedGraph, omega: Iterable[int]) -> frozenset:
     out = set(g.edge_i[aj & ~ai].tolist()) | set(g.edge_j[ai & ~aj].tolist())
     return frozenset(int(v) for v in out)
 
-
-def closure(g: WeightedGraph, omega: Iterable[int]) -> frozenset:
-    """Omega together with its vertex boundary."""
-    dom = as_domain(g, omega)
-    return dom | boundary(g, dom)

@@ -48,8 +48,11 @@ from .functional import (
 
 logger = logging.getLogger(__name__)
 
+_MAX_ITERS = 50000          # descent iterations per restart
+_ARMIJO_C = 1e-4            # sufficient-decrease constant; trial steps start at 1
+_BACKTRACK = 0.5            # step shrink factor per rejected trial
 _STALL_LIMIT = 200          # consecutive non-improving iterations before giving up
-_STEP_UNDERFLOW = 1e-18     # relative to the initial step
+_STEP_UNDERFLOW = 1e-18     # smallest trial step before the line search gives up
 _POLISH_SWITCH = 1e-4       # hand off to Newton at rnorm <= this * max(1, ||w||)
 _POLISH_MAX_ITERS = 60
 _POLISH_BACKTRACKS = 40
@@ -57,25 +60,13 @@ _POLISH_BACKTRACKS = 40
 
 @dataclass(frozen=True)
 class SolverConfig:
-    max_iters: int = 50000
     grad_tol: float = 1e-9
-    step_init: float = 1.0
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
     restarts: int = 8
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
-        if not self.step_init > 0:
-            raise ValueError("step_init must be positive")
-        if not 0 < self.armijo_c < 1:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not 0 < self.backtrack < 1:
-            raise ValueError("backtrack must lie in (0, 1)")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.rng_seed < 0:
@@ -99,23 +90,14 @@ def _level_energy(norm_sq: float, coupling: float, gamma: float) -> float:
     return (0.5 - 1.0 / gamma) * math.exp(logval)
 
 
-def _overlap_of(p: Problem) -> frozenset:
-    if isinstance(p, DirichletProblem):
-        return p.omega_a & p.omega_b
-    return p.potentials.overlap
-
-
 def _diag_of(p: Problem) -> tuple[np.ndarray, np.ndarray]:
     ratio = p.graph.wdeg / p.graph.mu
-    if isinstance(p, DirichletProblem):
-        d = 1.0 + ratio
-        return np.where(p.mask_a, d, 1.0), np.where(p.mask_b, d, 1.0)
     return p.coef_u + ratio, p.coef_v + ratio
 
 
 def _initial_pair(p: Problem, rng: np.random.Generator) -> PairFunction:
     n = p.graph.vertex_count
-    idx = sorted(_overlap_of(p))
+    idx = sorted(p.overlap)
     u = np.zeros(n)
     v = np.zeros(n)
     u[idx] = rng.uniform(0.5, 1.5, len(idx))
@@ -128,14 +110,6 @@ def _residual_norm(p: Problem, r: PairFunction) -> float:
     return math.sqrt(float(np.dot(mu, r.u * r.u) + np.dot(mu, r.v * r.v)))
 
 
-def _active_indices(p: Problem) -> tuple[np.ndarray, np.ndarray]:
-    n = p.graph.vertex_count
-    if isinstance(p, DirichletProblem):
-        return np.flatnonzero(p.mask_a), np.flatnonzero(p.mask_b)
-    idx = np.arange(n)
-    return idx, idx
-
-
 def _newton_polish(p: Problem, w: PairFunction, grad_tol: float) -> PairFunction:
     """Damped Newton on the stacked optimality system, finite-difference Jacobian.
 
@@ -144,7 +118,7 @@ def _newton_polish(p: Problem, w: PairFunction, grad_tol: float) -> PairFunction
     can only waste a few evaluations, never corrupt the iterate.
     """
     g = p.graph
-    iu, iv = _active_indices(p)
+    iu, iv = np.flatnonzero(p.mask_a), np.flatnonzero(p.mask_b)
     m = iu.size + iv.size
 
     def unpack(z: np.ndarray) -> PairFunction:
@@ -196,8 +170,7 @@ def _newton_polish(p: Problem, w: PairFunction, grad_tol: float) -> PairFunction
 
 def _run_descent(p: Problem, cfg: SolverConfig, w0: PairFunction, index: int) -> SolveResult | None:
     """One restart. Returns None when the start has no Nehari projection."""
-    if isinstance(p, DirichletProblem):
-        w0 = PairFunction(np.where(p.mask_a, w0.u, 0.0), np.where(p.mask_b, w0.v, 0.0))
+    w0 = PairFunction(np.where(p.mask_a, w0.u, 0.0), np.where(p.mask_b, w0.v, 0.0))
     try:
         t = nehari_scale(p, w0)
     except DegeneratePairError:
@@ -215,7 +188,7 @@ def _run_descent(p: Problem, cfg: SolverConfig, w0: PairFunction, index: int) ->
     no_improve = 0
     iters = 0
 
-    for k in range(cfg.max_iters):
+    for k in range(_MAX_ITERS):
         iters = k + 1
         res = residual_of(p, w)
         rnorm = _residual_norm(p, res)
@@ -235,10 +208,10 @@ def _run_descent(p: Problem, cfg: SolverConfig, w0: PairFunction, index: int) ->
         if slope <= 0.0:
             break
 
-        step = cfg.step_init
+        step = 1.0
         accepted = False
         slack = 4.0 * eps * max(1.0, abs(energy))
-        while step > _STEP_UNDERFLOW * cfg.step_init:
+        while step > _STEP_UNDERFLOW:
             tu = w.u - step * du
             tv = w.v - step * dv
             trial = PairFunction(tu, tv)
@@ -246,10 +219,10 @@ def _run_descent(p: Problem, cfg: SolverConfig, w0: PairFunction, index: int) ->
             coup_t = coupling_integral(p, trial)
             if coup_t > 0.0 and norm_t > 0.0:
                 energy_t = _level_energy(norm_t, coup_t, gamma)
-                if energy_t <= energy - cfg.armijo_c * step * slope + slack:
+                if energy_t <= energy - _ARMIJO_C * step * slope + slack:
                     accepted = True
                     break
-            step *= cfg.backtrack
+            step *= _BACKTRACK
         if not accepted:
             logger.debug("restart %d: line search underflow at iteration %d", index, iters)
             break
@@ -330,28 +303,3 @@ def solve_dirichlet(d: DirichletProblem, cfg: SolverConfig | None = None,
         raise TypeError(f"expected DirichletProblem, got {type(d).__name__}")
     return _solve(d, cfg or SolverConfig(), warm_starts)
 
-
-def descent_step(p: Problem, w, step: float, cfg: SolverConfig) -> tuple[PairFunction, float]:
-    """One Armijo-backtracked step along the negative residual, no projection.
-
-    Returns the updated pair and the accepted step size; a zero step signals
-    line-search underflow (the caller should restart). The decrement target is
-    armijo_c * step * ||R||^2 in L2(dmu), the exact first-order decrease of a
-    steepest-descent step in that metric.
-    """
-    if not step > 0:
-        raise ValueError("step must be positive")
-    w = as_pair(p.graph, w)
-    res = residual_of(p, w)
-    mu = p.graph.mu
-    rn2 = float(np.dot(mu, res.u * res.u) + np.dot(mu, res.v * res.v))
-    if rn2 == 0.0:
-        return w, float(step)
-    energy = energy_of(p, w)
-    s = float(step)
-    while s > _STEP_UNDERFLOW * step:
-        trial = PairFunction(w.u - s * res.u, w.v - s * res.v)
-        if energy_of(p, trial) <= energy - cfg.armijo_c * s * rn2:
-            return trial, s
-        s *= cfg.backtrack
-    return w, 0.0

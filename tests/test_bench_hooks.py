@@ -1,0 +1,31 @@
+"""The traced benchmark run (perfbench/spans.py) looks layer functions up by
+name in the modules that call them. These checks fail when a refactor moves
+or renames one of those names, or stops calling it from the solver loops."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from graphwell import solver
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_patch_target_resolves():
+    for module_name, attr, _span in load_spans().PATCHES:
+        assert hasattr(importlib.import_module(module_name), attr), f"{module_name}.{attr}"
+
+
+def test_solver_loops_call_kernel_through_module_globals():
+    descent = set(solver._run_descent.__code__.co_names)
+    assert {"residual_of", "norm_sq_of", "coupling_integral", "nehari_scale"} <= descent
+    stacked = next(c for c in solver._newton_polish.__code__.co_consts
+                   if getattr(c, "co_name", None) == "stacked")
+    assert "residual_of" in stacked.co_names

@@ -10,10 +10,8 @@ from graphwell import (
     PotentialField,
     WeightedGraph,
     dirichlet_energy_sq,
-    grad_length,
     gradient_form,
     gradient_form_all,
-    inner_H_lambda,
     integrate,
     laplacian,
     laplacian_all,
@@ -66,7 +64,6 @@ class TestPointwiseOperators:
         g = two_vertex()
         u = np.array([0.0, 1.0])
         assert gradient_form(g, u, u, 0) == pytest.approx(0.5, abs=1e-15)
-        assert grad_length(g, u, 0) == pytest.approx(math.sqrt(0.5), abs=1e-15)
 
     def test_gradient_form_symmetry_and_bilinearity(self):
         rng = np.random.default_rng(5)
@@ -80,15 +77,6 @@ class TestPointwiseOperators:
             lhs = gradient_form(g, a * u + b * w, v, x)
             rhs = a * gradient_form(g, u, v, x) + b * gradient_form(g, w, v, x)
             assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-12)
-
-    def test_grad_length_homogeneity(self):
-        rng = np.random.default_rng(6)
-        g = random_connected_graph(rng)
-        u = rng.normal(size=g.vertex_count)
-        for x in range(0, g.vertex_count, 3):
-            assert grad_length(g, -2.0 * u, x) == pytest.approx(
-                2.0 * grad_length(g, u, x), rel=1e-12)
-
 
 class TestIntegration:
     def test_integrate_ones(self):
@@ -174,20 +162,6 @@ class TestNorms:
         for lam in (1e-3, 1.0, 1e5):
             p = self.problem(gr, zero, zero, lam)
             assert norm_H_lambda_sq(p, wr) == pytest.approx(norm_H_sq(gr, wr), rel=1e-13)
-
-    def test_inner_product_consistency(self):
-        rng = np.random.default_rng(14)
-        g = random_connected_graph(rng)
-        n = g.vertex_count
-        a = rng.uniform(0, 2, size=n)
-        a[0] = 0.0
-        b = rng.uniform(0, 2, size=n)
-        b[0] = 0.0
-        p = self.problem(g, a, b, lam=3.0)
-        w1 = (rng.normal(size=n), rng.normal(size=n))
-        w2 = (rng.normal(size=n), rng.normal(size=n))
-        assert inner_H_lambda(p, w1, w1) == pytest.approx(norm_H_lambda_sq(p, w1), rel=1e-13)
-        assert inner_H_lambda(p, w1, w2) == pytest.approx(inner_H_lambda(p, w2, w1), rel=1e-12)
 
     def test_lambda_monotonicity(self):
         rng = np.random.default_rng(15)

@@ -112,6 +112,22 @@ class TestErrorPaths:
         assert rc == EXIT_VALIDATION
         assert "io error" in captured.err
 
+    @pytest.mark.parametrize("command, flags", [
+        ("solve", ["--restarts", "0"]),
+        ("dirichlet", ["--tol", "-1"]),
+        ("solve", ["--lambda", "-5"]),
+        ("solve", ["--alpha", "0.5"]),
+        ("sweep", ["--alpha", "0.5"]),
+        ("check", ["--seed", "-1"]),
+    ])
+    def test_bad_numeric_flag_is_usage_error(self, tiny, capsys, command, flags):
+        rc = main([command, tiny, *flags])
+        captured = capsys.readouterr()
+        assert rc == EXIT_PARSE
+        assert captured.out == ""
+        assert captured.err.startswith("graphwell: ")
+        assert captured.err.count("\n") == 1
+
     def test_exit_code_values(self):
         # the numeric contract other tooling relies on
         assert (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION,

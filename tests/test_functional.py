@@ -3,29 +3,35 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from graphwell import (
     DegeneratePairError,
     DirichletProblem,
+    DomainViolationError,
     GraphValidationError,
     LambdaFamily,
     LambdaProblem,
+    PairFunction,
     PotentialField,
     WeightedGraph,
-    coupling_integral,
     energy_J_Omega,
     energy_J_lambda,
-    energy_of,
     grad_J_Omega,
     grad_J_lambda,
     gradient_form_all,
     integrate,
     nehari_diagnostics,
-    nehari_project,
+)
+from graphwell.functional import (
+    coupling_integral,
+    energy_of,
     nehari_scale,
     norm_sq_of,
     residual_of,
 )
-from tests.conftest import make_problem, random_connected_graph
+from tests.conftest import random_connected_graph
 
 
 def single_vertex_problem(lam=1.0, alpha=2.0, beta=2.0, mu=1.0):
@@ -40,6 +46,12 @@ def random_problem(rng, lam=3.0, alpha=2.0, beta=2.0):
     b = rng.uniform(0, 2, size=n)
     a[0] = b[0] = 0.0
     return LambdaProblem(g, PotentialField(a, b), lam=lam, alpha=alpha, beta=beta)
+
+
+def projected(p, w):
+    """w scaled onto the Nehari manifold."""
+    t = nehari_scale(p, w)
+    return PairFunction(t * w[0], t * w[1])
 
 
 class TestProblemValidation:
@@ -97,13 +109,17 @@ class TestEnergyAndCoupling:
             assert energy_J_lambda(p, w) == pytest.approx(t * t - t ** 4 / 4.0, rel=1e-14)
         assert energy_J_lambda(p, (np.array([1.0]), np.array([1.0]))) == pytest.approx(0.75)
 
-    def test_coupling_dirichlet_ignores_exterior(self):
+    def test_coupling_dirichlet_rejects_exterior(self):
         g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         d = DirichletProblem(g, frozenset({0}), frozenset({0}), alpha=2.0, beta=2.0)
-        # mass parked outside the wells must not enter the coupling integral
+        # mass parked outside the wells is refused before it can reach the
+        # coupling integral; inside the wells the integral is the plain sum
         u = np.array([2.0, 5.0, 0.0])
         v = np.array([3.0, 0.0, 7.0])
-        assert coupling_integral(d, (u, v)) == pytest.approx(36.0, abs=1e-12)
+        with pytest.raises(DomainViolationError):
+            nehari_diagnostics(d, (u, v))
+        inside = (np.array([2.0, 0.0, 0.0]), np.array([3.0, 0.0, 0.0]))
+        assert nehari_diagnostics(d, inside).coupling == pytest.approx(36.0, abs=1e-12)
 
     def test_zero_pair(self):
         p = single_vertex_problem()
@@ -227,7 +243,7 @@ class TestNehari:
                                beta=2.0 + rng.uniform(0, 1))
             n = p.graph.vertex_count
             w = (rng.uniform(0.1, 2.0, size=n), rng.uniform(0.1, 2.0, size=n))
-            proj = nehari_project(p, w)
+            proj = projected(p, w)
             assert nehari_scale(p, proj) == pytest.approx(1.0, rel=1e-12)
             diag = nehari_diagnostics(p, proj)
             assert abs(diag.defect) <= 1e-12 * diag.norm_sq
@@ -250,7 +266,7 @@ class TestNehari:
         for _ in range(20):
             p = random_problem(rng, alpha=2.2, beta=2.6)
             n = p.graph.vertex_count
-            w = nehari_project(p, (rng.uniform(0.1, 2, size=n), rng.uniform(0.1, 2, size=n)))
+            w = projected(p, (rng.uniform(0.1, 2, size=n), rng.uniform(0.1, 2, size=n)))
             diag = nehari_diagnostics(p, w)
             level = (0.5 - 1.0 / p.gamma) * diag.coupling
             assert diag.energy == pytest.approx(level, rel=1e-12)
@@ -259,7 +275,7 @@ class TestNehari:
         rng = np.random.default_rng(28)
         p = random_problem(rng)
         n = p.graph.vertex_count
-        w = nehari_project(p, (rng.uniform(0.1, 2, size=n), rng.uniform(0.1, 2, size=n)))
+        w = projected(p, (rng.uniform(0.1, 2, size=n), rng.uniform(0.1, 2, size=n)))
         e_star = energy_of(p, w)
         for t in (0.25, 0.5, 0.9, 1.1, 2.0, 4.0):
             e_t = energy_of(p, (t * w.u, t * w.v))
@@ -277,7 +293,38 @@ class TestNehari:
         g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         d = DirichletProblem(g, frozenset({1}), frozenset({1}), alpha=2.0, beta=2.0)
         u = np.array([0.0, 1.0, 0.0])
-        w = nehari_project(d, (u, u))
+        w = projected(d, (u, u))
         diag = nehari_diagnostics(d, w)
         assert abs(diag.defect) <= 1e-13 * diag.norm_sq
         assert diag.energy == pytest.approx(0.25 * diag.coupling, rel=1e-12)
+
+
+@st.composite
+def well_instances(draw):
+    """Random connected graph, potentials, and a pair vanishing off their zero sets."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_connected_graph(rng, n_max=12)
+    n = g.vertex_count
+    a = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.1, 3.0, size=n))
+    b = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.1, 3.0, size=n))
+    a[0] = b[0] = 0.0
+    u = np.where(a == 0.0, rng.normal(size=n), 0.0)
+    v = np.where(b == 0.0, rng.normal(size=n), 0.0)
+    return g, PotentialField(a, b), (u, v)
+
+
+class TestMaskedKernel:
+    # On pairs vanishing off the wells the lam a, lam b terms drop out, so the
+    # lambda-problem and the Dirichlet problem share energy and residual there.
+    @settings(max_examples=80, deadline=None)
+    @given(inst=well_instances(), lam=st.floats(1e-2, 1e9),
+           alpha=st.floats(1.05, 4.0), beta=st.floats(1.05, 4.0))
+    def test_lambda_and_dirichlet_agree_on_admissible_pairs(self, inst, lam, alpha, beta):
+        g, pots, w = inst
+        p = LambdaProblem(g, pots, lam=lam, alpha=alpha, beta=beta)
+        d = DirichletProblem(g, pots.omega_a, pots.omega_b, alpha=alpha, beta=beta)
+        assert energy_J_lambda(p, w) == pytest.approx(energy_J_Omega(d, w), rel=1e-12)
+        r_lam = grad_J_lambda(p, w)
+        r_dir = grad_J_Omega(d, w)
+        np.testing.assert_allclose(r_lam.u[d.mask_a], r_dir.u[d.mask_a], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(r_lam.v[d.mask_b], r_dir.v[d.mask_b], rtol=1e-12, atol=1e-12)

@@ -9,11 +9,8 @@ from graphwell import (
     WeightedGraph,
     as_domain,
     boundary,
-    closure,
-    graph_distance,
     validate_graph,
 )
-from tests.oracles import brute_force_distance
 
 
 def path_graph(n, w=1.0):
@@ -107,61 +104,15 @@ class TestValidation:
             validate_graph(g)
 
 
-class TestDistance:
-    def test_identity(self):
-        g = path_graph(4)
-        assert graph_distance(g, 2, 2) == 0
-
-    def test_path_distance(self):
-        g = path_graph(4)
-        assert graph_distance(g, 0, 3) == 3
-
-    def test_unknown_vertex(self):
-        g = path_graph(2)
-        with pytest.raises(UnknownLabelError):
-            graph_distance(g, 0, 9)
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            n = int(rng.integers(3, 11))
-            edges = set()
-            for i in range(1, n):
-                edges.add((int(rng.integers(0, i)), i))
-            for _ in range(n):
-                i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
-                if i != j:
-                    edges.add((min(i, j), max(i, j)))
-            triples = [(i, j, 1.0) for (i, j) in sorted(edges)]
-            g = WeightedGraph(n, triples)
-            for _ in range(10):
-                x, y = int(rng.integers(0, n)), int(rng.integers(0, n))
-                assert graph_distance(g, x, y) == brute_force_distance(n, triples, x, y)
-
-    @settings(max_examples=60, deadline=None)
-    @given(g=connected_graphs(), data=st.data())
-    def test_metric_axioms(self, g, data):
-        n = g.vertex_count
-        x = data.draw(st.integers(0, n - 1))
-        y = data.draw(st.integers(0, n - 1))
-        z = data.draw(st.integers(0, n - 1))
-        dxy = graph_distance(g, x, y)
-        assert dxy == graph_distance(g, y, x)
-        assert (dxy == 0) == (x == y)
-        assert graph_distance(g, x, z) <= dxy + graph_distance(g, y, z)
-
-
 class TestBoundary:
     def test_boundary_of_interval(self):
         g = path_graph(5)
         assert boundary(g, {1, 2}) == frozenset({0, 3})
-        assert closure(g, {1, 2}) == frozenset({0, 1, 2, 3})
 
     def test_full_and_empty_domains(self):
         g = path_graph(3)
         assert boundary(g, set(range(3))) == frozenset()
         assert boundary(g, set()) == frozenset()
-        assert closure(g, set()) == frozenset()
 
     def test_as_domain_rejects_unknown(self):
         g = path_graph(3)
@@ -179,4 +130,3 @@ class TestBoundary:
         for x in bd:
             ids, _ = g.neighbors(x)
             assert any(int(y) in omega for y in ids)
-        assert closure(g, omega) == omega | bd

@@ -9,8 +9,6 @@ from graphwell import (
     PairFunction,
     SolverConfig,
     WeightedGraph,
-    descent_step,
-    energy_of,
     solve_dirichlet,
     solve_ground_state,
 )
@@ -29,13 +27,8 @@ class TestConfig:
         assert cfg.restarts == 8
 
     @pytest.mark.parametrize("kwargs", [
-        dict(max_iters=0),
         dict(grad_tol=0.0),
         dict(grad_tol=-1e-9),
-        dict(step_init=0.0),
-        dict(armijo_c=0.0),
-        dict(armijo_c=1.0),
-        dict(backtrack=1.0),
         dict(restarts=0),
         dict(rng_seed=-1),
     ])
@@ -178,42 +171,3 @@ class TestDirichlet:
         assert not out.pair.u[[0, 2, 3]].any()
         assert not out.pair.v[[0, 3]].any()
 
-
-class TestDescentStep:
-    def test_requires_positive_step(self):
-        p = k1_problem()
-        with pytest.raises(ValueError):
-            descent_step(p, (np.ones(1), np.ones(1)), 0.0, SolverConfig())
-
-    def test_zero_residual_is_fixed(self):
-        # the zero pair is the only critical point that is exact in floats
-        # (sqrt(2)**2 != 2.0), and it must be returned unchanged
-        p = k1_problem()
-        w = (np.zeros(1), np.zeros(1))
-        out, step = descent_step(p, w, 1.0, SolverConfig())
-        assert step == 1.0
-        assert np.array_equal(out.u, w[0]) and np.array_equal(out.v, w[1])
-
-    def test_near_critical_point_moves_little(self):
-        # at u = v = sqrt(2) the residual is rounding noise, so the accepted
-        # step perturbs the pair by at most a few ulps
-        p = k1_problem()
-        s = math.sqrt(2.0)
-        w = (np.array([s]), np.array([s]))
-        out, step = descent_step(p, w, 1.0, SolverConfig())
-        assert step > 0.0
-        assert np.allclose(out.u, s, rtol=1e-14)
-        assert np.allclose(out.v, s, rtol=1e-14)
-
-    def test_energy_decreases(self):
-        p = k1_problem()
-        cfg = SolverConfig()
-        w = PairFunction(np.array([1.0]), np.array([0.9]))
-        energies = [energy_of(p, w)]
-        for _ in range(40):
-            w, step = descent_step(p, w, 0.5, cfg)
-            if step == 0.0:
-                break
-            energies.append(energy_of(p, w))
-        assert all(b < a for a, b in zip(energies, energies[1:]))
-        assert energies[-1] < energies[0]
