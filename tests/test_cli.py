@@ -119,6 +119,8 @@ class TestErrorPaths:
         ("solve", ["--alpha", "0.5"]),
         ("sweep", ["--alpha", "0.5"]),
         ("check", ["--seed", "-1"]),
+        ("dirichlet", ["--tol", "nan"]),
+        ("solve", ["--lambda", "nan"]),
     ])
     def test_bad_numeric_flag_is_usage_error(self, tiny, capsys, command, flags):
         rc = main([command, tiny, *flags])

@@ -16,6 +16,7 @@ from graphwell import (
     PairFunction,
     PotentialField,
     WeightedGraph,
+    boundary,
     energy_J_Omega,
     energy_J_lambda,
     grad_J_Omega,
@@ -23,6 +24,8 @@ from graphwell import (
     gradient_form_all,
     integrate,
     nehari_diagnostics,
+    norm_H_lambda_sq,
+    norm_H_Omega_sq,
 )
 from graphwell.functional import (
     coupling_integral,
@@ -94,6 +97,24 @@ class TestProblemValidation:
         assert p.lam == 10.0
         assert p.gamma == 4.0
 
+    def test_kernel_data_of_each_flavor(self):
+        g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        pots = PotentialField([0.0, 1.0, 2.0], [0.0, 0.5, 0.0])
+        p = LambdaProblem(g, pots, lam=4.0, alpha=2.0, beta=2.0)
+        np.testing.assert_array_equal(p.coef_u, [1.0, 5.0, 9.0])
+        np.testing.assert_array_equal(p.coef_v, [1.0, 3.0, 1.0])
+        assert p.mask_a.all() and p.mask_b.all()
+        d = DirichletProblem(g, pots.omega_a, pots.omega_b, alpha=2.0, beta=2.0)
+        np.testing.assert_array_equal(d.coef_u, np.ones(3))
+        np.testing.assert_array_equal(d.coef_v, np.ones(3))
+        np.testing.assert_array_equal(d.mask_a, [True, False, False])
+        np.testing.assert_array_equal(d.mask_b, [True, False, True])
+        assert p.overlap == d.overlap == frozenset({0})
+        # the problems are frozen, so their kernel arrays are too
+        for arr in (p.coef_u, p.mask_a, d.coef_v, d.mask_b):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
 
 class TestEnergyAndCoupling:
     def test_coupling_single_vertex(self):
@@ -120,6 +141,24 @@ class TestEnergyAndCoupling:
             nehari_diagnostics(d, (u, v))
         inside = (np.array([2.0, 0.0, 0.0]), np.array([3.0, 0.0, 0.0]))
         assert nehari_diagnostics(d, inside).coupling == pytest.approx(36.0, abs=1e-12)
+
+    @pytest.mark.parametrize("public", [
+        energy_J_Omega, grad_J_Omega, norm_H_Omega_sq, nehari_diagnostics])
+    def test_omega_boundary_rejects_exterior(self, public):
+        g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        d = DirichletProblem(g, frozenset({0, 1}), frozenset({1}), alpha=2.0, beta=2.0)
+        with pytest.raises(DomainViolationError):
+            public(d, (np.array([1.0, 1.0, 0.0]), np.array([0.0, 1.0, 0.5])))
+
+    @pytest.mark.parametrize("public", [
+        energy_J_lambda, grad_J_lambda, norm_H_lambda_sq, nehari_diagnostics])
+    def test_lambda_boundary_rejects_nonfinite(self, public):
+        p = random_problem(np.random.default_rng(29))
+        u = np.ones(p.graph.vertex_count)
+        v = u.copy()
+        v[-1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            public(p, (u, v))
 
     def test_zero_pair(self):
         p = single_vertex_problem()
@@ -328,3 +367,18 @@ class TestMaskedKernel:
         r_dir = grad_J_Omega(d, w)
         np.testing.assert_allclose(r_lam.u[d.mask_a], r_dir.u[d.mask_a], rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(r_lam.v[d.mask_b], r_dir.v[d.mask_b], rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(inst=well_instances())
+    def test_norm_H_Omega_equals_closed_well_sums(self, inst):
+        # the all-edge sum the kernel uses equals the gradient form summed
+        # over the closed wells plus the mass over the open wells
+        g, pots, w = inst
+        d = DirichletProblem(g, pots.omega_a, pots.omega_b, alpha=2.0, beta=2.0)
+        expected = 0.0
+        for f, well in ((w[0], d.omega_a), (w[1], d.omega_b)):
+            closed = sorted(well | boundary(g, well))
+            opened = sorted(well)
+            expected += float(np.dot(g.mu[closed], gradient_form_all(g, f, f)[closed]))
+            expected += float(np.dot(g.mu[opened], f[opened] ** 2))
+        assert norm_H_Omega_sq(d, w) == pytest.approx(expected, rel=1e-12)

@@ -31,6 +31,7 @@ class TestConfig:
         dict(grad_tol=-1e-9),
         dict(restarts=0),
         dict(rng_seed=-1),
+        dict(grad_tol=float("nan")),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
