@@ -10,10 +10,8 @@ from .calculus import (
     PairFunction,
     check_admissible,
     dirichlet_energy_sq,
-    gradient_form,
     gradient_form_all,
     integrate,
-    laplacian,
     laplacian_all,
     norm_H_sq,
     norm_Lq,
@@ -56,7 +54,6 @@ from .functional import (
     nehari_diagnostics,
     norm_H_lambda_sq,
     norm_H_Omega_sq,
-    signed_power,
 )
 from .graph import (
     PotentialField,

@@ -3,8 +3,8 @@
 Convention used throughout: integrating the gradient form over V turns into a
 sum over unordered edges, sum_x mu(x) Gamma(u,v)(x) = sum_{xy in E} w_xy du dv,
 because each edge is seen from both endpoints and the 1/2 cancels the double
-count. The norm implementations use the edge-sum form; the pointwise operators
-below are the literal per-vertex definitions.
+count. The operators are assembled by edge scatter and the norms use the
+edge-sum form.
 """
 
 from __future__ import annotations
@@ -42,14 +42,6 @@ def as_pair(g: WeightedGraph, w) -> PairFunction:
     return PairFunction(as_vertex_function(g, u), as_vertex_function(g, v))
 
 
-def laplacian(g: WeightedGraph, u, x: int) -> float:
-    """mu-Laplacian at x: (1/mu(x)) sum_{y~x} w_xy (u(y) - u(x))."""
-    u = as_vertex_function(g, u)
-    x = g.check_vertex(x)
-    nbr, w = g.neighbors(x)
-    return float(np.dot(w, u[nbr] - u[x]) / g.mu[x])
-
-
 def laplacian_all(g: WeightedGraph, u: np.ndarray) -> np.ndarray:
     """mu-Laplacian at every vertex, assembled by edge scatter."""
     n = g.vertex_count
@@ -57,15 +49,6 @@ def laplacian_all(g: WeightedGraph, u: np.ndarray) -> np.ndarray:
     acc = np.bincount(g.edge_i, weights=flow, minlength=n)
     acc -= np.bincount(g.edge_j, weights=flow, minlength=n)
     return acc / g.mu
-
-
-def gradient_form(g: WeightedGraph, u, v, x: int) -> float:
-    """Gamma(u,v)(x) = (1/(2 mu(x))) sum_{y~x} w_xy (u(y)-u(x))(v(y)-v(x))."""
-    u = as_vertex_function(g, u)
-    v = as_vertex_function(g, v)
-    x = g.check_vertex(x)
-    nbr, w = g.neighbors(x)
-    return float(np.dot(w, (u[nbr] - u[x]) * (v[nbr] - v[x])) / (2.0 * g.mu[x]))
 
 
 def gradient_form_all(g: WeightedGraph, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -4,10 +4,11 @@ Both problem flavors carry the same kernel data: graph and measure, mass
 coefficients coef_u, coef_v (lam a + 1, lam b + 1, or ones), masks mask_a,
 mask_b of the unknowns (all true, or the wells), the exponents and the seed
 support `overlap`. From that data alone the kernel functions
-(coupling_integral, norm_sq_of, energy_of, residual_of, nehari_scale) compute
-J(w) = (1/2) ||w||^2 - coupling(w)/(alpha+beta) and its residual, zero off the
-masks. They trust their input; energy_J_*, grad_J_*, norm_H_*_sq and
-nehari_diagnostics validate the pair once and then call them.
+(coupling_integral, norm_sq_of, energy_of, residual_of, hessian_matvec,
+nehari_scale) compute J(w) = (1/2) ||w||^2 - coupling(w)/(alpha+beta), its
+residual and the Hessian's action, zero off the masks. They trust their
+input; energy_J_*, grad_J_*, norm_H_*_sq and nehari_diagnostics validate the
+pair once and then call them.
 
 The masked-kernel identity: on admissible pairs (u = 0 off Omega_a, v = 0 off
 Omega_b, with the wells the zero sets of a and b) the lam a, lam b terms drop
@@ -173,6 +174,38 @@ def residual_of(p: Problem, w) -> PairFunction:
     rv = (-laplacian_all(p.graph, v) + p.coef_v * v
           - (p.beta / g) * np.abs(u) ** p.alpha * signed_power(v, p.beta - 1.0))
     return PairFunction(np.where(p.mask_a, ru, 0.0), np.where(p.mask_b, rv, 0.0))
+
+
+def _abs_power(u: np.ndarray, q: float) -> np.ndarray:
+    """|u|^q, taken as 0 at u = 0 when q < 0 (the signed_power convention)."""
+    a = np.abs(u)
+    if q >= 0.0:
+        return a ** q
+    return np.power(a, q, out=np.zeros_like(a), where=a > 0.0)
+
+
+def hessian_matvec(p: Problem, w, du: np.ndarray, dv: np.ndarray) -> PairFunction:
+    """H (du, dv), with H the Jacobian of the stacked mu*residual_of at w.
+
+    (mu*r.u, mu*r.v) is the Euclidean gradient of J in the vertex values, so H
+    is the symmetric Hessian: the edge-weighted Laplacian, the diagonal
+    mu*(coef - alpha(alpha-1)/gamma |u|^(alpha-2) |v|^beta) and its v twin, and
+    one u-v coupling entry per vertex. Rows off the masks are zero, like the
+    residual's. Where alpha or beta < 2 the diagonal term is singular at a
+    zero of u or v; it is taken as 0 there. Costs O(|E| + n).
+    """
+    u, v = w
+    g = p.graph
+    a, b, gam = p.alpha, p.beta, p.gamma
+    su, sv = signed_power(u, a - 1.0), signed_power(v, b - 1.0)
+    cross = (a * b / gam) * su * sv
+    hu = (-laplacian_all(g, du)
+          + (p.coef_u - (a * (a - 1.0) / gam) * _abs_power(u, a - 2.0) * np.abs(v) ** b) * du
+          - cross * dv)
+    hv = (-laplacian_all(g, dv)
+          + (p.coef_v - (b * (b - 1.0) / gam) * np.abs(u) ** a * _abs_power(v, b - 2.0)) * dv
+          - cross * du)
+    return PairFunction(np.where(p.mask_a, g.mu * hu, 0.0), np.where(p.mask_b, g.mu * hv, 0.0))
 
 
 def nehari_scale(p: Problem, w) -> float:

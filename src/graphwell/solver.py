@@ -20,6 +20,11 @@ quartically along it). Each restart therefore hands over to a damped Newton
 polish of the optimality system once the residual is small; Newton moves
 along such valleys at a fixed linear rate instead of stalling. The polished
 point is kept only when it actually lowers the residual norm.
+
+The polish is matrix-free. Its Jacobian is the analytic Hessian, applied by
+functional.hessian_matvec in O(|E| + n); each Newton step solves with it by
+MINRES, preconditioned with the descent diagonal above. No matrix is formed,
+so memory stays O(|E| + n).
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .functional import (
     Problem,
     coupling_integral,
     energy_of,
+    hessian_matvec,
     nehari_diagnostics,
     nehari_scale,
     norm_sq_of,
@@ -56,6 +62,8 @@ _STEP_UNDERFLOW = 1e-18     # smallest trial step before the line search gives u
 _POLISH_SWITCH = 1e-4       # hand off to Newton at rnorm <= this * max(1, ||w||)
 _POLISH_MAX_ITERS = 60
 _POLISH_BACKTRACKS = 40
+_MINRES_RTOL = 1e-10        # relative preconditioned residual of each Newton solve
+_MINRES_ITERS_PER_UNKNOWN = 2  # MINRES iteration cap, per unknown
 
 
 @dataclass(frozen=True)
@@ -65,8 +73,8 @@ class SolverConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.rng_seed < 0:
@@ -110,16 +118,70 @@ def _residual_norm(p: Problem, r: PairFunction) -> float:
     return math.sqrt(float(np.dot(mu, r.u * r.u) + np.dot(mu, r.v * r.v)))
 
 
-def _newton_polish(p: Problem, w: PairFunction, grad_tol: float) -> PairFunction:
-    """Damped Newton on the stacked optimality system, finite-difference Jacobian.
+def _minres(matvec, b: np.ndarray, minv: np.ndarray) -> np.ndarray:
+    """Preconditioned MINRES for the symmetric, possibly indefinite A x = b.
 
-    Dense linear algebra per step, sized for the small graphs this package
-    targets. Every step must strictly shrink the residual, so a poor Jacobian
-    can only waste a few evaluations, never corrupt the iterate.
+    Paige & Saunders (SIAM J. Numer. Anal. 12, 1975), started from x = 0, with
+    the SPD diagonal preconditioner M given by its inverse ``minv``. Stops when
+    the M^-1-norm of the residual drops below _MINRES_RTOL times that of b, or
+    after _MINRES_ITERS_PER_UNKNOWN * len(b) iterations; the caller judges the
+    returned x by its own decrease test either way.
+    """
+    x = np.zeros_like(b)
+    r1 = b
+    r2 = b
+    y = minv * b
+    beta1 = math.sqrt(float(np.dot(b, y)))
+    if beta1 == 0.0:
+        return x
+    beta, oldb = beta1, 0.0
+    dbar = epsln = 0.0
+    phibar = beta1
+    cs, sn = -1.0, 0.0
+    w = np.zeros_like(b)
+    w2 = np.zeros_like(b)
+    eps = np.finfo(np.float64).eps
+    for k in range(_MINRES_ITERS_PER_UNKNOWN * b.size):
+        v = y / beta
+        y = matvec(v)
+        if k > 0:
+            y = y - (beta / oldb) * r1
+        alfa = float(np.dot(v, y))
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = minv * r2
+        oldb, beta = beta, math.sqrt(max(float(np.dot(r2, y)), 0.0))
+        # Apply the previous rotation, then form the next one.
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        gamma = max(math.hypot(gbar, beta), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) / gamma
+        x = x + phi * w
+        if phibar <= _MINRES_RTOL * beta1:
+            break
+    return x
+
+
+def _newton_polish(p: Problem, w: PairFunction, grad_tol: float) -> PairFunction:
+    """Damped Newton-Krylov on the stacked optimality system f = mu*r = 0.
+
+    f is the Euclidean gradient of J in the unknowns, so its Jacobian is the
+    analytic Hessian, symmetric and indefinite (the radial direction at a
+    Nehari point has negative curvature). Each step solves H step = -f by
+    MINRES preconditioned with the SPD diagonal mu*(coef + wdeg/mu), using
+    only hessian_matvec products: O(|E| + n) time per product and memory
+    overall. Every step must strictly shrink the residual, so an inexact
+    solve can only waste a few evaluations, never corrupt the iterate.
     """
     g = p.graph
     iu, iv = np.flatnonzero(p.mask_a), np.flatnonzero(p.mask_b)
-    m = iu.size + iv.size
+    diag_u, diag_v = _diag_of(p)
 
     def unpack(z: np.ndarray) -> PairFunction:
         u = np.zeros(g.vertex_count)
@@ -128,29 +190,22 @@ def _newton_polish(p: Problem, w: PairFunction, grad_tol: float) -> PairFunction
         v[iv] = z[iu.size:]
         return PairFunction(u, v)
 
+    def restrict(fu: np.ndarray, fv: np.ndarray) -> np.ndarray:
+        return np.concatenate([fu[iu], fv[iv]])
+
     def stacked(z: np.ndarray) -> tuple[np.ndarray, float]:
         r = residual_of(p, unpack(z))
-        f = np.concatenate([g.mu[iu] * r.u[iu], g.mu[iv] * r.v[iv]])
-        return f, _residual_norm(p, r)
+        return restrict(g.mu * r.u, g.mu * r.v), _residual_norm(p, r)
 
-    z = np.concatenate([w.u[iu], w.v[iv]])
+    minv = 1.0 / restrict(g.mu * diag_u, g.mu * diag_v)
+    z = restrict(w.u, w.v)
     f, rnorm = stacked(z)
     for _ in range(_POLISH_MAX_ITERS):
         fnorm = float(np.linalg.norm(f))
         if not math.isfinite(fnorm) or fnorm == 0.0 or rnorm <= 0.5 * grad_tol:
             break
-        jac = np.empty((m, m))
-        for j in range(m):
-            h = 1e-7 * max(1.0, abs(z[j]))
-            zp = z.copy()
-            zp[j] += h
-            zm = z.copy()
-            zm[j] -= h
-            jac[:, j] = (stacked(zp)[0] - stacked(zm)[0]) / (2.0 * h)
-        try:
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(jac, -f, rcond=None)[0]
+        at = unpack(z)
+        step = _minres(lambda d: restrict(*hessian_matvec(p, at, *unpack(d))), -f, minv)
         if not np.all(np.isfinite(step)):
             break
         t = 1.0

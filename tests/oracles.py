@@ -114,24 +114,3 @@ def newton_ground_state(n, edges, mu, a, b, lam, alpha, beta,
     if best is None:
         raise RuntimeError("newton multistart found no nontrivial critical point")
     return best
-
-
-def brute_force_distance(n, edges, x, y):
-    """Hop distance by breadth-first layers built from the raw edge list."""
-    adj = {i: set() for i in range(n)}
-    for (i, j, _w) in edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    frontier = {x}
-    seen = {x}
-    d = 0
-    while frontier:
-        if y in frontier:
-            return d
-        nxt = set()
-        for p in frontier:
-            nxt |= adj[p] - seen
-        seen |= nxt
-        frontier = nxt
-        d += 1
-    return None

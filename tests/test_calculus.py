@@ -10,10 +10,8 @@ from graphwell import (
     PotentialField,
     WeightedGraph,
     dirichlet_energy_sq,
-    gradient_form,
     gradient_form_all,
     integrate,
-    laplacian,
     laplacian_all,
     norm_H_Omega_sq,
     norm_H_lambda_sq,
@@ -21,6 +19,18 @@ from graphwell import (
     norm_Lq,
 )
 from tests.conftest import random_connected_graph
+
+
+def laplacian(g, u, x):
+    """Reference mu-Laplacian at x: (1/mu(x)) sum_{y~x} w_xy (u(y) - u(x))."""
+    nbr, w = g.neighbors(x)
+    return float(np.dot(w, u[nbr] - u[x]) / g.mu[x])
+
+
+def gradient_form(g, u, v, x):
+    """Reference Gamma(u,v)(x) = (1/(2 mu(x))) sum_{y~x} w_xy (u(y)-u(x))(v(y)-v(x))."""
+    nbr, w = g.neighbors(x)
+    return float(np.dot(w, (u[nbr] - u[x]) * (v[nbr] - v[x])) / (2.0 * g.mu[x]))
 
 
 def two_vertex():
@@ -77,6 +87,15 @@ class TestPointwiseOperators:
             lhs = gradient_form(g, a * u + b * w, v, x)
             rhs = a * gradient_form(g, u, v, x) + b * gradient_form(g, w, v, x)
             assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-12)
+
+    def test_gradient_form_all_matches_pointwise(self):
+        rng = np.random.default_rng(6)
+        g = random_connected_graph(rng)
+        u, v = rng.normal(size=(2, g.vertex_count))
+        full = gradient_form_all(g, u, v)
+        for x in range(g.vertex_count):
+            assert full[x] == pytest.approx(gradient_form(g, u, v, x), rel=1e-13, abs=1e-13)
+
 
 class TestIntegration:
     def test_integrate_ones(self):

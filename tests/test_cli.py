@@ -121,6 +121,7 @@ class TestErrorPaths:
         ("check", ["--seed", "-1"]),
         ("dirichlet", ["--tol", "nan"]),
         ("solve", ["--lambda", "nan"]),
+        ("dirichlet", ["--tol", "inf"]),
     ])
     def test_bad_numeric_flag_is_usage_error(self, tiny, capsys, command, flags):
         rc = main([command, tiny, *flags])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from graphwell import (
 from graphwell.functional import (
     coupling_integral,
     energy_of,
+    hessian_matvec,
     nehari_scale,
     norm_sq_of,
     residual_of,
@@ -382,3 +384,82 @@ class TestMaskedKernel:
             expected += float(np.dot(g.mu[closed], gradient_form_all(g, f, f)[closed]))
             expected += float(np.dot(g.mu[opened], f[opened] ** 2))
         assert norm_H_Omega_sq(d, w) == pytest.approx(expected, rel=1e-12)
+
+
+def stacked_residual(p, w):
+    r = residual_of(p, w)
+    return np.concatenate([p.graph.mu * r.u, p.graph.mu * r.v])
+
+
+@st.composite
+def hessian_instances(draw):
+    """A problem of either flavour and a pair positive on its masks, >= 0.3 there."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g, pots, _w = draw(well_instances())
+    alpha = draw(st.floats(1.0, 4.0, exclude_min=True))
+    beta = draw(st.floats(1.0, 4.0, exclude_min=True))
+    if draw(st.booleans()):
+        p = LambdaProblem(g, pots, lam=draw(st.floats(1e-2, 1e9)), alpha=alpha, beta=beta)
+    else:
+        p = DirichletProblem(g, pots.omega_a, pots.omega_b, alpha=alpha, beta=beta)
+    n = g.vertex_count
+    u = np.where(p.mask_a, rng.uniform(0.3, 2.0, size=n), 0.0)
+    v = np.where(p.mask_b, rng.uniform(0.3, 2.0, size=n), 0.0)
+    return p, PairFunction(u, v), rng
+
+
+def unknowns_direction(p, rng):
+    """A random direction supported on the masks, the Newton polish's unknowns."""
+    n = p.graph.vertex_count
+    return (np.where(p.mask_a, rng.normal(size=n), 0.0),
+            np.where(p.mask_b, rng.normal(size=n), 0.0))
+
+
+class TestHessian:
+    # hessian_matvec is the Jacobian of the stacked mu*residual_of, which the
+    # Newton polish inverts by MINRES; central differences are its oracle.
+    # Directions stay on the unknowns: off the masks a Dirichlet pair sits at
+    # zeros where, for exponents below 2, the residual is only Holder
+    # continuous, so a difference quotient across them has no h^2 accuracy.
+    @settings(max_examples=100, deadline=None)
+    @given(inst=hessian_instances())
+    def test_matches_central_differences(self, inst):
+        p, w, rng = inst
+        du, dv = unknowns_direction(p, rng)
+        h = 1e-5
+        fd = (stacked_residual(p, (w.u + h * du, w.v + h * dv))
+              - stacked_residual(p, (w.u - h * du, w.v - h * dv))) / (2.0 * h)
+        hd = np.concatenate(hessian_matvec(p, w, du, dv))
+        assert np.linalg.norm(hd - fd) <= 1e-6 * np.linalg.norm(fd)
+
+    @settings(max_examples=100, deadline=None)
+    @given(inst=hessian_instances())
+    def test_symmetric_on_the_unknowns(self, inst):
+        p, w, rng = inst
+        dx, dy = unknowns_direction(p, rng), unknowns_direction(p, rng)
+        x, y = np.concatenate(dx), np.concatenate(dy)
+        hx = np.concatenate(hessian_matvec(p, w, *dx))
+        hy = np.concatenate(hessian_matvec(p, w, *dy))
+        scale = np.linalg.norm(x) * np.linalg.norm(hy) + np.linalg.norm(hx) * np.linalg.norm(y)
+        assert abs(np.dot(x, hy) - np.dot(hx, y)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_singular_diagonal_is_zero_at_a_zero(self, k):
+        # alpha = beta = 1.5: |u|^(alpha-2) is infinite at u = 0. The term is
+        # taken as 0 there, and so is the coupling entry, which carries
+        # signed_power(u, alpha-1) = 0; the row keeps its linear part. k
+        # picks the component (u or v) that vanishes at vertex 0.
+        rng = np.random.default_rng(31)
+        p = random_problem(rng, lam=3.0, alpha=1.5, beta=1.5)
+        g = p.graph
+        w = rng.uniform(0.5, 1.5, size=(2, g.vertex_count))
+        d = rng.normal(size=(2, g.vertex_count))
+        w[k, 0] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = hessian_matvec(p, w, *d)[k]
+        assert np.all(np.isfinite(out))
+        nbr, wts = g.neighbors(0)
+        coef = (p.coef_u, p.coef_v)[k][0]
+        linear = float(np.dot(wts, d[k, 0] - d[k, nbr])) + g.mu[0] * coef * d[k, 0]
+        assert out[0] == pytest.approx(linear, rel=1e-13, abs=1e-13)

@@ -1,12 +1,15 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from graphwell import (
     DirichletProblem,
+    LambdaProblem,
     PairFunction,
+    PotentialField,
     SolverConfig,
     WeightedGraph,
     solve_dirichlet,
@@ -32,6 +35,7 @@ class TestConfig:
         dict(restarts=0),
         dict(rng_seed=-1),
         dict(grad_tol=float("nan")),
+        dict(grad_tol=float("inf")),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -101,6 +105,35 @@ class TestGroundStates:
             out = solve_ground_state(p)
         assert out.converged
         assert not [r for r in caplog.records if "energy increased" in r.message]
+
+
+class TestScale:
+    def test_ten_thousand_vertex_grid_without_dense_memory(self):
+        # 100x100 4-neighbour grid, weights and measure in [0.5, 2]; the
+        # a-well is the left 60 % of the columns, the b-well the right 60 %.
+        # A dense Jacobian of the 2*10^4 unknowns alone would take 3.2 GB.
+        side = 100
+        rng = np.random.default_rng(2)
+        idx = np.arange(side * side).reshape(side, side)
+        pairs = np.concatenate([
+            np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1),
+            np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()], axis=1)])
+        weights = rng.uniform(0.5, 2.0, len(pairs))
+        edges = [(int(i), int(j), float(w)) for (i, j), w in zip(pairs, weights)]
+        g = WeightedGraph(side * side, edges, measure=rng.uniform(0.5, 2.0, side * side))
+        cols = idx.ravel() % side
+        width = int(0.6 * side)
+        pots = PotentialField(np.where(cols < width, 0.0, 1.0),
+                              np.where(cols >= side - width, 0.0, 1.0))
+        p = LambdaProblem(g, pots, lam=100.0, alpha=2.0, beta=2.0)
+        tracemalloc.start()
+        try:
+            out = solve_ground_state(p, SolverConfig(restarts=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.converged
+        assert peak < 64 * 2**20
 
 
 class TestDeterminism:
