@@ -133,8 +133,8 @@ class SweepConfig:
         lams = tuple(float(x) for x in self.lambdas)
         if not lams:
             raise ValueError("lambdas must be nonempty")
-        if any(x <= 0 for x in lams):
-            raise ValueError("lambdas must be positive")
+        if not all(math.isfinite(x) and x > 0 for x in lams):
+            raise ValueError("lambdas must be positive and finite")
         if any(b <= a for a, b in zip(lams, lams[1:])):
             raise ValueError("lambdas must be strictly increasing")
         object.__setattr__(self, "lambdas", lams)

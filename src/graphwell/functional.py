@@ -17,6 +17,7 @@ out, so J_lambda = J_Omega for every lambda and the residuals agree on the wells
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -32,6 +33,11 @@ def _freeze(obj, **arrays: np.ndarray) -> None:
     for name, arr in arrays.items():
         arr.setflags(write=False)
         object.__setattr__(obj, name, arr)
+
+
+def _check_exponents(alpha: float, beta: float) -> None:
+    if not (1 < alpha < math.inf and 1 < beta < math.inf):
+        raise ValueError(f"alpha and beta must be finite and exceed 1, got {alpha}, {beta}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,8 +59,7 @@ class LambdaProblem:
             raise GraphValidationError("potentials and graph disagree on vertex count")
         if not (np.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lambda must be positive and finite, got {self.lam}")
-        if not self.alpha > 1 or not self.beta > 1:
-            raise ValueError(f"alpha and beta must exceed 1, got {self.alpha}, {self.beta}")
+        _check_exponents(self.alpha, self.beta)
         free = np.ones(self.graph.vertex_count, dtype=bool)
         _freeze(self, coef_u=self.lam * self.potentials.a + 1.0,
                 coef_v=self.lam * self.potentials.b + 1.0, mask_a=free, mask_b=free)
@@ -95,8 +100,7 @@ class DirichletProblem:
             raise GraphValidationError("both wells must be nonempty")
         if not (omega_a & omega_b):
             raise GraphValidationError("the wells do not overlap")
-        if not self.alpha > 1 or not self.beta > 1:
-            raise ValueError(f"alpha and beta must exceed 1, got {self.alpha}, {self.beta}")
+        _check_exponents(self.alpha, self.beta)
         n = g.vertex_count
         mask_a = np.zeros(n, dtype=bool)
         mask_a[list(omega_a)] = True

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterable
@@ -48,6 +49,8 @@ def _float(tok: str, line: int, what: str) -> float:
         raise ParseError(f"{what} is not a number: {tok!r}", line) from None
     if val != val:
         raise ParseError(f"{what} is NaN", line)
+    if math.isinf(val):
+        raise ParseError(f"{what} is infinite", line)
     return val
 
 

@@ -122,6 +122,10 @@ class TestErrorPaths:
         ("dirichlet", ["--tol", "nan"]),
         ("solve", ["--lambda", "nan"]),
         ("dirichlet", ["--tol", "inf"]),
+        ("sweep", ["--lambdas", "1,inf"]),
+        ("sweep", ["--lambdas", "1,nan"]),
+        ("solve", ["--alpha", "inf"]),
+        ("dirichlet", ["--beta", "inf"]),
     ])
     def test_bad_numeric_flag_is_usage_error(self, tiny, capsys, command, flags):
         rc = main([command, tiny, *flags])

@@ -144,7 +144,8 @@ class TestGrids:
         assert grid[0] == pytest.approx(1.0)
         assert grid[-1] == pytest.approx(1e7)
 
-    @pytest.mark.parametrize("lams", [(), (0.0, 1.0), (-1.0, 2.0), (1.0, 1.0), (2.0, 1.0)])
+    @pytest.mark.parametrize("lams", [(), (0.0, 1.0), (-1.0, 2.0), (1.0, 1.0), (2.0, 1.0),
+                                      (1.0, math.nan), (1.0, math.inf)])
     def test_sweep_config_rejects_bad_grids(self, lams):
         with pytest.raises(ValueError):
             SweepConfig(lambdas=lams)

@@ -74,6 +74,10 @@ class TestProblemValidation:
             LambdaProblem(g, pots, lam=1.0, alpha=1.0, beta=2.0)
         with pytest.raises(ValueError):
             DirichletProblem(g, frozenset({0}), frozenset({0}), alpha=2.0, beta=0.5)
+        with pytest.raises(ValueError):
+            LambdaProblem(g, pots, lam=1.0, alpha=math.inf, beta=2.0)
+        with pytest.raises(ValueError):
+            DirichletProblem(g, frozenset({0}), frozenset({0}), alpha=2.0, beta=math.inf)
 
     def test_size_mismatch(self):
         g = WeightedGraph(2, [(0, 1, 1.0)])

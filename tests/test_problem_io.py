@@ -92,8 +92,10 @@ class TestParse:
         ("[vertices]\np 1 0 0\n[params]\nalpha 2 3\nbeta 2\n", 4, "exactly one"),
         ("[vertices]\np 1 0 0\n[params]\nalpha 2\n", 4, "missing required parameter"),
         ("[vertices]\np 1 0 0\n[params]\nalpha 1\nbeta 2\n", 4, "must exceed 1"),
+        ("[vertices]\np 1 0 0\n[params]\nalpha inf\nbeta 2\n", 4, "infinite"),
         ("[vertices]\np 1 0 0\n[params]\nalpha 2\nbeta 2\nlambda\n", 6, "at least one"),
         ("[vertices]\np 1 0 0\n[params]\nalpha 2\nbeta 2\nlambda 0\n", 6, "positive"),
+        ("[vertices]\np 1 0 0\n[params]\nalpha 2\nbeta 2\nlambda 1 inf\n", 6, "infinite"),
         ("[vertices]\np 1 0 0\n[params]\nalpha 2\nbeta 2\nlambda 2 1\n", 6, "increasing"),
         ("[vertices]\np 1 0 0\n[params]\nalpha 2\nbeta 2\n[domains]\nwells p\n", 7, "unknown domain"),
         ("[vertices]\np 1 0 0\n[params]\nalpha 2\nbeta 2\n[domains]\nomega_a p\nomega_a p\n", 8, "duplicate domain"),

@@ -14,6 +14,7 @@ from graphwell import (
     WeightedGraph,
     solve_dirichlet,
     solve_ground_state,
+    solver,
 )
 from tests.conftest import make_problem
 
@@ -196,6 +197,22 @@ class TestDirichlet:
         assert out.pair.v[0] == pytest.approx(2.0, rel=1e-9)
         assert out.pair.u[1] == 0.0 and out.pair.v[1] == 0.0
         assert out.energy == pytest.approx(4.0, rel=1e-10)
+
+    def test_loose_tolerance_stops_descent_without_polish(self, g22, g22_dirichlet, monkeypatch):
+        # grad_tol = 1e-2 lies above the Newton hand-off threshold
+        # (1e-4 * ||w|| is about 1.2e-3 here), so the one stop rule ends
+        # descent at the tolerance itself and the polish never runs.
+        def no_polish(*_args):
+            raise AssertionError("polish ran below the tolerance")
+
+        monkeypatch.setattr(solver, "_newton_polish", no_polish)
+        _graph, _pots, d = g22
+        out = solve_dirichlet(d, SolverConfig(grad_tol=1e-2))
+        assert out.converged
+        assert out.residual_norm <= 1e-2
+        ref = g22_dirichlet.energy
+        assert out.energy >= ref * (1 - 1e-12)
+        assert out.energy == pytest.approx(ref, rel=1e-4)
 
     def test_result_always_admissible(self):
         g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
