@@ -43,7 +43,6 @@ from .experiments import (
 )
 from .functional import (
     DirichletProblem,
-    LambdaFamily,
     LambdaProblem,
     NehariDiagnostics,
     Problem,

@@ -10,7 +10,6 @@ import numpy as np
 
 from . import calculus, functional
 from .errors import (
-    BoundaryMismatchError,
     DegeneratePairError,
     DomainViolationError,
     GraphValidationError,
@@ -18,7 +17,7 @@ from .errors import (
     UnknownLabelError,
 )
 from .experiments import SweepConfig, decade_grid, lambda_sweep
-from .functional import DirichletProblem, LambdaFamily
+from .functional import DirichletProblem, LambdaProblem
 from .problem_io import ProblemFile, parse_problem_file, write_solution, write_sweep
 from .solver import SolverConfig, solve_dirichlet, solve_ground_state
 
@@ -115,7 +114,7 @@ def _cmd_solve(args) -> int:
     alpha = args.alpha if args.alpha is not None else pf.alpha
     beta = args.beta if args.beta is not None else pf.beta
     try:
-        problem = functional.LambdaProblem(pf.graph, pf.potentials, lam, alpha, beta)
+        problem = LambdaProblem(pf.graph, pf.potentials, lam, alpha, beta)
         cfg = _solver_config(args)
     except ValueError as exc:
         return _usage_error(exc)
@@ -149,14 +148,13 @@ def _cmd_sweep(args) -> int:
         lambdas = decade_grid()
     alpha = args.alpha if args.alpha is not None else pf.alpha
     beta = args.beta if args.beta is not None else pf.beta
-    family = LambdaFamily(pf.graph, pf.potentials, alpha, beta)
     try:
         dirichlet = DirichletProblem(pf.graph, pf.omega_a, pf.omega_b, alpha, beta)
         cfg = SweepConfig(lambdas=lambdas, solver=_solver_config(args),
                           warm_start=args.warm_start)
     except ValueError as exc:
         return _usage_error(exc)
-    records = lambda_sweep(family, dirichlet, cfg)
+    records = lambda_sweep(pf.potentials, dirichlet, cfg)
     write_sweep(records, args.out if args.out else sys.stdout)
     bad = sum(1 for r in records if not r.converged)
     if bad:
@@ -188,7 +186,7 @@ def _cmd_check(args) -> int:
     failures += _report("integration by parts", worst < 1e-12, f"max rel err {worst:.2e}")
 
     lam = pf.lambdas[0] if pf.lambdas else 1.0
-    problem = pf.lambda_problem(lam)
+    problem = LambdaProblem(g, pf.potentials, lam, pf.alpha, pf.beta)
     worst = 0.0
     h = 1e-5
     base = calculus.PairFunction(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
@@ -209,7 +207,7 @@ def _cmd_check(args) -> int:
     bound = 2.0 / np.sqrt(g.mu_min)
     violations = 0
     for lam_test in (1e-2, 1.0, 1e2, 1e4):
-        plam = pf.lambda_problem(lam_test)
+        plam = LambdaProblem(g, pf.potentials, lam_test, pf.alpha, pf.beta)
         for _ in range(50):
             w = calculus.PairFunction(rng.standard_normal(n), rng.standard_normal(n))
             lhs = calculus.norm_Lq(g, w, np.inf)
@@ -245,8 +243,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ParseError as exc:
         print(f"graphwell: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (GraphValidationError, BoundaryMismatchError, DomainViolationError,
-            UnknownLabelError) as exc:
+    except (GraphValidationError, DomainViolationError, UnknownLabelError) as exc:
         print(f"graphwell: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except DegeneratePairError as exc:

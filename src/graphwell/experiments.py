@@ -11,7 +11,6 @@ are compared diagnostically rather than gated on; see compare_reference.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -20,14 +19,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .calculus import PairFunction, norm_H_sq
-from .errors import (
-    BoundaryMismatchError,
-    DegeneratePairError,
-    GraphValidationError,
-    UnknownLabelError,
-)
-from .functional import DirichletProblem, LambdaFamily
+from .errors import BoundaryMismatchError, DegeneratePairError, UnknownLabelError
+from .functional import DirichletProblem, LambdaProblem
 from .graph import PotentialField, WeightedGraph, boundary, validate_graph
+from .problem_io import read_solution
 from .solver import SolveResult, SolverConfig, solve_dirichlet, solve_ground_state
 
 G22_LABELS = tuple(f"x{i}" for i in range(1, 23))
@@ -161,36 +156,39 @@ def aligned_h_distance(g: WeightedGraph, w: PairFunction, ref: PairFunction) -> 
     return math.sqrt(best)
 
 
-def lambda_sweep(family: LambdaFamily, d: DirichletProblem,
+def lambda_sweep(potentials: PotentialField, d: DirichletProblem,
                  cfg: SweepConfig | None = None) -> list[SweepRecord]:
     """Solve the Dirichlet limit once, then every lambda, recording metrics.
 
-    With warm_start enabled, each lambda is additionally seeded with the
-    previous solution and with the Dirichlet minimizer (an admissible
-    competitor at every lambda, which keeps the energy below the limit level);
-    the seeded runs compete against the usual cold restarts and the best
-    energy wins. A lambda whose solve degenerates is recorded unconverged.
+    Every lambda-problem takes d's graph and exponents with the given
+    potentials, so d is always its limit. All of them are built, and so
+    validated, before the first solve. With warm_start enabled, each lambda is
+    additionally seeded with the previous solution and with the Dirichlet
+    minimizer (an admissible competitor at every lambda, which keeps the
+    energy below the limit level); the seeded runs compete against the usual
+    cold restarts and the best energy wins. A lambda whose solve degenerates
+    is recorded unconverged.
     """
     cfg = cfg or SweepConfig()
-    if family.graph is not d.graph:
-        raise GraphValidationError("sweep family and Dirichlet problem must share one graph")
-    g = family.graph
-    outside_a = np.asarray(family.potentials.a > 0)
-    outside_b = np.asarray(family.potentials.b > 0)
+    g = d.graph
+    problems = [LambdaProblem(g, potentials, lam, d.alpha, d.beta) for lam in cfg.lambdas]
+    outside_a = np.asarray(potentials.a > 0)
+    outside_b = np.asarray(potentials.b > 0)
 
     dres = solve_dirichlet(d, cfg.solver)
     ref = dres.pair
 
     records: list[SweepRecord] = []
     prev: PairFunction | None = None
-    for lam in cfg.lambdas:
+    for problem in problems:
+        lam = problem.lam
         seeds: list[PairFunction] = []
         if cfg.warm_start:
             if prev is not None:
                 seeds.append(prev)
             seeds.append(ref)
         try:
-            res = solve_ground_state(family.problem(lam), cfg.solver, warm_starts=seeds)
+            res = solve_ground_state(problem, cfg.solver, warm_starts=seeds)
         except DegeneratePairError:
             records.append(SweepRecord(lam, math.nan, math.nan, math.nan,
                                        math.nan, math.nan, False))
@@ -200,7 +198,7 @@ def lambda_sweep(family: LambdaFamily, d: DirichletProblem,
         sup_u = float(np.max(np.abs(u[outside_a]))) if outside_a.any() else 0.0
         sup_v = float(np.max(np.abs(v[outside_b]))) if outside_b.any() else 0.0
         records.append(SweepRecord(
-            lam=float(lam),
+            lam=lam,
             energy=res.energy,
             sup_u_outside=sup_u,
             sup_v_outside=sup_v,
@@ -260,9 +258,11 @@ def g22_reference_values() -> dict[tuple[str, str], float]:
     optimality system (scripts/generate_g22_reference.py) and frozen as
     package data.
     """
-    text = resources.files("graphwell").joinpath("data/g22_dirichlet_reference.csv").read_text()
+    path = resources.files("graphwell").joinpath("data/g22_dirichlet_reference.csv")
+    with path.open("r", encoding="utf-8") as fh:
+        values = read_solution(fh)
     out: dict[tuple[str, str], float] = {}
-    for row in csv.DictReader(text.splitlines()):
-        out[(row["vertex"], "u")] = float(row["u"])
-        out[(row["vertex"], "v")] = float(row["v"])
+    for label, (u, v) in values.items():
+        out[(label, "u")] = u
+        out[(label, "v")] = v
     return out

@@ -121,19 +121,6 @@ class DirichletProblem:
         return check_admissible(self, w)
 
 
-@dataclass(frozen=True)
-class LambdaFamily:
-    """A lambda-indexed family of problems sharing graph and potentials."""
-
-    graph: WeightedGraph
-    potentials: PotentialField
-    alpha: float
-    beta: float
-
-    def problem(self, lam: float) -> LambdaProblem:
-        return LambdaProblem(self.graph, self.potentials, lam, self.alpha, self.beta)
-
-
 class NehariDiagnostics(NamedTuple):
     norm_sq: float
     coupling: float

@@ -10,14 +10,13 @@ digits so a round trip reproduces them bit exactly.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ParseError
-from .functional import DirichletProblem, LambdaFamily, LambdaProblem
+from .functional import DirichletProblem
 from .graph import PotentialField, WeightedGraph, validate_graph
 from .solver import SolveResult
 
@@ -35,11 +34,6 @@ class ProblemFile:
     lambdas: tuple[float, ...]
     omega_a: frozenset
     omega_b: frozenset
-    family: LambdaFamily
-    dirichlet: DirichletProblem
-
-    def lambda_problem(self, lam: float) -> LambdaProblem:
-        return self.family.problem(lam)
 
 
 def _float(tok: str, line: int, what: str) -> float:
@@ -179,11 +173,10 @@ def parse_problem(text: str) -> ProblemFile:
     potentials = PotentialField(avals, bvals)
     omega_a = domains.get("omega_a", potentials.omega_a)
     omega_b = domains.get("omega_b", potentials.omega_b)
-    family = LambdaFamily(graph, potentials, alpha, beta)
-    dirichlet = DirichletProblem(graph, omega_a, omega_b, alpha, beta)
+    # Validates the declared wells: nonempty and overlapping.
+    DirichletProblem(graph, omega_a, omega_b, alpha, beta)
     return ProblemFile(graph=graph, potentials=potentials, alpha=alpha, beta=beta,
-                       lambdas=lambdas, omega_a=omega_a, omega_b=omega_b,
-                       family=family, dirichlet=dirichlet)
+                       lambdas=lambdas, omega_a=omega_a, omega_b=omega_b)
 
 
 def parse_problem_file(path: str | os.PathLike) -> ProblemFile:
@@ -261,10 +254,8 @@ def read_solution(source) -> dict[str, tuple[float, float]]:
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
-    elif isinstance(source, io.TextIOBase) or hasattr(source, "read"):
-        text = source.read()
     else:
-        text = source
+        text = source.read()
     out: dict[str, tuple[float, float]] = {}
     for row in csv.DictReader(text.splitlines()):
         out[row["vertex"]] = (float(row["u"]), float(row["v"]))

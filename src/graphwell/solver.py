@@ -24,10 +24,12 @@ point is kept only when it actually lowers the residual norm.
 A restart has one stop rule, tested at the loop head: descent ends once the
 residual reaches max(grad_tol, _POLISH_SWITCH * max(1, ||w||)). Every iterate
 is an exact Nehari projection, so its defect is rounding-level and is checked
-once, by the certificate after the loop. The stall count and a line search
-that underflows end a restart early; both hand over to the polish too. One
-residual norm serves throughout: the mu-weighted ||r|| of the certificate
-decides the descent stop, the polish's damping and the keep-if-lower test.
+once, by the certificate after the loop. The stall count and the iteration
+budget, tested at the same loop head, and a line search that underflows end
+a restart early; all hand over to the polish too, with the residual that the
+loop head last computed. One residual norm serves throughout: the
+mu-weighted ||r|| of the certificate decides the descent stop, the polish's
+damping and the keep-if-lower test.
 
 The polish is matrix-free. Its Jacobian is the analytic Hessian, applied by
 functional.hessian_matvec in O(|E| + n); each Newton step solves with it by
@@ -176,7 +178,8 @@ def _minres(matvec, b: np.ndarray, minv: np.ndarray) -> np.ndarray:
     return x
 
 
-def _newton_polish(p: Problem, w: PairFunction, grad_tol: float) -> PairFunction:
+def _newton_polish(p: Problem, w: PairFunction, res: PairFunction, rnorm: float,
+                   grad_tol: float) -> PairFunction:
     """Damped Newton-Krylov on the stacked optimality system f = mu*r = 0.
 
     f is the Euclidean gradient of J in the unknowns, so its Jacobian is the
@@ -192,6 +195,7 @@ def _newton_polish(p: Problem, w: PairFunction, grad_tol: float) -> PairFunction
     mu-weighted ||r||, strictly shrinks. A Newton step is a descent direction
     for every weighted norm of f, so an inexact solve can only waste a few
     evaluations, never corrupt the iterate; a nonfinite trial fails the test.
+    The caller passes the residual res of w and its norm rnorm.
     """
     g = p.graph
     n = g.vertex_count
@@ -204,7 +208,7 @@ def _newton_polish(p: Problem, w: PairFunction, grad_tol: float) -> PairFunction
     mask = np.concatenate([p.mask_a, p.mask_b])
     minv = np.where(mask, 1.0 / np.concatenate([g.mu * diag_u, g.mu * diag_v]), 0.0)
     z = np.concatenate([w.u, w.v])
-    f, rnorm = stacked(z)
+    f = np.concatenate([g.mu * res.u, g.mu * res.v])
     for _ in range(_POLISH_MAX_ITERS):
         if not math.isfinite(rnorm) or rnorm <= 0.5 * grad_tol:
             break
@@ -242,17 +246,16 @@ def _run_descent(p: Problem, cfg: SolverConfig, w0: PairFunction, index: int) ->
     energy = energy_of(p, w)
     best_rnorm = math.inf
     no_improve = 0
-    iters = 0
 
-    for k in range(_MAX_ITERS):
+    for k in range(_MAX_ITERS + 1):
         iters = k + 1
         res = residual_of(p, w)
         rnorm = _residual_norm(p, res)
         norm_sq = norm_sq_of(p, w)
         if rnorm <= max(cfg.grad_tol, _POLISH_SWITCH * max(1.0, math.sqrt(norm_sq))):
             break
-        if no_improve >= _STALL_LIMIT:
-            logger.debug("restart %d stalled after %d iterations (rnorm %.3e)", index, iters, rnorm)
+        if no_improve >= _STALL_LIMIT or k == _MAX_ITERS:
+            logger.debug("restart %d stopped after %d iterations (rnorm %.3e)", index, iters, rnorm)
             break
 
         du = res.u / diag_u
@@ -285,13 +288,12 @@ def _run_descent(p: Problem, cfg: SolverConfig, w0: PairFunction, index: int) ->
         no_improve = 0 if improved else no_improve + 1
         energy = energy_t
 
-    res = residual_of(p, w)
-    rnorm = _residual_norm(p, res)
+    # Every exit leaves res and rnorm those of the final w.
     if rnorm > cfg.grad_tol:
         # Re-project so the certificate below sees an exact manifold point;
         # at a polished critical point the scale is 1 up to rounding.
         try:
-            polished = _newton_polish(p, w, cfg.grad_tol)
+            polished = _newton_polish(p, w, res, rnorm, cfg.grad_tol)
             t = nehari_scale(p, polished)
             cand = PairFunction(t * polished.u, t * polished.v)
             cnorm = _residual_norm(p, residual_of(p, cand))

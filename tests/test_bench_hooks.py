@@ -6,7 +6,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from graphwell import solver
+from graphwell import experiments, solver
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -29,3 +29,9 @@ def test_solver_loops_call_kernel_through_module_globals():
     stacked = next(c for c in solver._newton_polish.__code__.co_consts
                    if getattr(c, "co_name", None) == "stacked")
     assert "residual_of" in stacked.co_names
+
+
+def test_sweep_calls_the_lambda_solver_itself():
+    # warm_won_ratio counts solve_ground_state calls whose caller frame is
+    # lambda_sweep, so the call must stay in that function's own body.
+    assert "solve_ground_state" in experiments.lambda_sweep.__code__.co_names

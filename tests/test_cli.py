@@ -106,6 +106,14 @@ class TestErrorPaths:
         assert rc == EXIT_VALIDATION
         assert "validation error" in captured.err
 
+    def test_disjoint_declared_wells_fail_validation(self, tmp_path, capsys):
+        bad = tmp_path / "disjoint.graph"
+        bad.write_text(TINY + "[domains]\nomega_a p\nomega_b q\n", encoding="utf-8")
+        rc = main(["validate", str(bad)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_VALIDATION
+        assert "the wells do not overlap" in captured.err
+
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["solve", str(tmp_path / "nope.graph")])
         captured = capsys.readouterr()

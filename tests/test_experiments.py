@@ -7,7 +7,7 @@ from graphwell import (
     BoundaryMismatchError,
     DirichletProblem,
     GraphValidationError,
-    LambdaFamily,
+    LambdaProblem,
     PairFunction,
     PotentialField,
     SolverConfig,
@@ -24,6 +24,7 @@ from graphwell import (
     grad_J_Omega,
     nehari_diagnostics,
     solve_dirichlet,
+    solve_ground_state,
 )
 from graphwell.experiments import (
     G22_BOUNDARY_A,
@@ -37,12 +38,11 @@ from graphwell.experiments import (
 )
 
 
-def small_family():
+def small_family(alpha=2.0, beta=2.0):
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 2.0)], measure=[1.0, 0.5, 2.0])
     pots = PotentialField([0.0, 0.0, 1.2], [0.5, 0.0, 0.0])
-    family = LambdaFamily(g, pots, alpha=2.0, beta=2.0)
-    d = DirichletProblem(g, pots.omega_a, pots.omega_b, alpha=2.0, beta=2.0)
-    return family, d
+    d = DirichletProblem(g, pots.omega_a, pots.omega_b, alpha=alpha, beta=beta)
+    return pots, d
 
 
 class TestBuild:
@@ -173,8 +173,8 @@ class TestAlignment:
 
 class TestSweep:
     def test_small_sweep_metrics(self):
-        family, d = small_family()
-        records = lambda_sweep(family, d, SweepConfig(lambdas=(1.0, 10.0, 100.0)))
+        pots, d = small_family()
+        records = lambda_sweep(pots, d, SweepConfig(lambdas=(1.0, 10.0, 100.0)))
         assert [r.lam for r in records] == [1.0, 10.0, 100.0]
         assert all(r.converged for r in records)
         energies = [r.energy for r in records]
@@ -183,21 +183,30 @@ class TestSweep:
         assert records[-1].h_distance < records[0].h_distance
 
     def test_energies_capped_by_limit_level(self):
-        family, d = small_family()
+        pots, d = small_family()
         cap = solve_dirichlet(d).energy
-        records = lambda_sweep(family, d, SweepConfig(lambdas=(1.0, 100.0)))
+        records = lambda_sweep(pots, d, SweepConfig(lambdas=(1.0, 100.0)))
         for r in records:
             assert r.energy <= cap + 1e-9 * max(1.0, abs(cap))
 
-    def test_requires_shared_graph(self):
-        family, _d = small_family()
-        _family2, d2 = small_family()
+    def test_rejects_potentials_of_another_vertex_count(self, monkeypatch):
+        _pots, d = small_family()
+        solves = []
+        monkeypatch.setattr("graphwell.experiments.solve_dirichlet",
+                            lambda *args: solves.append(args))
         with pytest.raises(GraphValidationError):
-            lambda_sweep(family, d2)
+            lambda_sweep(PotentialField([0.0, 0.0], [0.0, 1.0]), d)
+        assert solves == []
+
+    def test_lambda_problems_take_the_dirichlet_exponents(self):
+        pots, d = small_family(alpha=3.0, beta=2.5)
+        records = lambda_sweep(pots, d, SweepConfig(lambdas=(1.0,), warm_start=False))
+        want = solve_ground_state(LambdaProblem(d.graph, pots, 1.0, 3.0, 2.5))
+        assert records[0].energy == want.energy
 
     def test_cold_sweep_still_converges(self):
-        family, d = small_family()
-        records = lambda_sweep(family, d, SweepConfig(lambdas=(1.0, 10.0), warm_start=False))
+        pots, d = small_family()
+        records = lambda_sweep(pots, d, SweepConfig(lambdas=(1.0, 10.0), warm_start=False))
         assert all(r.converged for r in records)
 
 

@@ -12,7 +12,6 @@ from graphwell import (
     DirichletProblem,
     DomainViolationError,
     GraphValidationError,
-    LambdaFamily,
     LambdaProblem,
     PairFunction,
     PotentialField,
@@ -95,13 +94,6 @@ class TestProblemValidation:
     def test_negative_potential_rejected(self):
         with pytest.raises(GraphValidationError):
             PotentialField([0.0, -0.1], [0.0, 1.0])
-
-    def test_family_builds_problems(self):
-        g = WeightedGraph(1, [])
-        fam = LambdaFamily(g, PotentialField([0.0], [0.0]), alpha=2.0, beta=2.0)
-        p = fam.problem(10.0)
-        assert p.lam == 10.0
-        assert p.gamma == 4.0
 
     def test_kernel_data_of_each_flavor(self):
         g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])

@@ -57,15 +57,17 @@ class TestParse:
         # wells inferred from the zero sets
         assert pf.omega_a == frozenset({0})
         assert pf.omega_b == frozenset({0, 1})
-        p = pf.lambda_problem(10.0)
-        assert p.lam == 10.0
 
     def test_domains_override_inference(self):
         text = MINIMAL + "[domains]\nomega_a p q\nomega_b p\n"
         pf = parse_problem(text)
         assert pf.omega_a == frozenset({0, 1})
         assert pf.omega_b == frozenset({0})
-        assert pf.dirichlet.omega_a == frozenset({0, 1})
+
+    def test_declared_wells_must_overlap(self):
+        text = MINIMAL + "[domains]\nomega_a p\nomega_b q\n"
+        with pytest.raises(GraphValidationError, match="the wells do not overlap"):
+            parse_problem(text)
 
     def test_comments_and_blank_lines_ignored(self):
         noisy = MINIMAL.replace("[edges]", "\n   # noise\n[edges]  # trailing")

@@ -214,6 +214,28 @@ class TestDirichlet:
         assert out.energy >= ref * (1 - 1e-12)
         assert out.energy == pytest.approx(ref, rel=1e-4)
 
+    def test_iteration_budget_hands_its_residual_to_the_polish(self, g22, monkeypatch):
+        # The budget is tested at the loop head: after _MAX_ITERS descent
+        # steps the restart leaves on its _MAX_ITERS + 1st residual, which
+        # must be the residual of the point the polish starts from.
+        handed = []
+        polish = solver._newton_polish
+
+        def spy(p, w, res, rnorm, grad_tol):
+            handed.append((p, w, res, rnorm))
+            return polish(p, w, res, rnorm, grad_tol)
+
+        monkeypatch.setattr(solver, "_MAX_ITERS", 3)
+        monkeypatch.setattr(solver, "_newton_polish", spy)
+        _graph, _pots, d = g22
+        out = solve_dirichlet(d, SolverConfig(restarts=1))
+        assert out.iterations == 4
+        [(p, w, res, rnorm)] = handed
+        want = solver.residual_of(p, w)
+        np.testing.assert_array_equal(res.u, want.u)
+        np.testing.assert_array_equal(res.v, want.v)
+        assert rnorm == solver._residual_norm(p, want)
+
     def test_result_always_admissible(self):
         g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
         d = DirichletProblem(g, frozenset({1}), frozenset({1, 2}), alpha=2.0, beta=2.0)
