@@ -17,7 +17,6 @@ from .calculus import (
     norm_Lq,
 )
 from .errors import (
-    AllRestartsDegenerateError,
     BoundaryMismatchError,
     DegeneratePairError,
     DomainViolationError,
@@ -56,7 +55,6 @@ from .functional import (
 )
 from .graph import (
     PotentialField,
-    ValidationReport,
     WeightedGraph,
     as_domain,
     boundary,
@@ -64,7 +62,6 @@ from .graph import (
 )
 from .problem_io import (
     ProblemFile,
-    format_problem,
     parse_problem,
     parse_problem_file,
     read_solution,

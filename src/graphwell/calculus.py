@@ -84,7 +84,7 @@ def norm_H_sq(g: WeightedGraph, w) -> float:
     return grad + mass
 
 
-def check_admissible(d: "DirichletProblem", w) -> PairFunction:
+def check_admissible(d: DirichletProblem, w) -> PairFunction:
     """Require u = 0 off Omega_a and v = 0 off Omega_b, else raise."""
     u, v = as_pair(d.graph, w)
     bad_u = np.flatnonzero((u != 0.0) & ~d.mask_a)

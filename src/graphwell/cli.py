@@ -64,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("problem")
     sp.add_argument("--lambdas", default=None,
                     help="comma separated increasing lambda list (default: file list or decades 1..1e7)")
-    sp.add_argument("--warm-start", action=argparse.BooleanOptionalAction, default=True,
-                    help="seed each lambda with the previous solution (default on)")
     _add_exponent_flags(sp)
     _add_solver_flags(sp)
     sp.set_defaults(func=_cmd_sweep)
@@ -150,8 +148,7 @@ def _cmd_sweep(args) -> int:
     beta = args.beta if args.beta is not None else pf.beta
     try:
         dirichlet = DirichletProblem(pf.graph, pf.omega_a, pf.omega_b, alpha, beta)
-        cfg = SweepConfig(lambdas=lambdas, solver=_solver_config(args),
-                          warm_start=args.warm_start)
+        cfg = SweepConfig(lambdas=lambdas, solver=_solver_config(args))
     except ValueError as exc:
         return _usage_error(exc)
     records = lambda_sweep(pf.potentials, dirichlet, cfg)

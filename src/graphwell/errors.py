@@ -17,10 +17,6 @@ class DegeneratePairError(GraphwellError):
     """The coupling integral vanishes, so no Nehari projection exists."""
 
 
-class AllRestartsDegenerateError(DegeneratePairError):
-    """Every solver restart produced a degenerate pair."""
-
-
 class BoundaryMismatchError(GraphwellError):
     """A computed vertex boundary disagrees with a required listing."""
 

@@ -76,9 +76,9 @@ TABLE1_REFERENCE: dict[tuple[str, str], float] = {
 
 
 def build_g22(edges: Sequence[tuple[str, str]] = G22_EDGES,
-              alpha: float = 2.0, beta: float = 2.0,
               ) -> tuple[WeightedGraph, PotentialField, DirichletProblem]:
-    """Assemble the experiment instance and validate its boundary listings.
+    """Assemble the experiment instance, with alpha = beta = 2, and validate
+    its boundary listings.
 
     The supplied edge list must reproduce the required vertex boundaries of
     both wells exactly; any disagreement raises BoundaryMismatchError naming
@@ -108,7 +108,7 @@ def build_g22(edges: Sequence[tuple[str, str]] = G22_EDGES,
                 f"boundary of the {name}-well disagrees with the required listing at {off}",
                 vertex=off)
 
-    problem = DirichletProblem(g, pots.omega_a, pots.omega_b, alpha, beta)
+    problem = DirichletProblem(g, pots.omega_a, pots.omega_b, 2.0, 2.0)
     return g, pots, problem
 
 
@@ -122,7 +122,6 @@ def decade_grid(start_exp: float = 0.0, stop_exp: float = 7.0, per_decade: int =
 class SweepConfig:
     lambdas: tuple[float, ...] = decade_grid()
     solver: SolverConfig = SolverConfig()
-    warm_start: bool = True
 
     def __post_init__(self):
         lams = tuple(float(x) for x in self.lambdas)
@@ -162,12 +161,12 @@ def lambda_sweep(potentials: PotentialField, d: DirichletProblem,
 
     Every lambda-problem takes d's graph and exponents with the given
     potentials, so d is always its limit. All of them are built, and so
-    validated, before the first solve. With warm_start enabled, each lambda is
-    additionally seeded with the previous solution and with the Dirichlet
-    minimizer (an admissible competitor at every lambda, which keeps the
-    energy below the limit level); the seeded runs compete against the usual
-    cold restarts and the best energy wins. A lambda whose solve degenerates
-    is recorded unconverged.
+    validated, before the first solve. Each lambda is seeded with the previous
+    solution and with the Dirichlet minimizer (an admissible competitor at
+    every lambda, which keeps the energy below the limit level); the seeded
+    runs compete against the usual cold restarts and the best energy wins. A
+    lambda whose solve degenerates is recorded unconverged, and the next one
+    is seeded with the Dirichlet minimizer alone.
     """
     cfg = cfg or SweepConfig()
     g = d.graph
@@ -182,11 +181,7 @@ def lambda_sweep(potentials: PotentialField, d: DirichletProblem,
     prev: PairFunction | None = None
     for problem in problems:
         lam = problem.lam
-        seeds: list[PairFunction] = []
-        if cfg.warm_start:
-            if prev is not None:
-                seeds.append(prev)
-            seeds.append(ref)
+        seeds = [ref] if prev is None else [prev, ref]
         try:
             res = solve_ground_state(problem, cfg.solver, warm_starts=seeds)
         except DegeneratePairError:
@@ -234,9 +229,11 @@ class ComparisonReport:
 
 
 def compare_reference(g: WeightedGraph, result: SolveResult,
-                      reference: Mapping[tuple[str, str], float],
-                      atol: float = 5e-3) -> ComparisonReport:
-    """Per-vertex diffs against a labeled value table; absent entries mean 0."""
+                      reference: Mapping[tuple[str, str], float]) -> ComparisonReport:
+    """Per-vertex diffs against a labeled value table; absent entries mean 0.
+
+    The verdict is MATCH when every diff is within atol = 5e-3.
+    """
     for label, comp in reference:
         g.id_of(label)
         if comp not in ("u", "v"):
@@ -248,7 +245,7 @@ def compare_reference(g: WeightedGraph, result: SolveResult,
             want = float(reference.get((label, comp), 0.0))
             entries.append(ReferenceDiff(label, comp, float(values[x]), want))
     max_dev = max(e.deviation for e in entries)
-    return ComparisonReport(tuple(entries), max_dev, float(atol))
+    return ComparisonReport(tuple(entries), max_dev, 5e-3)
 
 
 def g22_reference_values() -> dict[tuple[str, str], float]:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,10 +17,10 @@ class WeightedGraph:
     """Immutable graph with one canonical weight per unordered edge.
 
     Symmetry w(x,y) = w(y,x) holds by construction: each pair {x,y} is stored
-    once. Construction checks structural shape (index range, no self loops,
-    no duplicate pairs, finite values); positivity of weights/measure and
-    connectivity are certified by validate_graph, which must be able to
-    inspect ill-formed instances in order to report them.
+    once. Construction checks the shape (index range, no self loops, no
+    duplicate pairs) and that every weight and measure value is positive and
+    finite, naming the offending edge or vertex; connectivity is certified
+    separately by validate_graph.
     """
 
     def __init__(
@@ -56,8 +55,6 @@ class WeightedGraph:
         self.edge_i = np.asarray(ei, dtype=np.int64)
         self.edge_j = np.asarray(ej, dtype=np.int64)
         self.edge_w = np.asarray(ew, dtype=np.float64)
-        if self.edge_w.size and not np.all(np.isfinite(self.edge_w)):
-            raise GraphValidationError("edge weights must be finite")
 
         if measure is None:
             mu = np.ones(n, dtype=np.float64)
@@ -65,8 +62,6 @@ class WeightedGraph:
             mu = np.asarray(measure, dtype=np.float64).copy()
         if mu.shape != (n,):
             raise GraphValidationError(f"measure must have one value per vertex, got shape {mu.shape}")
-        if not np.all(np.isfinite(mu)):
-            raise GraphValidationError("measure values must be finite")
         self.mu = mu
         self.mu_min = float(mu.min())
 
@@ -80,6 +75,18 @@ class WeightedGraph:
         self._label_ids = {s: i for i, s in enumerate(labels)}
         if len(self._label_ids) != n:
             raise GraphValidationError("vertex labels must be unique")
+
+        bad = ~(np.isfinite(self.edge_w) & (self.edge_w > 0))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise GraphValidationError(
+                f"weight {self.edge_w[k]} on edge ({labels[self.edge_i[k]]}, "
+                f"{labels[self.edge_j[k]]}) is not positive and finite")
+        bad = ~(np.isfinite(mu) & (mu > 0))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise GraphValidationError(
+                f"measure {mu[k]} at vertex {labels[k]} is not positive and finite")
 
         # CSR-style adjacency: neighbors of x are _nbr[_indptr[x]:_indptr[x+1]]
         heads = np.concatenate([self.edge_i, self.edge_j])
@@ -164,33 +171,15 @@ class PotentialField:
                 f"|Omega_b|={len(self.omega_b)}, |overlap|={len(self.overlap)})")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    vertex_count: int
-    edge_count: int
-    mu_min: float
-    connected: bool = True
+def validate_graph(g: WeightedGraph) -> None:
+    """Certify connectivity from vertex 0.
 
-
-def validate_graph(g: WeightedGraph) -> ValidationReport:
-    """Certify positivity of weights/measure and connectivity from vertex 0.
-
-    Raises GraphValidationError naming an offender on failure; returns a
-    summary report on success.
+    Raises GraphValidationError naming an unreachable vertex on failure.
     """
-    if np.any(g.edge_w <= 0):
-        k = int(np.argmax(g.edge_w <= 0))
-        raise GraphValidationError(
-            f"nonpositive weight {g.edge_w[k]} on edge "
-            f"({g.label_of(int(g.edge_i[k]))}, {g.label_of(int(g.edge_j[k]))})")
-    if np.any(g.mu <= 0):
-        k = int(np.argmax(g.mu <= 0))
-        raise GraphValidationError(f"nonpositive measure {g.mu[k]} at vertex {g.label_of(k)}")
     reached = _bfs_reach(g, 0)
     if not reached.all():
         k = int(np.argmax(~reached))
         raise GraphValidationError(f"graph is disconnected: vertex {g.label_of(k)} is unreachable from {g.label_of(0)}")
-    return ValidationReport(g.vertex_count, g.edge_count, g.mu_min, True)
 
 
 def _bfs_reach(g: WeightedGraph, source: int) -> np.ndarray:

@@ -3,8 +3,8 @@
 The problem format is line oriented and diff friendly: four sections headed
 by [vertices], [edges], [params], [domains], whitespace-separated fields,
 '#' starts a comment. Domains are optional; when absent the wells are the
-zero sets of the potentials. All floats are written back with 17 significant
-digits so a round trip reproduces them bit exactly.
+zero sets of the potentials. The solution and sweep CSVs write every float
+with 17 significant digits, so reading them back reproduces it bit exactly.
 """
 
 from __future__ import annotations
@@ -182,33 +182,6 @@ def parse_problem(text: str) -> ProblemFile:
 def parse_problem_file(path: str | os.PathLike) -> ProblemFile:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_problem(fh.read())
-
-
-def format_problem(pf: ProblemFile) -> str:
-    """Render a ProblemFile back into the problem format.
-
-    Comments and original whitespace are not preserved, but parsing the output
-    reproduces the same problem bit exactly (floats are written with 17
-    significant digits, and the inferred domains are made explicit).
-    """
-    g = pf.graph
-    lines = ["[vertices]"]
-    for x in range(g.vertex_count):
-        lines.append(" ".join([g.labels[x], _fmt(g.mu[x]),
-                               _fmt(pf.potentials.a[x]), _fmt(pf.potentials.b[x])]))
-    lines.append("[edges]")
-    for i, j, w in zip(pf.graph.edge_i, pf.graph.edge_j, pf.graph.edge_w):
-        lines.append(" ".join([g.labels[int(i)], g.labels[int(j)], _fmt(w)]))
-    lines.append("[params]")
-    lines.append(f"alpha {_fmt(pf.alpha)}")
-    lines.append(f"beta {_fmt(pf.beta)}")
-    if pf.lambdas:
-        lines.append("lambda " + " ".join(_fmt(x) for x in pf.lambdas))
-    lines.append("[domains]")
-    for key, dom in (("omega_a", pf.omega_a), ("omega_b", pf.omega_b)):
-        members = sorted(dom)
-        lines.append(key + " " + " ".join(g.labels[x] for x in members))
-    return "\n".join(lines) + "\n"
 
 
 def _fmt(x: float) -> str:

@@ -47,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from .calculus import PairFunction, as_pair
-from .errors import AllRestartsDegenerateError, DegeneratePairError
+from .errors import DegeneratePairError
 from .functional import (
     DirichletProblem,
     LambdaProblem,
@@ -323,7 +323,7 @@ def _solve(p: Problem, cfg: SolverConfig, warm_starts: Sequence[PairFunction]) -
         if out is not None:
             candidates.append(out)
     if not candidates:
-        raise AllRestartsDegenerateError(
+        raise DegeneratePairError(
             "coupling degenerated to zero in every restart; no Nehari projection exists")
     pool = [c for c in candidates if c.converged] or candidates
     best = min(c.energy for c in pool)

@@ -185,10 +185,12 @@ class TestSweep:
         captured = capsys.readouterr()
         assert "increasing" in captured.err
 
-    def test_no_warm_start(self, tiny, capsys):
-        rc = main(["sweep", tiny, "--lambdas", "1,10", "--no-warm-start"])
-        capsys.readouterr()
-        assert rc == EXIT_OK
+    def test_warm_start_flag_is_gone(self, tiny, capsys):
+        # Every sweep warm-starts; the old switch is now an unknown option.
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", tiny, "--lambdas", "1,10", "--no-warm-start"])
+        assert exc.value.code == 2
+        assert "--no-warm-start" in capsys.readouterr().err
 
     def test_same_seed_same_bytes(self, tiny, tmp_path, capsys):
         a = tmp_path / "a.csv"

@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphwell import (
+    DirichletProblem,
     GraphValidationError,
+    LambdaProblem,
+    PotentialField,
     UnknownLabelError,
     WeightedGraph,
     as_domain,
@@ -41,9 +44,7 @@ class TestConstruction:
         assert g.vertex_count == 2
         assert g.edge_count == 1
         assert g.mu_min == 1.0
-        report = validate_graph(g)
-        assert report.connected
-        assert report.edge_count == 1
+        assert validate_graph(g) is None
 
     def test_edges_stored_canonically(self):
         g = WeightedGraph(3, [(2, 0, 1.5), (1, 2, 0.5)])
@@ -87,16 +88,27 @@ class TestConstruction:
 
 class TestValidation:
     def test_nonpositive_weight_names_offender(self):
-        # weights must be strictly positive at validation time
-        g = WeightedGraph(2, [(0, 1, 0.0)], labels=["p", "q"])
-        with pytest.raises(GraphValidationError, match="p"):
-            validate_graph(g)
+        with pytest.raises(GraphValidationError, match=r"edge \(p, q\)"):
+            WeightedGraph(2, [(0, 1, 0.0)], labels=["p", "q"])
 
     def test_nonpositive_measure_names_offender(self):
-        g = WeightedGraph(2, [(0, 1, 1.0)], measure=np.array([1.0, 0.0]),
-                          labels=["p", "q"])
-        with pytest.raises(GraphValidationError, match="q"):
-            validate_graph(g)
+        with pytest.raises(GraphValidationError, match="vertex q"):
+            WeightedGraph(2, [(0, 1, 1.0)], measure=np.array([1.0, 0.0]),
+                              labels=["p", "q"])
+
+    @pytest.mark.parametrize("edges,measure,offender", [
+        ([(0, 1, 0.0), (1, 2, 1.0)], [1.0, 1.0, 1.0], r"edge \(p, q\)"),
+        ([(0, 1, 1.0), (1, 2, -1.0)], [1.0, 1.0, 1.0], r"edge \(q, r\)"),
+        ([(0, 1, 1.0), (1, 2, 1.0)], [1.0, 0.0, 1.0], "vertex q"),
+        ([(0, 1, 1.0), (1, 2, 1.0)], [1.0, 1.0, -1.0], "vertex r"),
+    ])
+    def test_no_problem_on_a_nonpositive_weight_or_measure(self, edges, measure, offender):
+        # The graph is refused before any problem, and so any solve, can see it.
+        with pytest.raises(GraphValidationError, match=offender):
+            g = WeightedGraph(3, edges, measure=measure, labels=["p", "q", "r"])
+            pots = PotentialField([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
+            LambdaProblem(g, pots, 1.0, 2.0, 2.0)
+            DirichletProblem(g, pots.omega_a, pots.omega_b, 2.0, 2.0)
 
     def test_disconnected_names_unreachable_vertex(self):
         g = WeightedGraph(3, [(0, 1, 1.0)], labels=["p", "q", "r"])

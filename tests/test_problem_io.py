@@ -11,7 +11,6 @@ from graphwell import (
     ParseError,
     SolveResult,
     decade_grid,
-    format_problem,
     parse_problem,
     parse_problem_file,
     read_solution,
@@ -200,35 +199,16 @@ class TestSweepOutput:
 
 
 class TestProblemRoundTrip:
-    def test_format_parse_fixed_point(self):
-        pf = parse_problem(MINIMAL)
-        once = format_problem(pf)
-        again = format_problem(parse_problem(once))
-        assert once == again
-
-    def test_round_trip_preserves_problem(self):
-        text = MINIMAL + "[domains]\nomega_a p q\nomega_b p\n"
-        pf1 = parse_problem(text)
-        pf2 = parse_problem(format_problem(pf1))
-        assert pf2.graph.labels == pf1.graph.labels
-        assert np.array_equal(pf2.graph.mu, pf1.graph.mu)
-        assert np.array_equal(pf2.graph.edge_w, pf1.graph.edge_w)
-        assert np.array_equal(pf2.potentials.a, pf1.potentials.a)
-        assert pf2.lambdas == pf1.lambdas
-        assert pf2.omega_a == pf1.omega_a
-        assert pf2.omega_b == pf1.omega_b
-
     def test_awkward_floats_survive_format(self):
         text = ("[vertices]\np 0.30000000000000004 0 0\nq 1e-17 0.1 0\n"
                 "[edges]\np q 2.2250738585072014e-308\n"
                 "[params]\nalpha 2.0000000000000004\nbeta 2\nlambda 0.1 0.30000000000000004\n")
-        pf1 = parse_problem(text)
-        pf2 = parse_problem(format_problem(pf1))
-        assert pf2.graph.mu[0] == 0.30000000000000004
-        assert pf2.graph.mu[1] == 1e-17
-        assert pf2.graph.edge_w[0] == 2.2250738585072014e-308
-        assert pf2.alpha == 2.0000000000000004
-        assert pf2.lambdas == (0.1, 0.30000000000000004)
+        pf = parse_problem(text)
+        assert pf.graph.mu[0] == 0.30000000000000004
+        assert pf.graph.mu[1] == 1e-17
+        assert pf.graph.edge_w[0] == 2.2250738585072014e-308
+        assert pf.alpha == 2.0000000000000004
+        assert pf.lambdas == (0.1, 0.30000000000000004)
 
     def test_parse_file_matches_parse_text(self, tmp_path):
         path = tmp_path / "prob.graph"

@@ -1,4 +1,3 @@
-import logging
 import math
 import tracemalloc
 
@@ -99,13 +98,22 @@ class TestGroundStates:
             assert abs(out.nehari.defect) <= 1e-10 * out.nehari.norm_sq, name
             assert out.nehari.nontrivial, name
 
-    def test_monotone_energy_no_warning(self, caplog):
-        p = make_problem(n=2, edges=[(0, 1, 1.7)], mu=[1.0, 2.0],
-                         a=[0.0, 0.8], b=[0.0, 0.0], lam=2.0, alpha=2.2, beta=2.8)
-        with caplog.at_level(logging.WARNING, logger="graphwell.solver"):
-            out = solve_ground_state(p)
-        assert out.converged
-        assert not [r for r in caplog.records if "energy increased" in r.message]
+    def test_descent_never_raises_the_energy(self, monkeypatch):
+        # Stop one restart after k = 0, 1, 2, ... descent steps, with the
+        # polish switched off: the projected energy must never go up along the
+        # descent path. With alpha, beta < 2 this instance descends for 40
+        # steps before the hand-off threshold, and full steps without the
+        # Armijo test would raise the energy from step 12 on.
+        p = make_problem(n=3, edges=[(0, 1, 1.0), (1, 2, 2.0)], mu=[1.0, 0.5, 2.0],
+                         a=[0.0, 0.0, 1.2], b=[0.5, 0.0, 0.0], lam=1.5, alpha=1.2, beta=1.3)
+        monkeypatch.setattr(solver, "_newton_polish", lambda p, w, res, rnorm, tol: w)
+        energies = []
+        for k in range(41):
+            monkeypatch.setattr(solver, "_MAX_ITERS", k)
+            energies.append(solve_ground_state(p, SolverConfig(restarts=1)).energy)
+        steps = np.diff(energies)
+        assert np.all(steps <= 0.0)
+        assert np.count_nonzero(steps < 0.0) >= 20
 
 
 class TestScale:

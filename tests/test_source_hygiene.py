@@ -1,0 +1,37 @@
+"""Static checks on the package source."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import graphwell
+
+PACKAGE_DIR = Path(graphwell.__file__).parent
+MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Local name bound by each import statement -> its line number."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(f"{name} (line {line})" for name, line in imported_names(tree).items()
+                    if name not in used)
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def test_modules_found():
+    assert {p.name for p in MODULES} >= {"graph.py", "solver.py", "cli.py"}
