@@ -16,10 +16,11 @@ first-order descent cannot reach the residual tolerance in any sane budget.
 
 Descent alone still crawls on symmetric instances, where the Hessian at the
 ground state can have an exactly flat direction (the energy grows only
-quartically along it). Each restart therefore hands over to a damped Newton
-polish of the optimality system once the residual is small; Newton moves
-along such valleys at a fixed linear rate instead of stalling. The polished
-point is kept only when it actually lowers the residual norm.
+quartically along it), and in badly conditioned basins, where it shrinks the
+residual by a factor close to 1 per step for thousands of steps. Each
+restart therefore hands over to a damped Newton polish of the optimality
+system; Newton moves along such valleys at a fixed linear rate instead of
+stalling.
 
 A restart has one stop rule, tested at the loop head: descent ends once the
 residual reaches max(grad_tol, _POLISH_SWITCH * max(1, ||w||)). Every iterate
@@ -27,8 +28,18 @@ is an exact Nehari projection, so its defect is rounding-level and is checked
 once, by the certificate after the loop. The stall count and the iteration
 budget, tested at the same loop head, and a line search that underflows end
 a restart early; all hand over to the polish too, with the residual that the
-loop head last computed. One residual norm serves throughout: the
-mu-weighted ||r|| of the certificate decides the descent stop, the polish's
+loop head last computed.
+
+Descent also hands over by progress: every _PROGRESS_WINDOW loop heads, if
+the residual exceeds _PROGRESS_RATIO times its value one window earlier, the
+polish runs from the current point. Descent then continues from the polished
+point, or the restart ends if that point meets grad_tol. Both hand-offs go
+through _try_newton, which keeps the re-projected polished point only when
+its residual is lower and its energy is not higher, up to rounding: Newton
+converges to the nearest critical point, which may lie above the level that
+descent has reached, and the restart must not trade its level for a smaller
+residual. One residual norm serves throughout: the mu-weighted ||r|| of the
+certificate decides the descent stop, the progress test, the polish's
 damping and the keep-if-lower test.
 
 The polish is matrix-free. Its Jacobian is the analytic Hessian, applied by
@@ -41,6 +52,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -70,6 +82,8 @@ _BACKTRACK = 0.5            # step shrink factor per rejected trial
 _STALL_LIMIT = 200          # consecutive non-improving iterations before giving up
 _STEP_UNDERFLOW = 1e-18     # smallest trial step before the line search gives up
 _POLISH_SWITCH = 1e-4       # hand off to Newton at rnorm <= this * max(1, ||w||)
+_PROGRESS_WINDOW = 50       # loop heads between two progress checks
+_PROGRESS_RATIO = 0.5       # try Newton when a window shrinks rnorm by less than this
 _POLISH_MAX_ITERS = 60
 _POLISH_BACKTRACKS = 40
 _MINRES_RTOL = 1e-10        # relative preconditioned residual of each Newton solve
@@ -85,6 +99,11 @@ class SolverConfig:
     def __post_init__(self):
         if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
             raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
+        for name in ("restarts", "rng_seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.rng_seed < 0:
@@ -229,6 +248,33 @@ def _newton_polish(p: Problem, w: PairFunction, res: PairFunction, rnorm: float,
     return PairFunction(z[:n], z[n:])
 
 
+def _try_newton(p: Problem, w: PairFunction, res: PairFunction, rnorm: float,
+                energy: float, grad_tol: float) -> tuple[PairFunction, PairFunction, float, float]:
+    """Polish w by Newton and keep the re-projected result only if it is better.
+
+    Returns (w, res, rnorm, energy) of the kept point: the candidate when its
+    residual is finite and below rnorm and its energy does not exceed energy
+    (up to rounding), else the inputs unchanged. The energy test matters
+    because a Newton step converges to whichever critical point is nearest,
+    which may lie above the level that descent has already reached.
+    """
+    polished = _newton_polish(p, w, res, rnorm, grad_tol)
+    try:
+        # Re-project so the caller sees an exact manifold point; at a polished
+        # critical point the scale is 1 up to rounding.
+        t = nehari_scale(p, polished)
+    except DegeneratePairError:
+        return w, res, rnorm, energy
+    cand = PairFunction(t * polished.u, t * polished.v)
+    cres = residual_of(p, cand)
+    cnorm = _residual_norm(p, cres)
+    cenergy = energy_of(p, cand)
+    slack = 4.0 * np.finfo(np.float64).eps * max(1.0, abs(energy))
+    if math.isfinite(cnorm) and cnorm < rnorm and cenergy <= energy + slack:
+        return cand, cres, cnorm, cenergy
+    return w, res, rnorm, energy
+
+
 def _run_descent(p: Problem, cfg: SolverConfig, w0: PairFunction, index: int) -> SolveResult | None:
     """One restart. Returns None when the start has no Nehari projection."""
     w0 = PairFunction(np.where(p.mask_a, w0.u, 0.0), np.where(p.mask_b, w0.v, 0.0))
@@ -246,6 +292,7 @@ def _run_descent(p: Problem, cfg: SolverConfig, w0: PairFunction, index: int) ->
     energy = energy_of(p, w)
     best_rnorm = math.inf
     no_improve = 0
+    window_rnorm = math.inf
 
     for k in range(_MAX_ITERS + 1):
         iters = k + 1
@@ -257,6 +304,14 @@ def _run_descent(p: Problem, cfg: SolverConfig, w0: PairFunction, index: int) ->
         if no_improve >= _STALL_LIMIT or k == _MAX_ITERS:
             logger.debug("restart %d stopped after %d iterations (rnorm %.3e)", index, iters, rnorm)
             break
+        if k % _PROGRESS_WINDOW == 0:
+            # Linear descent that has stalled in a basin hands over to Newton
+            # long before the residual reaches the switch above.
+            if rnorm > _PROGRESS_RATIO * window_rnorm:
+                w, res, rnorm, energy = _try_newton(p, w, res, rnorm, energy, cfg.grad_tol)
+                if rnorm <= cfg.grad_tol:
+                    break
+            window_rnorm = rnorm
 
         du = res.u / diag_u
         dv = res.v / diag_v
@@ -290,17 +345,7 @@ def _run_descent(p: Problem, cfg: SolverConfig, w0: PairFunction, index: int) ->
 
     # Every exit leaves res and rnorm those of the final w.
     if rnorm > cfg.grad_tol:
-        # Re-project so the certificate below sees an exact manifold point;
-        # at a polished critical point the scale is 1 up to rounding.
-        try:
-            polished = _newton_polish(p, w, res, rnorm, cfg.grad_tol)
-            t = nehari_scale(p, polished)
-            cand = PairFunction(t * polished.u, t * polished.v)
-            cnorm = _residual_norm(p, residual_of(p, cand))
-            if math.isfinite(cnorm) and cnorm < rnorm:
-                w, rnorm = cand, cnorm
-        except DegeneratePairError:
-            pass
+        w, _, rnorm, _ = _try_newton(p, w, res, rnorm, energy, cfg.grad_tol)
     nd = nehari_diagnostics(p, w)
     converged = bool(rnorm <= cfg.grad_tol
                      and abs(nd.defect) <= math.sqrt(cfg.grad_tol) * nd.norm_sq

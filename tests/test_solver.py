@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphwell import (
     DirichletProblem,
@@ -15,12 +17,21 @@ from graphwell import (
     solve_ground_state,
     solver,
 )
-from tests.conftest import make_problem
+from tests.conftest import make_problem, random_connected_graph
 
 
 def k1_problem():
     return make_problem(n=1, edges=[], mu=[1.0], a=[0.0], b=[0.0],
                         lam=1.0, alpha=2.0, beta=2.0)
+
+
+def two_wells(rng, n):
+    """Each vertex in each well with probability 1/2; the wells share a vertex."""
+    a = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.1, 3.0, n))
+    b = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.1, 3.0, n))
+    c = rng.integers(0, n)
+    a[c] = b[c] = 0.0
+    return PotentialField(a, b)
 
 
 class TestConfig:
@@ -36,10 +47,16 @@ class TestConfig:
         dict(rng_seed=-1),
         dict(grad_tol=float("nan")),
         dict(grad_tol=float("inf")),
+        dict(restarts=2.5),
+        dict(rng_seed=1.5),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SolverConfig(restarts=np.int64(2), rng_seed=np.int64(5))
+        assert solve_ground_state(k1_problem(), cfg).converged
 
 
 class TestGroundStates:
@@ -114,6 +131,56 @@ class TestGroundStates:
         steps = np.diff(energies)
         assert np.all(steps <= 0.0)
         assert np.count_nonzero(steps < 0.0) >= 20
+
+    def test_slow_descent_tail_hands_over_to_newton(self):
+        # Restart 0 wins, but once it is in the ground state's basin its
+        # descent shrinks the residual by only a factor 0.998 per step: left
+        # to reach the residual switch, it runs about 6000 iterations.
+        rng = np.random.default_rng(1024)
+        g = random_connected_graph(rng, 3, 30)
+        pots = two_wells(rng, g.vertex_count)
+        alpha, beta = rng.uniform(1.2, 4.0, 2)
+        lam = 10.0 ** rng.uniform(-2.0, 9.0)
+        out = solve_ground_state(LambdaProblem(g, pots, lam, alpha, beta))
+        assert out.converged
+        assert out.restart_index == 0
+        assert out.energy == pytest.approx(4.42876079711885, rel=1e-12)
+        assert out.iterations <= 200
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(1.2, 4.0),
+           beta=st.floats(1.2, 4.0), log_lam=st.floats(-2.0, 9.0))
+    def test_converges_within_iteration_budget(self, seed, alpha, beta, log_lam):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, 3, 30)
+        p = LambdaProblem(g, two_wells(rng, g.vertex_count), 10.0 ** log_lam, alpha, beta)
+        out = solve_ground_state(p)
+        assert out.converged
+        assert out.iterations <= 1000
+
+    def test_newton_never_lands_on_a_higher_critical_point(self, monkeypatch):
+        # Both wells are the ends of the path 0 - 1 - 2. At lambda = 100 each
+        # end carries a critical point of its own, and the one on vertex 2
+        # (the larger measure) lies above the one on vertex 0. A polish from
+        # vertex 0's basin that jumps to vertex 2's critical point lowers the
+        # residual but raises the energy, so the restart must not adopt it.
+        p = make_problem(n=3, edges=[(0, 1, 1.0), (1, 2, 1.0)], mu=[1.0, 1.0, 2.0],
+                         a=[0.0, 1.0, 0.0], b=[0.0, 1.0, 0.0], lam=100.0, alpha=2.0, beta=2.0)
+        cfg = SolverConfig()
+
+        def restart_at(vertex):
+            x = np.eye(3)[vertex]
+            return solver._run_descent(p, cfg, PairFunction(x, x), 0)
+
+        low, high = restart_at(0), restart_at(2)
+        assert low.converged and high.converged
+        assert high.energy > low.energy + 0.1
+        monkeypatch.setattr(solver, "_newton_polish", lambda p, w, res, rnorm, tol: w)
+        descent = restart_at(0)
+        monkeypatch.setattr(solver, "_newton_polish", lambda p, w, res, rnorm, tol: high.pair)
+        out = restart_at(0)
+        assert out.energy == pytest.approx(descent.energy, rel=1e-12)
+        assert out.energy < high.energy
 
 
 class TestScale:
