@@ -20,6 +20,7 @@ from .errors import (
     BoundaryMismatchError,
     DegeneratePairError,
     DomainViolationError,
+    EnergyOverflowError,
     GraphValidationError,
     GraphwellError,
     ParseError,

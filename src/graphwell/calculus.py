@@ -42,13 +42,21 @@ def as_pair(g: WeightedGraph, w) -> PairFunction:
     return PairFunction(as_vertex_function(g, u), as_vertex_function(g, v))
 
 
+def weighted_sum(f: np.ndarray, weight: np.ndarray) -> float | np.ndarray:
+    """sum_x weight(x) f(x) over the last axis; a float for a 1-D f."""
+    s = np.dot(f, weight)
+    return s if s.ndim else float(s)
+
+
 def laplacian_all(g: WeightedGraph, u: np.ndarray) -> np.ndarray:
-    """mu-Laplacian at every vertex, assembled by edge scatter."""
-    n = g.vertex_count
-    flow = g.edge_w * (u[g.edge_j] - u[g.edge_i])
-    acc = np.bincount(g.edge_i, weights=flow, minlength=n)
-    acc -= np.bincount(g.edge_j, weights=flow, minlength=n)
-    return acc / g.mu
+    """mu-Laplacian at every vertex, assembled by edge scatter. Leading axes
+    of u index separate functions, scattered in one bincount over row-offset
+    vertex ids, so each row sums its edges in the order of a single function."""
+    ei, ej = g.batch_edges(u.size // g.vertex_count)
+    flow = (g.edge_w * (u.take(g.edge_j, axis=-1) - u.take(g.edge_i, axis=-1))).ravel()
+    acc = np.bincount(ei, weights=flow, minlength=u.size)
+    acc -= np.bincount(ej, weights=flow, minlength=u.size)
+    return acc.reshape(u.shape) / g.mu
 
 
 def gradient_form_all(g: WeightedGraph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -70,10 +78,10 @@ def integrate(g: WeightedGraph, f, over: Iterable[int] | None = None) -> float:
     return float(np.dot(g.mu[idx], f[idx]))
 
 
-def dirichlet_energy_sq(g: WeightedGraph, u: np.ndarray) -> float:
+def dirichlet_energy_sq(g: WeightedGraph, u: np.ndarray) -> float | np.ndarray:
     """sum over edges of w (du)^2, which equals the integral of |grad u|^2."""
-    du = u[g.edge_j] - u[g.edge_i]
-    return float(np.dot(g.edge_w, du * du))
+    du = u.take(g.edge_j, axis=-1) - u.take(g.edge_i, axis=-1)
+    return weighted_sum(du * du, g.edge_w)
 
 
 def norm_H_sq(g: WeightedGraph, w) -> float:

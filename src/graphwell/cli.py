@@ -12,6 +12,7 @@ from . import calculus, functional
 from .errors import (
     DegeneratePairError,
     DomainViolationError,
+    EnergyOverflowError,
     GraphValidationError,
     ParseError,
     UnknownLabelError,
@@ -26,6 +27,7 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_DEGENERATE = 4
 EXIT_UNCONVERGED = 5
+EXIT_OVERFLOW = 6
 
 
 def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
@@ -246,6 +248,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DegeneratePairError as exc:
         print(f"graphwell: degenerate problem: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except EnergyOverflowError as exc:
+        print(f"graphwell: overflow: {exc}", file=sys.stderr)
+        return EXIT_OVERFLOW
     except OSError as exc:
         print(f"graphwell: io error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -17,6 +17,10 @@ class DegeneratePairError(GraphwellError):
     """The coupling integral vanishes, so no Nehari projection exists."""
 
 
+class EnergyOverflowError(GraphwellError):
+    """Every restart's energy, or Nehari scale, overflowed: no finite ground state."""
+
+
 class BoundaryMismatchError(GraphwellError):
     """A computed vertex boundary disagrees with a required listing."""
 

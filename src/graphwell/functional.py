@@ -8,7 +8,8 @@ support `overlap`. From that data alone the kernel functions
 nehari_scale) compute J(w) = (1/2) ||w||^2 - coupling(w)/(alpha+beta), its
 residual and the Hessian's action, zero off the masks. They trust their
 input; energy_J_*, grad_J_*, norm_H_*_sq and nehari_diagnostics validate the
-pair once and then call them.
+pair once and then call them. The kernels also take a batch of pairs, (k, n)
+arrays, and then return one value or residual row per pair.
 
 The masked-kernel identity: on admissible pairs (u = 0 off Omega_a, v = 0 off
 Omega_b, with the wells the zero sets of a and b) the lam a, lam b terms drop
@@ -23,7 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .calculus import PairFunction, as_pair, check_admissible, dirichlet_energy_sq, laplacian_all
+from .calculus import (PairFunction, as_pair, check_admissible, dirichlet_energy_sq,
+                       laplacian_all, weighted_sum)
 from .errors import DegeneratePairError, GraphValidationError
 from .graph import PotentialField, WeightedGraph, as_domain
 
@@ -137,22 +139,22 @@ def signed_power(u: np.ndarray, p: float) -> np.ndarray:
     return np.sign(u) * np.abs(u) ** p
 
 
-def coupling_integral(p: Problem, w) -> float:
+def coupling_integral(p: Problem, w) -> float | np.ndarray:
     """Integral of |u|^alpha |v|^beta over V."""
     u, v = w
-    return float(np.dot(p.graph.mu, np.abs(u) ** p.alpha * np.abs(v) ** p.beta))
+    return weighted_sum(np.abs(u) ** p.alpha * np.abs(v) ** p.beta, p.graph.mu)
 
 
-def norm_sq_of(p: Problem, w) -> float:
+def norm_sq_of(p: Problem, w) -> float | np.ndarray:
     """Squared norm: all-edge gradient terms plus coef_u, coef_v weighted mass."""
     u, v = w
     g = p.graph
     grad = dirichlet_energy_sq(g, u) + dirichlet_energy_sq(g, v)
-    mass = float(np.dot(g.mu, p.coef_u * u * u + p.coef_v * v * v))
+    mass = weighted_sum(p.coef_u * u * u + p.coef_v * v * v, g.mu)
     return grad + mass
 
 
-def energy_of(p: Problem, w) -> float:
+def energy_of(p: Problem, w) -> float | np.ndarray:
     return 0.5 * norm_sq_of(p, w) - coupling_integral(p, w) / p.gamma
 
 
@@ -160,10 +162,10 @@ def residual_of(p: Problem, w) -> PairFunction:
     """Strong-form residual, zero off the masks; its L2(dmu) pairing is the weak form."""
     u, v = w
     g = p.gamma
-    ru = (-laplacian_all(p.graph, u) + p.coef_u * u
-          - (p.alpha / g) * signed_power(u, p.alpha - 1.0) * np.abs(v) ** p.beta)
-    rv = (-laplacian_all(p.graph, v) + p.coef_v * v
-          - (p.beta / g) * np.abs(u) ** p.alpha * signed_power(v, p.beta - 1.0))
+    au, av = np.abs(u), np.abs(v)
+    lap_u, lap_v = laplacian_all(p.graph, np.array((u, v)))
+    ru = p.coef_u * u - lap_u - (p.alpha / g) * np.sign(u) * au ** (p.alpha - 1.0) * av ** p.beta
+    rv = p.coef_v * v - lap_v - (p.beta / g) * au ** p.alpha * np.sign(v) * av ** (p.beta - 1.0)
     return PairFunction(np.where(p.mask_a, ru, 0.0), np.where(p.mask_b, rv, 0.0))
 
 
@@ -190,26 +192,31 @@ def hessian_matvec(p: Problem, w, du: np.ndarray, dv: np.ndarray) -> PairFunctio
     a, b, gam = p.alpha, p.beta, p.gamma
     su, sv = signed_power(u, a - 1.0), signed_power(v, b - 1.0)
     cross = (a * b / gam) * su * sv
-    hu = (-laplacian_all(g, du)
-          + (p.coef_u - (a * (a - 1.0) / gam) * _abs_power(u, a - 2.0) * np.abs(v) ** b) * du
-          - cross * dv)
-    hv = (-laplacian_all(g, dv)
-          + (p.coef_v - (b * (b - 1.0) / gam) * np.abs(u) ** a * _abs_power(v, b - 2.0)) * dv
-          - cross * du)
+    lap_u, lap_v = laplacian_all(g, np.array((du, dv)))
+    hu = ((p.coef_u - (a * (a - 1.0) / gam) * _abs_power(u, a - 2.0) * np.abs(v) ** b) * du
+          - lap_u - cross * dv)
+    hv = ((p.coef_v - (b * (b - 1.0) / gam) * np.abs(u) ** a * _abs_power(v, b - 2.0)) * dv
+          - lap_v - cross * du)
     return PairFunction(np.where(p.mask_a, g.mu * hu, 0.0), np.where(p.mask_b, g.mu * hv, 0.0))
 
 
-def nehari_scale(p: Problem, w) -> float:
+def nehari_scale(p: Problem, w) -> float | np.ndarray:
     """The unique t > 0 placing t*w on the Nehari manifold.
 
     Solves t^2 norm_sq = t^gamma coupling, so t = (norm_sq/coupling)^(1/(gamma-2)).
+    A single pair without a projection raises DegeneratePairError; in a batch,
+    such rows get t = nan.
     """
     norm_sq = norm_sq_of(p, w)
     coupling = coupling_integral(p, w)
+    exponent = 1.0 / (p.gamma - 2.0)
+    if isinstance(coupling, np.ndarray):
+        bad = (coupling <= 0.0) | (norm_sq <= 0.0)
+        return np.where(bad, np.nan, (norm_sq / np.where(bad, 1.0, coupling)) ** exponent)
     if coupling <= 0.0 or norm_sq <= 0.0:
         raise DegeneratePairError(
             f"no Nehari projection: norm_sq={norm_sq}, coupling={coupling}")
-    return float((norm_sq / coupling) ** (1.0 / (p.gamma - 2.0)))
+    return float((norm_sq / coupling) ** exponent)
 
 
 def norm_H_lambda_sq(p: LambdaProblem, w) -> float:

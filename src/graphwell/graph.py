@@ -103,10 +103,25 @@ class WeightedGraph:
         for arr in (self.edge_i, self.edge_j, self.edge_w, self.mu, self._nbr,
                     self._nbr_w, self._indptr, self.wdeg):
             arr.setflags(write=False)
+        self._batch = (self.edge_i, self.edge_j)
 
     @property
     def edge_count(self) -> int:
         return int(self.edge_w.size)
+
+    def batch_edges(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """edge_i and edge_j of `rows` vertex functions laid end to end
+        (vertex x of row r is r * vertex_count + x). The largest batch built
+        so far is kept, since the solver asks at every descent step."""
+        m = rows * self.edge_count
+        ei, ej = self._batch
+        if ei.size < m:
+            shift = self.vertex_count * np.arange(rows)[:, None]
+            ei, ej = (self.edge_i + shift).ravel(), (self.edge_j + shift).ravel()
+            ei.setflags(write=False)
+            ej.setflags(write=False)
+            self._batch = (ei, ej)
+        return ei[:m], ej[:m]
 
     def check_vertex(self, x: int) -> int:
         x = int(x)

@@ -22,13 +22,20 @@ restart therefore hands over to a damped Newton polish of the optimality
 system; Newton moves along such valleys at a fixed linear rate instead of
 stalling.
 
+All starts of one solve (warm starts, then the seeded restarts) descend in
+lockstep as the rows of one (k, n) batch, so each loop head and line-search
+round pays numpy's per-call cost once for all of them. A row leaves the batch
+when it stops; the Newton hand-offs below run row by row.
+
 A restart has one stop rule, tested at the loop head: descent ends once the
 residual reaches max(grad_tol, _POLISH_SWITCH * max(1, ||w||)). Every iterate
 is an exact Nehari projection, so its defect is rounding-level and is checked
-once, by the certificate after the loop. The stall count and the iteration
-budget, tested at the same loop head, and a line search that underflows end
-a restart early; all hand over to the polish too, with the residual that the
-loop head last computed.
+once, by the certificate after the loop. The iteration budget, tested at the
+same loop head, and a line search that underflows end a restart early; both
+hand over to the polish too, with the residual that the loop head last
+computed. The residual target of the restart, of its polish and of its
+certificate is grad_tol, raised to the rounding floor _ROUNDING * ||w||_H for
+solutions so large (exponents near 1) that grad_tol is below rounding.
 
 Descent also hands over by progress: every _PROGRESS_WINDOW loop heads, if
 the residual exceeds _PROGRESS_RATIO times its value one window earlier, the
@@ -45,7 +52,7 @@ damping and the keep-if-lower test.
 The polish is matrix-free. Its Jacobian is the analytic Hessian, applied by
 functional.hessian_matvec in O(|E| + n); each Newton step solves with it by
 MINRES, preconditioned with the descent diagonal above. No matrix is formed,
-so memory stays O(|E| + n).
+so memory stays O(k(|E| + n)) for k starts.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ from typing import Sequence
 import numpy as np
 
 from .calculus import PairFunction, as_pair
-from .errors import DegeneratePairError
+from .errors import DegeneratePairError, EnergyOverflowError
 from .functional import (
     DirichletProblem,
     LambdaProblem,
@@ -79,11 +86,14 @@ logger = logging.getLogger(__name__)
 _MAX_ITERS = 50000          # descent iterations per restart
 _ARMIJO_C = 1e-4            # sufficient-decrease constant; trial steps start at 1
 _BACKTRACK = 0.5            # step shrink factor per rejected trial
-_STALL_LIMIT = 200          # consecutive non-improving iterations before giving up
 _STEP_UNDERFLOW = 1e-18     # smallest trial step before the line search gives up
 _POLISH_SWITCH = 1e-4       # hand off to Newton at rnorm <= this * max(1, ||w||)
 _PROGRESS_WINDOW = 50       # loop heads between two progress checks
 _PROGRESS_RATIO = 0.5       # try Newton when a window shrinks rnorm by less than this
+# Residual norms below _ROUNDING * ||w||_H are rounding level: about 10 times
+# the floor measured on ground states with ||w||_H up to 6e21. The floor
+# exceeds the default grad_tol only where ||w||_H > 7e4.
+_ROUNDING = 64 * np.finfo(np.float64).eps
 _POLISH_MAX_ITERS = 60
 _POLISH_BACKTRACKS = 40
 _MINRES_RTOL = 1e-10        # relative preconditioned residual of each Newton solve
@@ -127,6 +137,12 @@ def _level_energy(norm_sq: float, coupling: float, gamma: float) -> float:
     return (0.5 - 1.0 / gamma) * math.exp(logval)
 
 
+def _tolerance(grad_tol: float, norm_sq: float) -> float:
+    """The residual target: grad_tol, raised to the rounding floor
+    _ROUNDING * ||w||_H where ||w||_H is huge."""
+    return max(grad_tol, _ROUNDING * math.sqrt(norm_sq))
+
+
 def _diag_of(p: Problem) -> tuple[np.ndarray, np.ndarray]:
     ratio = p.graph.wdeg / p.graph.mu
     return p.coef_u + ratio, p.coef_v + ratio
@@ -142,9 +158,10 @@ def _initial_pair(p: Problem, rng: np.random.Generator) -> PairFunction:
     return PairFunction(u, v)
 
 
-def _residual_norm(p: Problem, r: PairFunction) -> float:
+def _residual_norm(p: Problem, r: PairFunction) -> np.floating | np.ndarray:
+    """The certificate's mu-weighted ||r||, one value per row of a batch."""
     mu = p.graph.mu
-    return math.sqrt(float(np.dot(mu, r.u * r.u) + np.dot(mu, r.v * r.v)))
+    return np.sqrt(np.dot(r.u * r.u, mu) + np.dot(r.v * r.v, mu))
 
 
 def _minres(matvec, b: np.ndarray, minv: np.ndarray) -> np.ndarray:
@@ -275,79 +292,19 @@ def _try_newton(p: Problem, w: PairFunction, res: PairFunction, rnorm: float,
     return w, res, rnorm, energy
 
 
-def _run_descent(p: Problem, cfg: SolverConfig, w0: PairFunction, index: int) -> SolveResult | None:
-    """One restart. Returns None when the start has no Nehari projection."""
-    w0 = PairFunction(np.where(p.mask_a, w0.u, 0.0), np.where(p.mask_b, w0.v, 0.0))
-    try:
-        t = nehari_scale(p, w0)
-    except DegeneratePairError:
-        return None
-    w = PairFunction(t * w0.u, t * w0.v)
+def _row(w: PairFunction, i: int) -> PairFunction:
+    return PairFunction(w.u[i].copy(), w.v[i].copy())
 
-    gamma = p.gamma
-    mu = p.graph.mu
-    diag_u, diag_v = _diag_of(p)
-    eps = np.finfo(np.float64).eps
 
-    energy = energy_of(p, w)
-    best_rnorm = math.inf
-    no_improve = 0
-    window_rnorm = math.inf
-
-    for k in range(_MAX_ITERS + 1):
-        iters = k + 1
-        res = residual_of(p, w)
-        rnorm = _residual_norm(p, res)
-        norm_sq = norm_sq_of(p, w)
-        if rnorm <= max(cfg.grad_tol, _POLISH_SWITCH * max(1.0, math.sqrt(norm_sq))):
-            break
-        if no_improve >= _STALL_LIMIT or k == _MAX_ITERS:
-            logger.debug("restart %d stopped after %d iterations (rnorm %.3e)", index, iters, rnorm)
-            break
-        if k % _PROGRESS_WINDOW == 0:
-            # Linear descent that has stalled in a basin hands over to Newton
-            # long before the residual reaches the switch above.
-            if rnorm > _PROGRESS_RATIO * window_rnorm:
-                w, res, rnorm, energy = _try_newton(p, w, res, rnorm, energy, cfg.grad_tol)
-                if rnorm <= cfg.grad_tol:
-                    break
-            window_rnorm = rnorm
-
-        du = res.u / diag_u
-        dv = res.v / diag_v
-        slope = float(np.dot(mu, res.u * du) + np.dot(mu, res.v * dv))
-
-        step = 1.0
-        accepted = False
-        slack = 4.0 * eps * max(1.0, abs(energy))
-        while step > _STEP_UNDERFLOW:
-            tu = w.u - step * du
-            tv = w.v - step * dv
-            trial = PairFunction(tu, tv)
-            norm_t = norm_sq_of(p, trial)
-            coup_t = coupling_integral(p, trial)
-            if coup_t > 0.0 and norm_t > 0.0:
-                energy_t = _level_energy(norm_t, coup_t, gamma)
-                if energy_t <= energy - _ARMIJO_C * step * slope + slack:
-                    accepted = True
-                    break
-            step *= _BACKTRACK
-        if not accepted:
-            logger.debug("restart %d: line search underflow at iteration %d", index, iters)
-            break
-
-        t = (norm_t / coup_t) ** (1.0 / (gamma - 2.0))
-        w = PairFunction(t * tu, t * tv)
-        improved = energy_t < energy - slack or rnorm < 0.999 * best_rnorm
-        best_rnorm = min(best_rnorm, rnorm)
-        no_improve = 0 if improved else no_improve + 1
-        energy = energy_t
-
-    # Every exit leaves res and rnorm those of the final w.
-    if rnorm > cfg.grad_tol:
-        w, _, rnorm, _ = _try_newton(p, w, res, rnorm, energy, cfg.grad_tol)
+def _finish(p: Problem, cfg: SolverConfig, w: PairFunction, res: PairFunction, rnorm: float,
+            energy: float, norm_sq: float, iters: int, index: int) -> SolveResult:
+    """Polish a restart that has left the batch, then certify its result."""
+    tol = _tolerance(cfg.grad_tol, norm_sq)
+    if rnorm > tol:
+        w, _, rnorm, _ = _try_newton(p, w, res, rnorm, energy, tol)
+    rnorm = float(rnorm)      # a numpy scalar when the polish was kept
     nd = nehari_diagnostics(p, w)
-    converged = bool(rnorm <= cfg.grad_tol
+    converged = bool(rnorm <= _tolerance(cfg.grad_tol, nd.norm_sq)
                      and abs(nd.defect) <= math.sqrt(cfg.grad_tol) * nd.norm_sq
                      and nd.nontrivial)
     logger.debug("restart %d: energy %.12g rnorm %.3e iters %d converged %s",
@@ -356,20 +313,120 @@ def _run_descent(p: Problem, cfg: SolverConfig, w0: PairFunction, index: int) ->
                        iterations=iters, restart_index=index, converged=converged)
 
 
+def _run_descent(p: Problem, cfg: SolverConfig, starts: PairFunction,
+                 indices: Sequence[int]) -> list[SolveResult | None]:
+    """Descend from every start of one solve in lockstep.
+
+    Row i of the batch starts is restart indices[i]. Returns one result per
+    row, None where the start has no finite Nehari projection. The kernels
+    run on the whole batch at once; each row's scalars (energy, step, window
+    residual) are updated row by row with the arithmetic of a single restart.
+    """
+    u0 = np.where(p.mask_a, starts.u, 0.0)
+    v0 = np.where(p.mask_b, starts.v, 0.0)
+    t = nehari_scale(p, PairFunction(u0, v0))
+    out: list[SolveResult | None] = [None] * len(t)
+    rows = np.flatnonzero(np.isfinite(t))     # batch row -> row of starts
+    if not rows.size:
+        if np.isinf(t).any():
+            raise EnergyOverflowError(
+                f"the Nehari projection of every start overflowed (alpha {p.alpha}, beta {p.beta})")
+        return out
+    w = PairFunction(t[rows, None] * u0[rows], t[rows, None] * v0[rows])
+
+    gamma = p.gamma
+    exponent = 1.0 / (gamma - 2.0)
+    mu = p.graph.mu
+    diag_u, diag_v = _diag_of(p)
+    eps = np.finfo(np.float64).eps
+
+    energy = energy_of(p, w)
+    window = np.full(rows.size, math.inf)
+
+    for k in range(_MAX_ITERS + 1):
+        res = residual_of(p, w)
+        rnorm = _residual_norm(p, res).tolist()
+        norm_sq = norm_sq_of(p, w).tolist()
+        stop = [k == _MAX_ITERS or r <= max(cfg.grad_tol, _POLISH_SWITCH * max(1.0, math.sqrt(n)))
+                for r, n in zip(rnorm, norm_sq)]
+        if k % _PROGRESS_WINDOW == 0:
+            # Linear descent that has stalled in a basin hands over to Newton
+            # long before the residual reaches the switch above.
+            for i in range(rows.size):
+                if not stop[i] and rnorm[i] > _PROGRESS_RATIO * window[i]:
+                    tol = _tolerance(cfg.grad_tol, norm_sq[i])
+                    wi, ri, rnorm[i], energy[i] = _try_newton(p, _row(w, i), _row(res, i),
+                                                              rnorm[i], energy[i], tol)
+                    w.u[i], w.v[i] = wi
+                    res.u[i], res.v[i] = ri
+                    stop[i] = rnorm[i] <= tol
+            window = np.array(rnorm)
+
+        # Armijo line search on the re-projected energy, in lockstep: each
+        # round tries every row at its own step and halves the steps of the
+        # rows that fail. A row that has accepted gets the same trial, and so
+        # the same verdict, again.
+        du = res.u / diag_u
+        dv = res.v / diag_v
+        slope = (np.dot(res.u * du, mu) + np.dot(res.v * dv, mu)).tolist()
+        step = np.ones((rows.size, 1))
+        scale = np.empty((rows.size, 1))
+        energy_t = np.empty(rows.size)
+        searching = [not s for s in stop]
+        while any(searching):
+            tu = w.u - step * du
+            tv = w.v - step * dv
+            trial = PairFunction(tu, tv)
+            norm_t = norm_sq_of(p, trial).tolist()
+            coup_t = coupling_integral(p, trial).tolist()
+            for i in range(rows.size):
+                if not searching[i]:
+                    continue
+                if coup_t[i] > 0.0 and norm_t[i] > 0.0:
+                    energy_t[i] = _level_energy(norm_t[i], coup_t[i], gamma)
+                    slack = 4.0 * eps * max(1.0, abs(energy[i]))
+                    if energy_t[i] <= energy[i] - _ARMIJO_C * step[i, 0] * slope[i] + slack:
+                        scale[i] = (norm_t[i] / coup_t[i]) ** exponent
+                        searching[i] = False
+                        continue
+                step[i] *= _BACKTRACK
+                if step[i, 0] <= _STEP_UNDERFLOW:
+                    logger.debug("restart %d: line search underflow at iteration %d",
+                                 indices[rows[i]], k + 1)
+                    searching[i] = False
+                    stop[i] = True
+
+        # Rows that stopped leave with their loop head's point and residual.
+        if any(stop):
+            for i in np.flatnonzero(stop):
+                out[rows[i]] = _finish(p, cfg, _row(w, i), _row(res, i), rnorm[i], energy[i],
+                                       norm_sq[i], k + 1, indices[rows[i]])
+            if all(stop):
+                break
+            keep = np.logical_not(stop)
+            rows, window, energy_t, scale, tu, tv = (
+                x[keep] for x in (rows, window, energy_t, scale, tu, tv))
+        w = PairFunction(scale * tu, scale * tv)
+        energy = energy_t
+    return out
+
+
 def _solve(p: Problem, cfg: SolverConfig, warm_starts: Sequence[PairFunction]) -> SolveResult:
-    candidates: list[SolveResult] = []
-    for offset, w0 in enumerate(warm_starts):
-        out = _run_descent(p, cfg, as_pair(p.graph, w0), offset - len(warm_starts))
-        if out is not None:
-            candidates.append(out)
-    for i in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.rng_seed, i])
-        out = _run_descent(p, cfg, _initial_pair(p, rng), i)
-        if out is not None:
-            candidates.append(out)
+    starts = [as_pair(p.graph, w0) for w0 in warm_starts]
+    starts += [_initial_pair(p, np.random.default_rng([cfg.rng_seed, i])) for i in range(cfg.restarts)]
+    batch = PairFunction(np.array([s.u for s in starts]), np.array([s.v for s in starts]))
+    # Overflow near gamma = 2 is caught below by the finite-energy test, and
+    # the line search screens out the nonpositive norms and couplings.
+    with np.errstate(all="ignore"):
+        results = _run_descent(p, cfg, batch, range(-len(warm_starts), cfg.restarts))
+    candidates = [c for c in results if c is not None]
     if not candidates:
         raise DegeneratePairError(
             "coupling degenerated to zero in every restart; no Nehari projection exists")
+    candidates = [c for c in candidates if math.isfinite(c.energy)]
+    if not candidates:
+        raise EnergyOverflowError(
+            f"the energy overflowed in every restart (alpha {p.alpha}, beta {p.beta})")
     pool = [c for c in candidates if c.converged] or candidates
     best = min(c.energy for c in pool)
     tol = 1e-12 * max(1.0, abs(best))

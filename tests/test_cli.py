@@ -5,10 +5,11 @@ from importlib import resources
 
 import pytest
 
-from graphwell import read_solution
+from graphwell import read_solution, solver
 from graphwell.cli import (
     EXIT_DEGENERATE,
     EXIT_OK,
+    EXIT_OVERFLOW,
     EXIT_PARSE,
     EXIT_UNCONVERGED,
     EXIT_VALIDATION,
@@ -74,9 +75,13 @@ class TestSolve:
         assert rc == EXIT_PARSE
         assert "--lambda required" in captured.err
 
-    def test_unconverged_exit_code(self, tiny, capsys):
-        # a tolerance below the float noise floor cannot be certified
-        rc = main(["solve", tiny, "--tol", "1e-30", "--restarts", "2"])
+    def test_unconverged_exit_code(self, tiny, capsys, monkeypatch):
+        # Without descent steps or polish, the random starts stay uncertified.
+        # A tiny --tol would not do: the residual target is floored at
+        # rounding level relative to ||w||.
+        monkeypatch.setattr(solver, "_MAX_ITERS", 0)
+        monkeypatch.setattr(solver, "_newton_polish", lambda p, w, res, rnorm, tol: w)
+        rc = main(["solve", tiny, "--restarts", "2"])
         captured = capsys.readouterr()
         assert rc == EXIT_UNCONVERGED
         assert "converged false" in captured.err
@@ -142,6 +147,22 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err.startswith("graphwell: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("exponent", ["1.003", "1.0015"])
+    def test_overflow_is_one_stderr_line(self, exponent):
+        # With alpha = beta this close to 1 the ground state of G22 is of size
+        # 1e180 and beyond: at 1.003 every restart's energy overflows, at
+        # 1.0015 already the Nehari projection of every start does. Run as a
+        # process, so numpy warnings and tracebacks would show on stderr.
+        g22 = resources.files("graphwell").joinpath("data/g22.graph")
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphwell.cli", "solve", str(g22),
+             "--alpha", exponent, "--beta", exponent, "--lambda", "1"],
+            capture_output=True, text=True)
+        assert proc.returncode == EXIT_OVERFLOW == 6
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("graphwell: overflow: ")
+        assert proc.stderr.count("\n") == 1
 
     def test_exit_code_values(self):
         # the numeric contract other tooling relies on

@@ -23,6 +23,7 @@ from graphwell import (
     grad_J_lambda,
     gradient_form_all,
     integrate,
+    laplacian_all,
     nehari_diagnostics,
     norm_H_lambda_sq,
     norm_H_Omega_sq,
@@ -459,3 +460,78 @@ class TestHessian:
         coef = (p.coef_u, p.coef_v)[k][0]
         linear = float(np.dot(wts, d[k, 0] - d[k, nbr])) + g.mu[0] * coef * d[k, 0]
         assert out[0] == pytest.approx(linear, rel=1e-13, abs=1e-13)
+
+
+@st.composite
+def batch_instances(draw):
+    """A problem of either flavour and a batch of 1..8 pairs on its masks. The
+    graph is random and connected, or the single edgeless vertex, where the
+    edge scatter runs over zero edges."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        g, pots, _w = draw(well_instances())
+    else:
+        g, pots = WeightedGraph(1, []), PotentialField([0.0], [0.0])
+    alpha = draw(st.floats(1.0, 4.0, exclude_min=True))
+    beta = draw(st.floats(1.0, 4.0, exclude_min=True))
+    if draw(st.booleans()):
+        p = LambdaProblem(g, pots, lam=draw(st.floats(1e-2, 1e9)), alpha=alpha, beta=beta)
+    else:
+        p = DirichletProblem(g, pots.omega_a, pots.omega_b, alpha=alpha, beta=beta)
+    shape = (draw(st.integers(1, 8)), g.vertex_count)
+    u = np.where(p.mask_a, rng.normal(size=shape), 0.0)
+    v = np.where(p.mask_b, rng.normal(size=shape), 0.0)
+    return p, PairFunction(u, v)
+
+
+class TestBatch:
+    # The solver runs all restarts as one batch of rows through the kernels;
+    # each row must get what the kernel gives that pair alone. The residual
+    # and the Laplacian are computed in the same order, row by row, so they
+    # agree exactly; the reductions may round differently.
+    @settings(max_examples=100, deadline=None)
+    @given(inst=batch_instances())
+    def test_rows_match_single_pairs(self, inst):
+        p, w = inst
+        res = residual_of(p, w)
+        norm_sq = norm_sq_of(p, w)
+        coupling = coupling_integral(p, w)
+        lap = laplacian_all(p.graph, w.u)
+        for i in range(len(w.u)):
+            row = PairFunction(w.u[i], w.v[i])
+            one = residual_of(p, row)
+            np.testing.assert_array_equal(res.u[i], one.u)
+            np.testing.assert_array_equal(res.v[i], one.v)
+            np.testing.assert_array_equal(lap[i], laplacian_all(p.graph, row.u))
+            assert norm_sq[i] == pytest.approx(norm_sq_of(p, row), rel=1e-14, abs=0.0)
+            assert coupling[i] == pytest.approx(coupling_integral(p, row), rel=1e-14, abs=0.0)
+
+    def test_single_pair_results_are_floats(self):
+        p = random_problem(np.random.default_rng(5))
+        w = np.random.default_rng(6).uniform(0.5, 1.5, size=(2, p.graph.vertex_count))
+        for value in (norm_sq_of(p, w), coupling_integral(p, w), energy_of(p, w),
+                      nehari_scale(p, w)):
+            assert type(value) is float
+
+    def test_nehari_scale_marks_degenerate_rows(self):
+        # A single pair without a projection raises; a batch row gets nan.
+        p = random_problem(np.random.default_rng(7))
+        n = p.graph.vertex_count
+        u = np.random.default_rng(8).uniform(0.5, 1.5, size=(3, n))
+        v = u.copy()
+        v[1] = 0.0
+        t = nehari_scale(p, PairFunction(u, v))
+        assert np.isnan(t[1])
+        for i in (0, 2):
+            assert t[i] == pytest.approx(nehari_scale(p, (u[i], v[i])), rel=1e-14)
+
+    def test_batch_sizes_in_any_order(self):
+        # The graph keeps the row-offset edge ids of the largest batch seen;
+        # a smaller batch asked for later must still get ids of its own size.
+        g = random_problem(np.random.default_rng(9)).graph
+        rng = np.random.default_rng(10)
+        for k in (3, 1, 6, 2):
+            u = rng.normal(size=(k, g.vertex_count))
+            lap = laplacian_all(g, u)
+            for i in range(k):
+                np.testing.assert_array_equal(lap[i], laplacian_all(g, u[i]))

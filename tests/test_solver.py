@@ -158,6 +158,22 @@ class TestGroundStates:
         assert out.converged
         assert out.iterations <= 1000
 
+    def test_exponents_near_one_converge_at_rounding_level(self):
+        # With alpha, beta in (1.01, 1.1) the ground states grow to ||w||_H of
+        # 1e6 .. 1e22, and the residual stalls at rounding level relative to
+        # ||w||_H, far above grad_tol = 1e-9. Against grad_tol alone, 17 of
+        # these 40 draws end unconverged; the target is floored at 64 eps ||w||_H.
+        eps = np.finfo(np.float64).eps
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            g = random_connected_graph(rng, 3, 30)
+            pots = two_wells(rng, g.vertex_count)
+            alpha, beta = rng.uniform(1.01, 1.1, 2)
+            lam = 10.0 ** rng.uniform(-2.0, 9.0)
+            out = solve_ground_state(LambdaProblem(g, pots, lam, alpha, beta))
+            assert out.converged, seed
+            assert out.residual_norm <= max(1e-9, 64 * eps * math.sqrt(out.nehari.norm_sq)), seed
+
     def test_newton_never_lands_on_a_higher_critical_point(self, monkeypatch):
         # Both wells are the ends of the path 0 - 1 - 2. At lambda = 100 each
         # end carries a critical point of its own, and the one on vertex 2
@@ -170,7 +186,8 @@ class TestGroundStates:
 
         def restart_at(vertex):
             x = np.eye(3)[vertex]
-            return solver._run_descent(p, cfg, PairFunction(x, x), 0)
+            [out] = solver._run_descent(p, cfg, PairFunction(x[None], x[None]), [0])
+            return out
 
         low, high = restart_at(0), restart_at(2)
         assert low.converged and high.converged
@@ -181,6 +198,56 @@ class TestGroundStates:
         out = restart_at(0)
         assert out.energy == pytest.approx(descent.energy, rel=1e-12)
         assert out.energy < high.energy
+
+
+def stacked(pairs):
+    return PairFunction(np.array([w.u for w in pairs]), np.array([w.v for w in pairs]))
+
+
+def cold_starts(p, count, seed=0):
+    return [solver._initial_pair(p, np.random.default_rng([seed, i])) for i in range(count)]
+
+
+class TestLockstep:
+    # _run_descent runs every start of a solve as one batch; a row's result
+    # must not depend on the other rows beyond rounding in the reductions.
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(1.2, 4.0),
+           beta=st.floats(1.2, 4.0), log_lam=st.floats(-2.0, 9.0), dirichlet=st.booleans())
+    def test_rows_match_batches_of_one(self, seed, alpha, beta, log_lam, dirichlet):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, 3, 30)
+        pots = two_wells(rng, g.vertex_count)
+        if dirichlet:
+            p = DirichletProblem(g, pots.omega_a, pots.omega_b, alpha, beta)
+        else:
+            p = LambdaProblem(g, pots, 10.0 ** log_lam, alpha, beta)
+        cfg = SolverConfig()
+        starts = cold_starts(p, 8)
+        batch = solver._run_descent(p, cfg, stacked(starts), range(8))
+        for i, start in enumerate(starts):
+            [alone] = solver._run_descent(p, cfg, stacked([start]), [i])
+            assert batch[i].restart_index == alone.restart_index == i
+            assert batch[i].converged == alone.converged
+            assert batch[i].energy == pytest.approx(alone.energy, rel=1e-12)
+
+    def test_rows_that_leave_early_do_not_disturb_the_rest(self, g22):
+        # A zero warm start has no Nehari projection and leaves before the
+        # first loop head; a converged warm start leaves at the first head.
+        graph, pots, _d = g22
+        p = LambdaProblem(graph, pots, 100.0, 2.0, 2.0)
+        cfg = SolverConfig()
+        ground = solve_ground_state(p).pair
+        zero = PairFunction(np.zeros(graph.vertex_count), np.zeros(graph.vertex_count))
+        cold = cold_starts(p, 8)
+        alone = solver._run_descent(p, cfg, stacked(cold), range(8))
+        mixed = solver._run_descent(p, cfg, stacked([zero, ground, *cold]), range(-2, 8))
+        assert mixed[0] is None
+        assert mixed[1].converged and mixed[1].iterations == 1
+        for a, m in zip(alone, mixed[2:]):
+            assert m.restart_index == a.restart_index
+            assert m.converged == a.converged
+            assert m.energy == pytest.approx(a.energy, rel=1e-12)
 
 
 class TestScale:

@@ -33,5 +33,16 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
 
 
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy(path):
+    # The package is numpy-only; scipy serves scripts/generate_g22_reference.py
+    # alone, as an independent oracle.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not [m for m in modules if m.split(".")[0] == "scipy"], f"{path.name} imports scipy"
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"graph.py", "solver.py", "cli.py"}
