@@ -1,7 +1,9 @@
+import csv
 import shutil
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -222,6 +224,26 @@ class TestSweep:
                      "--out", str(b)]) == EXIT_OK
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_g22_sweep_matches_golden_answer(self, tmp_path, capsys):
+        # tests/data/g22_sweep_seed7.csv is the output of
+        # `graphwell sweep g22.graph --seed 7` on the packaged instance. The
+        # residual column is rounding noise and is not compared.
+        out = tmp_path / "sweep.csv"
+        path = str(resources.files("graphwell").joinpath("data/g22.graph"))
+        assert main(["sweep", path, "--seed", "7", "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        golden = Path(__file__).parent / "data" / "g22_sweep_seed7.csv"
+        with golden.open(encoding="utf-8") as fh:
+            want = list(csv.DictReader(fh))
+        with out.open(encoding="utf-8") as fh:
+            got = list(csv.DictReader(fh))
+        assert [r["lambda"] for r in got] == [r["lambda"] for r in want]
+        for g, w in zip(got, want):
+            assert float(g["energy"]) == pytest.approx(float(w["energy"]), rel=1e-12, abs=0.0)
+            for key in ("sup_u_outside", "sup_v_outside", "h_distance"):
+                assert float(g[key]) == pytest.approx(float(w[key]), rel=0.0, abs=1e-12), key
+            assert g["converged"] == w["converged"]
 
 
 class TestCheckAndValidate:
