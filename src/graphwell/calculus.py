@@ -37,15 +37,22 @@ def as_vertex_function(g: WeightedGraph, values) -> np.ndarray:
     return f
 
 
-def as_pair(g: WeightedGraph, w) -> PairFunction:
+def as_pair(g: WeightedGraph, w) -> np.ndarray:
+    """Validate a pair (u, v) and stack it into a new (2, n) array."""
     u, v = w
-    return PairFunction(as_vertex_function(g, u), as_vertex_function(g, v))
+    return np.array((as_vertex_function(g, u), as_vertex_function(g, v)))
 
 
 def weighted_sum(f: np.ndarray, weight: np.ndarray) -> float | np.ndarray:
     """sum_x weight(x) f(x) over the last axis; a float for a 1-D f."""
     s = np.dot(f, weight)
     return s if s.ndim else float(s)
+
+
+def pair_sum(f: np.ndarray, weight: np.ndarray) -> float | np.ndarray:
+    """weighted_sum of both components of f, an array (..., 2, m): one value
+    per pair, a float for a single pair."""
+    return weighted_sum(f.sum(axis=-2), weight)
 
 
 def laplacian_all(g: WeightedGraph, u: np.ndarray) -> np.ndarray:
@@ -92,27 +99,23 @@ def norm_H_sq(g: WeightedGraph, w) -> float:
     return grad + mass
 
 
-def check_admissible(d: DirichletProblem, w) -> PairFunction:
-    """Require u = 0 off Omega_a and v = 0 off Omega_b, else raise."""
-    u, v = as_pair(d.graph, w)
-    bad_u = np.flatnonzero((u != 0.0) & ~d.mask_a)
-    if bad_u.size:
-        lab = d.graph.label_of(int(bad_u[0]))
-        raise DomainViolationError(f"u is nonzero at {lab}, outside the a-well interior")
-    bad_v = np.flatnonzero((v != 0.0) & ~d.mask_b)
-    if bad_v.size:
-        lab = d.graph.label_of(int(bad_v[0]))
-        raise DomainViolationError(f"v is nonzero at {lab}, outside the b-well interior")
-    return PairFunction(u, v)
+def check_admissible(d: DirichletProblem, w) -> np.ndarray:
+    """as_pair, requiring u = 0 off Omega_a and v = 0 off Omega_b, else raise."""
+    w = as_pair(d.graph, w)
+    bad = np.argwhere((w != 0.0) & ~d.mask)
+    if bad.size:
+        k, x = bad[0]
+        raise DomainViolationError(f"{'uv'[k]} is nonzero at {d.graph.label_of(int(x))}, "
+                                   f"outside the {'ab'[k]}-well interior")
+    return w
 
 
 def norm_Lq(g: WeightedGraph, w, q: float) -> float:
     """L^q norm of a pair for q in [2, inf]; q = inf is sup|u| + sup|v|."""
-    u, v = as_pair(g, w)
+    w = np.abs(as_pair(g, w))
     if q == math.inf:
-        return float(np.max(np.abs(u)) + np.max(np.abs(v)))
+        return float(w.max(axis=1).sum())
     q = float(q)
     if q < 2.0:
         raise ValueError(f"q must be >= 2 or inf, got {q}")
-    total = float(np.dot(g.mu, np.abs(u) ** q + np.abs(v) ** q))
-    return total ** (1.0 / q)
+    return pair_sum(w ** q, g.mu) ** (1.0 / q)

@@ -188,16 +188,13 @@ def _cmd_check(args) -> int:
     problem = LambdaProblem(g, pf.potentials, lam, pf.alpha, pf.beta)
     worst = 0.0
     h = 1e-5
-    base = calculus.PairFunction(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
+    base = rng.uniform(-1, 1, (2, n))
     for _ in range(20):
-        du = rng.standard_normal(n)
-        dv = rng.standard_normal(n)
+        d = rng.standard_normal((2, n))
         res = functional.grad_J_lambda(problem, base)
-        pairing = calculus.integrate(g, res.u * du + res.v * dv)
-        plus = functional.energy_J_lambda(
-            problem, (base.u + h * du, base.v + h * dv))
-        minus = functional.energy_J_lambda(
-            problem, (base.u - h * du, base.v - h * dv))
+        pairing = calculus.integrate(g, res.u * d[0] + res.v * d[1])
+        plus = functional.energy_J_lambda(problem, base + h * d)
+        minus = functional.energy_J_lambda(problem, base - h * d)
         fd = (plus - minus) / (2 * h)
         worst = max(worst, abs(fd - pairing) / max(abs(fd), abs(pairing), 1e-30))
     failures += _report("residual vs finite differences", worst < 1e-6,
@@ -208,7 +205,7 @@ def _cmd_check(args) -> int:
     for lam_test in (1e-2, 1.0, 1e2, 1e4):
         plam = LambdaProblem(g, pf.potentials, lam_test, pf.alpha, pf.beta)
         for _ in range(50):
-            w = calculus.PairFunction(rng.standard_normal(n), rng.standard_normal(n))
+            w = rng.standard_normal((2, n))
             lhs = calculus.norm_Lq(g, w, np.inf)
             rhs = bound * np.sqrt(functional.norm_H_lambda_sq(plam, w))
             if lhs > rhs * (1 + 1e-12):

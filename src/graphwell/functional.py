@@ -1,15 +1,21 @@
 """Energy functionals, strong-form residuals, and Nehari-manifold algebra.
 
-Both problem flavors carry the same kernel data: graph and measure, mass
-coefficients coef_u, coef_v (lam a + 1, lam b + 1, or ones), masks mask_a,
-mask_b of the unknowns (all true, or the wells), the exponents and the seed
-support `overlap`. From that data alone the kernel functions
-(coupling_integral, norm_sq_of, energy_of, residual_of, hessian_matvec,
-nehari_scale) compute J(w) = (1/2) ||w||^2 - coupling(w)/(alpha+beta), its
-residual and the Hessian's action, zero off the masks. They trust their
-input; energy_J_*, grad_J_*, norm_H_*_sq and nehari_diagnostics validate the
-pair once and then call them. The kernels also take a batch of pairs, (k, n)
-arrays, and then return one value or residual row per pair.
+Inside the package a pair (u, v) is one float array whose last two axes are
+(component, vertex): a single pair is (2, n), a batch of k pairs is (k, 2, n).
+PairFunction is built only where a pair leaves through the public API.
+
+Both problem flavors carry the same kernel data in that layout: graph and
+measure, mass coefficients coef (rows lam a + 1 and lam b + 1, or ones), masks
+mask of the unknowns (all true, or the wells; mask_a and mask_b are its rows),
+the exponents and the seed support `overlap`. From that data alone the kernel
+functions (coupling_integral, norm_sq_of, energy_of, residual_of,
+hessian_matvec, nehari_scale) compute J(w) = (1/2) ||w||^2 -
+coupling(w)/(alpha+beta), its residual and the Hessian's action, zero off the
+masks. Mass, Laplacian, masking and reductions act on both components at once;
+only the coupling terms index a component. The kernels trust their input;
+energy_J_*, grad_J_*, norm_H_*_sq and nehari_diagnostics validate the pair once
+and then call them. Given a batch, the kernels return one value or residual
+per pair.
 
 The masked-kernel identity: on admissible pairs (u = 0 off Omega_a, v = 0 off
 Omega_b, with the wells the zero sets of a and b) the lam a, lam b terms drop
@@ -24,8 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .calculus import (PairFunction, as_pair, check_admissible, dirichlet_energy_sq,
-                       laplacian_all, weighted_sum)
+from .calculus import (PairFunction, as_pair, check_admissible, laplacian_all, pair_sum,
+                       weighted_sum)
 from .errors import DegeneratePairError, GraphValidationError
 from .graph import PotentialField, WeightedGraph, as_domain
 
@@ -43,7 +49,27 @@ def _check_exponents(alpha: float, beta: float) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class LambdaProblem:
+class _Kernel:
+    """The kernel data of both flavours: coef and mask, rows u and v."""
+
+    coef: np.ndarray = field(init=False, repr=False)
+    mask: np.ndarray = field(init=False, repr=False)
+
+    @property
+    def gamma(self) -> float:
+        return self.alpha + self.beta
+
+    @property
+    def mask_a(self) -> np.ndarray:
+        return self.mask[0]
+
+    @property
+    def mask_b(self) -> np.ndarray:
+        return self.mask[1]
+
+
+@dataclass(frozen=True, eq=False)
+class LambdaProblem(_Kernel):
     """Coupled system on the whole graph with potentials scaled by lam."""
 
     graph: WeightedGraph
@@ -51,35 +77,27 @@ class LambdaProblem:
     lam: float
     alpha: float
     beta: float
-    coef_u: np.ndarray = field(init=False, repr=False)
-    coef_v: np.ndarray = field(init=False, repr=False)
-    mask_a: np.ndarray = field(init=False, repr=False)
-    mask_b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.potentials.a.shape != (self.graph.vertex_count,):
+        pots = self.potentials
+        if pots.a.shape != (self.graph.vertex_count,):
             raise GraphValidationError("potentials and graph disagree on vertex count")
         if not (np.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lambda must be positive and finite, got {self.lam}")
         _check_exponents(self.alpha, self.beta)
-        free = np.ones(self.graph.vertex_count, dtype=bool)
-        _freeze(self, coef_u=self.lam * self.potentials.a + 1.0,
-                coef_v=self.lam * self.potentials.b + 1.0, mask_a=free, mask_b=free)
-
-    @property
-    def gamma(self) -> float:
-        return self.alpha + self.beta
+        _freeze(self, coef=self.lam * np.array((pots.a, pots.b)) + 1.0,
+                mask=np.ones((2, self.graph.vertex_count), dtype=bool))
 
     @property
     def overlap(self) -> frozenset:
         return self.potentials.overlap
 
-    def check_pair(self, w) -> PairFunction:
+    def check_pair(self, w) -> np.ndarray:
         return as_pair(self.graph, w)
 
 
 @dataclass(frozen=True, eq=False)
-class DirichletProblem:
+class DirichletProblem(_Kernel):
     """Limit system posed inside the wells with zero boundary values."""
 
     graph: WeightedGraph
@@ -87,10 +105,6 @@ class DirichletProblem:
     omega_b: frozenset
     alpha: float
     beta: float
-    mask_a: np.ndarray = field(init=False, repr=False)
-    mask_b: np.ndarray = field(init=False, repr=False)
-    coef_u: np.ndarray = field(init=False, repr=False)
-    coef_v: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         g = self.graph
@@ -103,23 +117,16 @@ class DirichletProblem:
         if not (omega_a & omega_b):
             raise GraphValidationError("the wells do not overlap")
         _check_exponents(self.alpha, self.beta)
-        n = g.vertex_count
-        mask_a = np.zeros(n, dtype=bool)
-        mask_a[list(omega_a)] = True
-        mask_b = np.zeros(n, dtype=bool)
-        mask_b[list(omega_b)] = True
-        ones = np.ones(n)
-        _freeze(self, mask_a=mask_a, mask_b=mask_b, coef_u=ones, coef_v=ones)
-
-    @property
-    def gamma(self) -> float:
-        return self.alpha + self.beta
+        mask = np.zeros((2, g.vertex_count), dtype=bool)
+        mask[0, list(omega_a)] = True
+        mask[1, list(omega_b)] = True
+        _freeze(self, coef=np.ones((2, g.vertex_count)), mask=mask)
 
     @property
     def overlap(self) -> frozenset:
         return self.omega_a & self.omega_b
 
-    def check_pair(self, w) -> PairFunction:
+    def check_pair(self, w) -> np.ndarray:
         return check_admissible(self, w)
 
 
@@ -139,34 +146,33 @@ def signed_power(u: np.ndarray, p: float) -> np.ndarray:
     return np.sign(u) * np.abs(u) ** p
 
 
-def coupling_integral(p: Problem, w) -> float | np.ndarray:
+def coupling_integral(p: Problem, w: np.ndarray) -> float | np.ndarray:
     """Integral of |u|^alpha |v|^beta over V."""
-    u, v = w
-    return weighted_sum(np.abs(u) ** p.alpha * np.abs(v) ** p.beta, p.graph.mu)
+    return weighted_sum(np.abs(w[..., 0, :]) ** p.alpha * np.abs(w[..., 1, :]) ** p.beta,
+                        p.graph.mu)
 
 
-def norm_sq_of(p: Problem, w) -> float | np.ndarray:
-    """Squared norm: all-edge gradient terms plus coef_u, coef_v weighted mass."""
-    u, v = w
+def norm_sq_of(p: Problem, w: np.ndarray) -> float | np.ndarray:
+    """Squared norm: all-edge gradient terms plus coef-weighted mass."""
     g = p.graph
-    grad = dirichlet_energy_sq(g, u) + dirichlet_energy_sq(g, v)
-    mass = weighted_sum(p.coef_u * u * u + p.coef_v * v * v, g.mu)
-    return grad + mass
+    dw = w.take(g.edge_j, axis=-1) - w.take(g.edge_i, axis=-1)
+    return pair_sum(dw * dw, g.edge_w) + pair_sum(p.coef * w * w, g.mu)
 
 
-def energy_of(p: Problem, w) -> float | np.ndarray:
+def energy_of(p: Problem, w: np.ndarray) -> float | np.ndarray:
     return 0.5 * norm_sq_of(p, w) - coupling_integral(p, w) / p.gamma
 
 
-def residual_of(p: Problem, w) -> PairFunction:
+def residual_of(p: Problem, w: np.ndarray) -> np.ndarray:
     """Strong-form residual, zero off the masks; its L2(dmu) pairing is the weak form."""
-    u, v = w
-    g = p.gamma
-    au, av = np.abs(u), np.abs(v)
-    lap_u, lap_v = laplacian_all(p.graph, np.array((u, v)))
-    ru = p.coef_u * u - lap_u - (p.alpha / g) * np.sign(u) * au ** (p.alpha - 1.0) * av ** p.beta
-    rv = p.coef_v * v - lap_v - (p.beta / g) * au ** p.alpha * np.sign(v) * av ** (p.beta - 1.0)
-    return PairFunction(np.where(p.mask_a, ru, 0.0), np.where(p.mask_b, rv, 0.0))
+    # Each component's exponent, as a column; one float when they agree,
+    # which numpy's power takes by its faster path (alpha = beta = 2 squares).
+    e = p.alpha if p.alpha == p.beta else np.array(((p.alpha,), (p.beta,)))
+    aw = np.abs(w)
+    # The coupling's derivatives, alpha |u|^(alpha-2) u |v|^beta / gamma and
+    # its v twin: the only term that mixes the components.
+    dcoup = (e / p.gamma) * np.sign(w) * aw ** (e - 1.0) * (aw ** e)[..., ::-1, :]
+    return np.where(p.mask, p.coef * w - laplacian_all(p.graph, w) - dcoup, 0.0)
 
 
 def _abs_power(u: np.ndarray, q: float) -> np.ndarray:
@@ -177,27 +183,24 @@ def _abs_power(u: np.ndarray, q: float) -> np.ndarray:
     return np.power(a, q, out=np.zeros_like(a), where=a > 0.0)
 
 
-def hessian_matvec(p: Problem, w, du: np.ndarray, dv: np.ndarray) -> PairFunction:
-    """H (du, dv), with H the Jacobian of the stacked mu*residual_of at w.
+def hessian_matvec(p: Problem, w: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """H d, with H the Jacobian of mu*residual_of at w.
 
-    (mu*r.u, mu*r.v) is the Euclidean gradient of J in the vertex values, so H
-    is the symmetric Hessian: the edge-weighted Laplacian, the diagonal
+    mu*r is the Euclidean gradient of J in the vertex values, so H is the
+    symmetric Hessian: the edge-weighted Laplacian, the diagonal
     mu*(coef - alpha(alpha-1)/gamma |u|^(alpha-2) |v|^beta) and its v twin, and
     one u-v coupling entry per vertex. Rows off the masks are zero, like the
     residual's. Where alpha or beta < 2 the diagonal term is singular at a
     zero of u or v; it is taken as 0 there. Costs O(|E| + n).
     """
-    u, v = w
+    u, v = w[..., 0, :], w[..., 1, :]
     g = p.graph
     a, b, gam = p.alpha, p.beta, p.gamma
-    su, sv = signed_power(u, a - 1.0), signed_power(v, b - 1.0)
-    cross = (a * b / gam) * su * sv
-    lap_u, lap_v = laplacian_all(g, np.array((du, dv)))
-    hu = ((p.coef_u - (a * (a - 1.0) / gam) * _abs_power(u, a - 2.0) * np.abs(v) ** b) * du
-          - lap_u - cross * dv)
-    hv = ((p.coef_v - (b * (b - 1.0) / gam) * np.abs(u) ** a * _abs_power(v, b - 2.0)) * dv
-          - lap_v - cross * du)
-    return PairFunction(np.where(p.mask_a, g.mu * hu, 0.0), np.where(p.mask_b, g.mu * hv, 0.0))
+    cross = (a * b / gam) * signed_power(u, a - 1.0) * signed_power(v, b - 1.0)
+    h = p.coef * d - laplacian_all(g, d) - cross[..., None, :] * d[..., ::-1, :]
+    h[..., 0, :] -= (a * (a - 1.0) / gam) * _abs_power(u, a - 2.0) * np.abs(v) ** b * d[..., 0, :]
+    h[..., 1, :] -= (b * (b - 1.0) / gam) * np.abs(u) ** a * _abs_power(v, b - 2.0) * d[..., 1, :]
+    return np.where(p.mask, g.mu * h, 0.0)
 
 
 def nehari_scale(p: Problem, w) -> float | np.ndarray:
@@ -240,7 +243,7 @@ def energy_J_lambda(p: LambdaProblem, w) -> float:
 
 def grad_J_lambda(p: LambdaProblem, w) -> PairFunction:
     """Strong-form residual of system (1); its L2(dmu) pairing is the weak form."""
-    return residual_of(p, as_pair(p.graph, w))
+    return PairFunction(*residual_of(p, as_pair(p.graph, w)))
 
 
 def energy_J_Omega(d: DirichletProblem, w) -> float:
@@ -249,7 +252,7 @@ def energy_J_Omega(d: DirichletProblem, w) -> float:
 
 def grad_J_Omega(d: DirichletProblem, w) -> PairFunction:
     """Residual of system (2) on interior vertices, pinned to 0 elsewhere."""
-    return residual_of(d, check_admissible(d, w))
+    return PairFunction(*residual_of(d, check_admissible(d, w)))
 
 
 def nehari_diagnostics(p: Problem, w) -> NehariDiagnostics:

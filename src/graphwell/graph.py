@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from typing import Iterable, Sequence
 
@@ -11,6 +12,14 @@ from .errors import GraphValidationError, UnknownLabelError
 
 VertexId = int
 DomainSet = frozenset
+
+
+def _integer(x, what: str, error: type[Exception]) -> int:
+    """x as an int, if it is one (numpy integers included), else raise error."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise error(f"{what} {x!r} is not an integer") from None
 
 
 class WeightedGraph:
@@ -30,7 +39,7 @@ class WeightedGraph:
         measure: Sequence[float] | np.ndarray | None = None,
         labels: Sequence[str] | None = None,
     ):
-        n = int(vertex_count)
+        n = _integer(vertex_count, "vertex_count", GraphValidationError)
         if n <= 0:
             raise GraphValidationError("vertex_count must be positive")
         self.vertex_count = n
@@ -39,7 +48,8 @@ class WeightedGraph:
         seen: set[tuple[int, int]] = set()
         for edge in edges:
             x, y, w = edge
-            x, y = int(x), int(y)
+            x = _integer(x, "vertex id", GraphValidationError)
+            y = _integer(y, "vertex id", GraphValidationError)
             if not (0 <= x < n and 0 <= y < n):
                 raise GraphValidationError(f"edge ({x}, {y}) references a vertex outside [0, {n})")
             if x == y:
@@ -124,7 +134,7 @@ class WeightedGraph:
         return ei[:m], ej[:m]
 
     def check_vertex(self, x: int) -> int:
-        x = int(x)
+        x = _integer(x, "vertex id", UnknownLabelError)
         if not 0 <= x < self.vertex_count:
             raise UnknownLabelError(f"vertex {x} not in graph of size {self.vertex_count}")
         return x
@@ -212,10 +222,7 @@ def _bfs_reach(g: WeightedGraph, source: int) -> np.ndarray:
 
 def as_domain(g: WeightedGraph, members: Iterable[int]) -> frozenset:
     """Normalize an iterable of vertex ids into a validated DomainSet."""
-    dom = frozenset(int(v) for v in members)
-    for v in dom:
-        g.check_vertex(v)
-    return dom
+    return frozenset(g.check_vertex(v) for v in members)
 
 
 def boundary(g: WeightedGraph, omega: Iterable[int]) -> frozenset:

@@ -22,10 +22,11 @@ restart therefore hands over to a damped Newton polish of the optimality
 system; Newton moves along such valleys at a fixed linear rate instead of
 stalling.
 
-All starts of one solve (warm starts, then the seeded restarts) descend in
-lockstep as the rows of one (k, n) batch, so each loop head and line-search
-round pays numpy's per-call cost once for all of them. A row leaves the batch
-when it stops; the Newton hand-offs below run row by row.
+Pairs are the package's (2, n) arrays, and all starts of one solve (warm
+starts, then the seeded restarts) descend in lockstep as the rows of one
+(k, 2, n) batch, so each loop head and line-search round pays numpy's
+per-call cost once for all of them. A row leaves the batch when it stops; the
+Newton hand-offs below run row by row, on the same (2, n) arrays.
 
 A restart has one stop rule, tested at the loop head: descent ends once the
 residual reaches max(grad_tol, _POLISH_SWITCH * max(1, ||w||)). Every iterate
@@ -65,7 +66,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .calculus import PairFunction, as_pair
+from .calculus import PairFunction, as_pair, pair_sum
 from .errors import DegeneratePairError, EnergyOverflowError
 from .functional import (
     DirichletProblem,
@@ -83,7 +84,7 @@ from .functional import (
 
 logger = logging.getLogger(__name__)
 
-_MAX_ITERS = 50000          # descent iterations per restart
+_MAX_ITERS = 1000           # descent iterations per restart
 _ARMIJO_C = 1e-4            # sufficient-decrease constant; trial steps start at 1
 _BACKTRACK = 0.5            # step shrink factor per rejected trial
 _STEP_UNDERFLOW = 1e-18     # smallest trial step before the line search gives up
@@ -143,25 +144,20 @@ def _tolerance(grad_tol: float, norm_sq: float) -> float:
     return max(grad_tol, _ROUNDING * math.sqrt(norm_sq))
 
 
-def _diag_of(p: Problem) -> tuple[np.ndarray, np.ndarray]:
-    ratio = p.graph.wdeg / p.graph.mu
-    return p.coef_u + ratio, p.coef_v + ratio
+def _diag_of(p: Problem) -> np.ndarray:
+    return p.coef + p.graph.wdeg / p.graph.mu
 
 
-def _initial_pair(p: Problem, rng: np.random.Generator) -> PairFunction:
-    n = p.graph.vertex_count
+def _initial_pair(p: Problem, rng: np.random.Generator) -> np.ndarray:
     idx = sorted(p.overlap)
-    u = np.zeros(n)
-    v = np.zeros(n)
-    u[idx] = rng.uniform(0.5, 1.5, len(idx))
-    v[idx] = rng.uniform(0.5, 1.5, len(idx))
-    return PairFunction(u, v)
+    w = np.zeros((2, p.graph.vertex_count))
+    w[:, idx] = rng.uniform(0.5, 1.5, (2, len(idx)))
+    return w
 
 
-def _residual_norm(p: Problem, r: PairFunction) -> np.floating | np.ndarray:
+def _residual_norm(p: Problem, r: np.ndarray) -> np.floating | np.ndarray:
     """The certificate's mu-weighted ||r||, one value per row of a batch."""
-    mu = p.graph.mu
-    return np.sqrt(np.dot(r.u * r.u, mu) + np.dot(r.v * r.v, mu))
+    return np.sqrt(pair_sum(r * r, p.graph.mu))
 
 
 def _minres(matvec, b: np.ndarray, minv: np.ndarray) -> np.ndarray:
@@ -170,14 +166,15 @@ def _minres(matvec, b: np.ndarray, minv: np.ndarray) -> np.ndarray:
     Paige & Saunders (SIAM J. Numer. Anal. 12, 1975), started from x = 0, with
     the SPD diagonal preconditioner M given by its inverse ``minv``. Stops when
     the M^-1-norm of the residual drops below _MINRES_RTOL times that of b, or
-    after _MINRES_ITERS_PER_UNKNOWN * len(b) iterations; the caller judges the
-    returned x by its own decrease test either way.
+    after _MINRES_ITERS_PER_UNKNOWN * b.size iterations; the caller judges the
+    returned x by its own decrease test either way. Vectors may have any
+    shape; dot products run over all of their entries.
     """
     x = np.zeros_like(b)
     r1 = b
     r2 = b
     y = minv * b
-    beta1 = math.sqrt(float(np.dot(b, y)))
+    beta1 = math.sqrt(float(np.vdot(b, y)))
     if beta1 == 0.0:
         return x
     beta, oldb = beta1, 0.0
@@ -192,11 +189,11 @@ def _minres(matvec, b: np.ndarray, minv: np.ndarray) -> np.ndarray:
         y = matvec(v)
         if k > 0:
             y = y - (beta / oldb) * r1
-        alfa = float(np.dot(v, y))
+        alfa = float(np.vdot(v, y))
         y = y - (alfa / beta) * r2
         r1, r2 = r2, y
         y = minv * r2
-        oldb, beta = beta, math.sqrt(max(float(np.dot(r2, y)), 0.0))
+        oldb, beta = beta, math.sqrt(max(float(np.vdot(r2, y)), 0.0))
         # Apply the previous rotation, then form the next one.
         oldeps = epsln
         delta = cs * dbar + sn * alfa
@@ -214,18 +211,18 @@ def _minres(matvec, b: np.ndarray, minv: np.ndarray) -> np.ndarray:
     return x
 
 
-def _newton_polish(p: Problem, w: PairFunction, res: PairFunction, rnorm: float,
-                   grad_tol: float) -> PairFunction:
-    """Damped Newton-Krylov on the stacked optimality system f = mu*r = 0.
+def _newton_polish(p: Problem, w: np.ndarray, res: np.ndarray, rnorm: float,
+                   grad_tol: float) -> np.ndarray:
+    """Damped Newton-Krylov on the optimality system f = mu*r = 0.
 
     f is the Euclidean gradient of J in the unknowns, so its Jacobian is the
     analytic Hessian, symmetric and indefinite (the radial direction at a
     Nehari point has negative curvature). Each step solves H step = -f by
     MINRES preconditioned with the SPD diagonal mu*(coef + wdeg/mu), using
     only hessian_matvec products: O(|E| + n) time per product and memory
-    overall. The iteration runs on the full-length stacked (u, v); the
-    preconditioner inverse is zero off the masks, so every Krylov vector,
-    and with it the iterate, stays exactly zero there.
+    overall. The iteration runs on the full (2, n) pair; the preconditioner
+    inverse is zero off the masks, so every Krylov vector, and with it the
+    iterate, stays exactly zero there.
 
     Steps are damped by halving until the certificate's residual norm, the
     mu-weighted ||r||, strictly shrinks. A Newton step is a descent direction
@@ -233,40 +230,35 @@ def _newton_polish(p: Problem, w: PairFunction, res: PairFunction, rnorm: float,
     evaluations, never corrupt the iterate; a nonfinite trial fails the test.
     The caller passes the residual res of w and its norm rnorm.
     """
-    g = p.graph
-    n = g.vertex_count
-    diag_u, diag_v = _diag_of(p)
+    mu = p.graph.mu
 
     def stacked(z: np.ndarray) -> tuple[np.ndarray, float]:
-        r = residual_of(p, PairFunction(z[:n], z[n:]))
-        return np.concatenate([g.mu * r.u, g.mu * r.v]), _residual_norm(p, r)
+        r = residual_of(p, z)
+        return mu * r, _residual_norm(p, r)
 
-    mask = np.concatenate([p.mask_a, p.mask_b])
-    minv = np.where(mask, 1.0 / np.concatenate([g.mu * diag_u, g.mu * diag_v]), 0.0)
-    z = np.concatenate([w.u, w.v])
-    f = np.concatenate([g.mu * res.u, g.mu * res.v])
+    minv = np.where(p.mask, 1.0 / (mu * _diag_of(p)), 0.0)
+    f = mu * res
     for _ in range(_POLISH_MAX_ITERS):
         if not math.isfinite(rnorm) or rnorm <= 0.5 * grad_tol:
             break
-        at = PairFunction(z[:n], z[n:])
-        step = _minres(lambda d: np.concatenate(hessian_matvec(p, at, d[:n], d[n:])), -f, minv)
+        step = _minres(lambda d: hessian_matvec(p, w, d), -f, minv)
         if not np.all(np.isfinite(step)):
             break
         t = 1.0
         for _ in range(_POLISH_BACKTRACKS):
-            ft, rt = stacked(z + t * step)
+            ft, rt = stacked(w + t * step)
             if rt < rnorm:
-                z = z + t * step
+                w = w + t * step
                 f, rnorm = ft, rt
                 break
             t *= 0.5
         else:
             break
-    return PairFunction(z[:n], z[n:])
+    return w
 
 
-def _try_newton(p: Problem, w: PairFunction, res: PairFunction, rnorm: float,
-                energy: float, grad_tol: float) -> tuple[PairFunction, PairFunction, float, float]:
+def _try_newton(p: Problem, w: np.ndarray, res: np.ndarray, rnorm: float,
+                energy: float, grad_tol: float) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Polish w by Newton and keep the re-projected result only if it is better.
 
     Returns (w, res, rnorm, energy) of the kept point: the candidate when its
@@ -282,7 +274,7 @@ def _try_newton(p: Problem, w: PairFunction, res: PairFunction, rnorm: float,
         t = nehari_scale(p, polished)
     except DegeneratePairError:
         return w, res, rnorm, energy
-    cand = PairFunction(t * polished.u, t * polished.v)
+    cand = t * polished
     cres = residual_of(p, cand)
     cnorm = _residual_norm(p, cres)
     cenergy = energy_of(p, cand)
@@ -292,11 +284,7 @@ def _try_newton(p: Problem, w: PairFunction, res: PairFunction, rnorm: float,
     return w, res, rnorm, energy
 
 
-def _row(w: PairFunction, i: int) -> PairFunction:
-    return PairFunction(w.u[i].copy(), w.v[i].copy())
-
-
-def _finish(p: Problem, cfg: SolverConfig, w: PairFunction, res: PairFunction, rnorm: float,
+def _finish(p: Problem, cfg: SolverConfig, w: np.ndarray, res: np.ndarray, rnorm: float,
             energy: float, norm_sq: float, iters: int, index: int) -> SolveResult:
     """Polish a restart that has left the batch, then certify its result."""
     tol = _tolerance(cfg.grad_tol, norm_sq)
@@ -309,22 +297,22 @@ def _finish(p: Problem, cfg: SolverConfig, w: PairFunction, res: PairFunction, r
                      and nd.nontrivial)
     logger.debug("restart %d: energy %.12g rnorm %.3e iters %d converged %s",
                  index, nd.energy, rnorm, iters, converged)
-    return SolveResult(pair=w, energy=nd.energy, residual_norm=rnorm, nehari=nd,
+    return SolveResult(pair=PairFunction(*w), energy=nd.energy, residual_norm=rnorm, nehari=nd,
                        iterations=iters, restart_index=index, converged=converged)
 
 
-def _run_descent(p: Problem, cfg: SolverConfig, starts: PairFunction,
+def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
                  indices: Sequence[int]) -> list[SolveResult | None]:
     """Descend from every start of one solve in lockstep.
 
-    Row i of the batch starts is restart indices[i]. Returns one result per
-    row, None where the start has no finite Nehari projection. The kernels
-    run on the whole batch at once; each row's scalars (energy, step, window
-    residual) are updated row by row with the arithmetic of a single restart.
+    Row i of the (k, 2, n) batch starts is restart indices[i]. Returns one
+    result per row, None where the start has no finite Nehari projection. The
+    kernels run on the whole batch at once; each row's scalars (energy, step,
+    window residual) are updated row by row with the arithmetic of a single
+    restart.
     """
-    u0 = np.where(p.mask_a, starts.u, 0.0)
-    v0 = np.where(p.mask_b, starts.v, 0.0)
-    t = nehari_scale(p, PairFunction(u0, v0))
+    starts = np.where(p.mask, starts, 0.0)
+    t = nehari_scale(p, starts)
     out: list[SolveResult | None] = [None] * len(t)
     rows = np.flatnonzero(np.isfinite(t))     # batch row -> row of starts
     if not rows.size:
@@ -332,12 +320,12 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: PairFunction,
             raise EnergyOverflowError(
                 f"the Nehari projection of every start overflowed (alpha {p.alpha}, beta {p.beta})")
         return out
-    w = PairFunction(t[rows, None] * u0[rows], t[rows, None] * v0[rows])
+    w = t[rows, None, None] * starts[rows]
 
     gamma = p.gamma
     exponent = 1.0 / (gamma - 2.0)
     mu = p.graph.mu
-    diag_u, diag_v = _diag_of(p)
+    diag = _diag_of(p)
     eps = np.finfo(np.float64).eps
 
     energy = energy_of(p, w)
@@ -355,10 +343,8 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: PairFunction,
             for i in range(rows.size):
                 if not stop[i] and rnorm[i] > _PROGRESS_RATIO * window[i]:
                     tol = _tolerance(cfg.grad_tol, norm_sq[i])
-                    wi, ri, rnorm[i], energy[i] = _try_newton(p, _row(w, i), _row(res, i),
-                                                              rnorm[i], energy[i], tol)
-                    w.u[i], w.v[i] = wi
-                    res.u[i], res.v[i] = ri
+                    w[i], res[i], rnorm[i], energy[i] = _try_newton(p, w[i], res[i], rnorm[i],
+                                                                    energy[i], tol)
                     stop[i] = rnorm[i] <= tol
             window = np.array(rnorm)
 
@@ -366,17 +352,14 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: PairFunction,
         # round tries every row at its own step and halves the steps of the
         # rows that fail. A row that has accepted gets the same trial, and so
         # the same verdict, again.
-        du = res.u / diag_u
-        dv = res.v / diag_v
-        slope = (np.dot(res.u * du, mu) + np.dot(res.v * dv, mu)).tolist()
-        step = np.ones((rows.size, 1))
-        scale = np.empty((rows.size, 1))
+        direction = res / diag
+        slope = pair_sum(res * direction, mu).tolist()
+        step = np.ones(rows.size)
+        scale = np.empty(rows.size)
         energy_t = np.empty(rows.size)
         searching = [not s for s in stop]
         while any(searching):
-            tu = w.u - step * du
-            tv = w.v - step * dv
-            trial = PairFunction(tu, tv)
+            trial = w - step[:, None, None] * direction
             norm_t = norm_sq_of(p, trial).tolist()
             coup_t = coupling_integral(p, trial).tolist()
             for i in range(rows.size):
@@ -385,12 +368,12 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: PairFunction,
                 if coup_t[i] > 0.0 and norm_t[i] > 0.0:
                     energy_t[i] = _level_energy(norm_t[i], coup_t[i], gamma)
                     slack = 4.0 * eps * max(1.0, abs(energy[i]))
-                    if energy_t[i] <= energy[i] - _ARMIJO_C * step[i, 0] * slope[i] + slack:
+                    if energy_t[i] <= energy[i] - _ARMIJO_C * step[i] * slope[i] + slack:
                         scale[i] = (norm_t[i] / coup_t[i]) ** exponent
                         searching[i] = False
                         continue
                 step[i] *= _BACKTRACK
-                if step[i, 0] <= _STEP_UNDERFLOW:
+                if step[i] <= _STEP_UNDERFLOW:
                     logger.debug("restart %d: line search underflow at iteration %d",
                                  indices[rows[i]], k + 1)
                     searching[i] = False
@@ -399,14 +382,14 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: PairFunction,
         # Rows that stopped leave with their loop head's point and residual.
         if any(stop):
             for i in np.flatnonzero(stop):
-                out[rows[i]] = _finish(p, cfg, _row(w, i), _row(res, i), rnorm[i], energy[i],
+                out[rows[i]] = _finish(p, cfg, w[i], res[i], rnorm[i], energy[i],
                                        norm_sq[i], k + 1, indices[rows[i]])
             if all(stop):
                 break
             keep = np.logical_not(stop)
-            rows, window, energy_t, scale, tu, tv = (
-                x[keep] for x in (rows, window, energy_t, scale, tu, tv))
-        w = PairFunction(scale * tu, scale * tv)
+            rows, window, energy_t, scale, trial = (
+                x[keep] for x in (rows, window, energy_t, scale, trial))
+        w = scale[:, None, None] * trial
         energy = energy_t
     return out
 
@@ -414,11 +397,10 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: PairFunction,
 def _solve(p: Problem, cfg: SolverConfig, warm_starts: Sequence[PairFunction]) -> SolveResult:
     starts = [as_pair(p.graph, w0) for w0 in warm_starts]
     starts += [_initial_pair(p, np.random.default_rng([cfg.rng_seed, i])) for i in range(cfg.restarts)]
-    batch = PairFunction(np.array([s.u for s in starts]), np.array([s.v for s in starts]))
     # Overflow near gamma = 2 is caught below by the finite-energy test, and
     # the line search screens out the nonpositive norms and couplings.
     with np.errstate(all="ignore"):
-        results = _run_descent(p, cfg, batch, range(-len(warm_starts), cfg.restarts))
+        results = _run_descent(p, cfg, np.array(starts), range(-len(warm_starts), cfg.restarts))
     candidates = [c for c in results if c is not None]
     if not candidates:
         raise DegeneratePairError(

@@ -6,7 +6,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from graphwell import experiments, solver
+from graphwell import build_g22, experiments, solver
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -35,3 +35,21 @@ def test_sweep_calls_the_lambda_solver_itself():
     # warm_won_ratio counts solve_ground_state calls whose caller frame is
     # lambda_sweep, so the call must stay in that function's own body.
     assert "solve_ground_state" in experiments.lambda_sweep.__code__.co_names
+
+
+def test_traced_solver_counters_are_live():
+    # The descent and polish counters are derived from which objects the
+    # solver passes to the kernels; a refactor that changes that would read
+    # them as zero without failing any name check above.
+    spans = load_spans()
+    tracer = spans.Tracer(spans.SpanRecorder())
+    _g, _pots, d = build_g22()
+    tracer.install()
+    try:
+        solver.solve_dirichlet(d)
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+    for name in ("solver.descent.iterations", "solver.armijo.trials",
+                 "solver.polish.residual_evals", "functional.residual_of.calls"):
+        assert totals.get(name, 0) > 0, name

@@ -13,7 +13,6 @@ from graphwell import (
     DomainViolationError,
     GraphValidationError,
     LambdaProblem,
-    PairFunction,
     PotentialField,
     WeightedGraph,
     boundary,
@@ -54,9 +53,9 @@ def random_problem(rng, lam=3.0, alpha=2.0, beta=2.0):
 
 
 def projected(p, w):
-    """w scaled onto the Nehari manifold."""
-    t = nehari_scale(p, w)
-    return PairFunction(t * w[0], t * w[1])
+    """w, stacked into a (2, n) array, scaled onto the Nehari manifold."""
+    w = np.array(w)
+    return nehari_scale(p, w) * w
 
 
 class TestProblemValidation:
@@ -100,17 +99,17 @@ class TestProblemValidation:
         g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         pots = PotentialField([0.0, 1.0, 2.0], [0.0, 0.5, 0.0])
         p = LambdaProblem(g, pots, lam=4.0, alpha=2.0, beta=2.0)
-        np.testing.assert_array_equal(p.coef_u, [1.0, 5.0, 9.0])
-        np.testing.assert_array_equal(p.coef_v, [1.0, 3.0, 1.0])
+        np.testing.assert_array_equal(p.coef[0], [1.0, 5.0, 9.0])
+        np.testing.assert_array_equal(p.coef[1], [1.0, 3.0, 1.0])
         assert p.mask_a.all() and p.mask_b.all()
         d = DirichletProblem(g, pots.omega_a, pots.omega_b, alpha=2.0, beta=2.0)
-        np.testing.assert_array_equal(d.coef_u, np.ones(3))
-        np.testing.assert_array_equal(d.coef_v, np.ones(3))
+        np.testing.assert_array_equal(d.coef[0], np.ones(3))
+        np.testing.assert_array_equal(d.coef[1], np.ones(3))
         np.testing.assert_array_equal(d.mask_a, [True, False, False])
         np.testing.assert_array_equal(d.mask_b, [True, False, True])
         assert p.overlap == d.overlap == frozenset({0})
         # the problems are frozen, so their kernel arrays are too
-        for arr in (p.coef_u, p.mask_a, d.coef_v, d.mask_b):
+        for arr in (p.coef[0], p.mask_a, d.coef[1], d.mask_b):
             with pytest.raises(ValueError):
                 arr[0] = 0
 
@@ -118,7 +117,7 @@ class TestProblemValidation:
 class TestEnergyAndCoupling:
     def test_coupling_single_vertex(self):
         p = single_vertex_problem()
-        w = (np.array([2.0]), np.array([3.0]))
+        w = np.array([[2.0], [3.0]])
         assert coupling_integral(p, w) == pytest.approx(36.0, abs=1e-13)
 
     def test_energy_single_vertex_profile(self):
@@ -226,7 +225,7 @@ class TestResiduals:
             xi, eta = rng.normal(size=(2, n))
             gam = p.gamma
             weak = integrate(g, gradient_form_all(g, u, xi) + gradient_form_all(g, v, eta))
-            weak += integrate(g, p.coef_u * u * xi + p.coef_v * v * eta)
+            weak += integrate(g, p.coef[0] * u * xi + p.coef[1] * v * eta)
             weak -= integrate(
                 g,
                 (p.alpha / gam) * np.abs(u) ** (p.alpha - 2) * u * np.abs(v) ** p.beta * xi
@@ -240,7 +239,7 @@ class TestResiduals:
         rng = np.random.default_rng(24)
         p = random_problem(rng)
         n = p.graph.vertex_count
-        w = (rng.normal(size=n), rng.normal(size=n))
+        w = rng.normal(size=(2, n))
         assert energy_of(p, w) == energy_J_lambda(p, w)
         assert norm_sq_of(p, w) == pytest.approx(
             2 * energy_of(p, w) + 2 * coupling_integral(p, w) / p.gamma, rel=1e-12)
@@ -255,7 +254,7 @@ class TestNehari:
         p = single_vertex_problem()
         u = math.sqrt(2.0 + math.sqrt(3.0))
         v = math.sqrt(2.0 - math.sqrt(3.0))
-        w = (np.array([u]), np.array([v]))
+        w = np.array([[u], [v]])
         assert norm_sq_of(p, w) == pytest.approx(4.0, rel=1e-14)
         assert coupling_integral(p, w) == pytest.approx(1.0, rel=1e-13)
         assert nehari_scale(p, w) == pytest.approx(2.0, rel=1e-13)
@@ -263,16 +262,16 @@ class TestNehari:
     def test_fixed_point_on_manifold(self):
         p = single_vertex_problem()
         s = math.sqrt(2.0)
-        w = (np.array([s]), np.array([s]))
+        w = np.array([[s], [s]])
         assert nehari_scale(p, w) == pytest.approx(1.0, rel=1e-14)
 
     def test_degenerate_pairs_rejected(self):
         p = single_vertex_problem()
         with pytest.raises(DegeneratePairError):
-            nehari_scale(p, (np.zeros(1), np.zeros(1)))
+            nehari_scale(p, np.zeros((2, 1)))
         with pytest.raises(DegeneratePairError):
             # v = 0 kills the coupling even though the norm is positive
-            nehari_scale(p, (np.ones(1), np.zeros(1)))
+            nehari_scale(p, np.array([[1.0], [0.0]]))
 
     def test_projection_idempotent(self):
         rng = np.random.default_rng(25)
@@ -316,7 +315,7 @@ class TestNehari:
         w = projected(p, (rng.uniform(0.1, 2, size=n), rng.uniform(0.1, 2, size=n)))
         e_star = energy_of(p, w)
         for t in (0.25, 0.5, 0.9, 1.1, 2.0, 4.0):
-            e_t = energy_of(p, (t * w.u, t * w.v))
+            e_t = energy_of(p, t * w)
             assert e_t < e_star
 
     def test_diagnostics_trivial_flag(self):
@@ -384,8 +383,7 @@ class TestMaskedKernel:
 
 
 def stacked_residual(p, w):
-    r = residual_of(p, w)
-    return np.concatenate([p.graph.mu * r.u, p.graph.mu * r.v])
+    return p.graph.mu * residual_of(p, w)
 
 
 @st.composite
@@ -399,21 +397,17 @@ def hessian_instances(draw):
         p = LambdaProblem(g, pots, lam=draw(st.floats(1e-2, 1e9)), alpha=alpha, beta=beta)
     else:
         p = DirichletProblem(g, pots.omega_a, pots.omega_b, alpha=alpha, beta=beta)
-    n = g.vertex_count
-    u = np.where(p.mask_a, rng.uniform(0.3, 2.0, size=n), 0.0)
-    v = np.where(p.mask_b, rng.uniform(0.3, 2.0, size=n), 0.0)
-    return p, PairFunction(u, v), rng
+    w = np.where(p.mask, rng.uniform(0.3, 2.0, size=(2, g.vertex_count)), 0.0)
+    return p, w, rng
 
 
 def unknowns_direction(p, rng):
     """A random direction supported on the masks, the Newton polish's unknowns."""
-    n = p.graph.vertex_count
-    return (np.where(p.mask_a, rng.normal(size=n), 0.0),
-            np.where(p.mask_b, rng.normal(size=n), 0.0))
+    return np.where(p.mask, rng.normal(size=(2, p.graph.vertex_count)), 0.0)
 
 
 class TestHessian:
-    # hessian_matvec is the Jacobian of the stacked mu*residual_of, which the
+    # hessian_matvec is the Jacobian of mu*residual_of, which the
     # Newton polish inverts by MINRES; central differences are its oracle.
     # Directions stay on the unknowns: off the masks a Dirichlet pair sits at
     # zeros where, for exponents below 2, the residual is only Holder
@@ -422,23 +416,21 @@ class TestHessian:
     @given(inst=hessian_instances())
     def test_matches_central_differences(self, inst):
         p, w, rng = inst
-        du, dv = unknowns_direction(p, rng)
+        d = unknowns_direction(p, rng)
         h = 1e-5
-        fd = (stacked_residual(p, (w.u + h * du, w.v + h * dv))
-              - stacked_residual(p, (w.u - h * du, w.v - h * dv))) / (2.0 * h)
-        hd = np.concatenate(hessian_matvec(p, w, du, dv))
+        fd = (stacked_residual(p, w + h * d) - stacked_residual(p, w - h * d)) / (2.0 * h)
+        hd = hessian_matvec(p, w, d)
         assert np.linalg.norm(hd - fd) <= 1e-6 * np.linalg.norm(fd)
 
     @settings(max_examples=100, deadline=None)
     @given(inst=hessian_instances())
     def test_symmetric_on_the_unknowns(self, inst):
         p, w, rng = inst
-        dx, dy = unknowns_direction(p, rng), unknowns_direction(p, rng)
-        x, y = np.concatenate(dx), np.concatenate(dy)
-        hx = np.concatenate(hessian_matvec(p, w, *dx))
-        hy = np.concatenate(hessian_matvec(p, w, *dy))
+        x, y = unknowns_direction(p, rng), unknowns_direction(p, rng)
+        hx = hessian_matvec(p, w, x)
+        hy = hessian_matvec(p, w, y)
         scale = np.linalg.norm(x) * np.linalg.norm(hy) + np.linalg.norm(hx) * np.linalg.norm(y)
-        assert abs(np.dot(x, hy) - np.dot(hx, y)) <= 1e-12 * scale
+        assert abs(np.vdot(x, hy) - np.vdot(hx, y)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_singular_diagonal_is_zero_at_a_zero(self, k):
@@ -454,10 +446,10 @@ class TestHessian:
         w[k, 0] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = hessian_matvec(p, w, *d)[k]
+            out = hessian_matvec(p, w, d)[k]
         assert np.all(np.isfinite(out))
         nbr, wts = g.neighbors(0)
-        coef = (p.coef_u, p.coef_v)[k][0]
+        coef = p.coef[k][0]
         linear = float(np.dot(wts, d[k, 0] - d[k, nbr])) + g.mu[0] * coef * d[k, 0]
         assert out[0] == pytest.approx(linear, rel=1e-13, abs=1e-13)
 
@@ -478,10 +470,8 @@ def batch_instances(draw):
         p = LambdaProblem(g, pots, lam=draw(st.floats(1e-2, 1e9)), alpha=alpha, beta=beta)
     else:
         p = DirichletProblem(g, pots.omega_a, pots.omega_b, alpha=alpha, beta=beta)
-    shape = (draw(st.integers(1, 8)), g.vertex_count)
-    u = np.where(p.mask_a, rng.normal(size=shape), 0.0)
-    v = np.where(p.mask_b, rng.normal(size=shape), 0.0)
-    return p, PairFunction(u, v)
+    shape = (draw(st.integers(1, 8)), 2, g.vertex_count)
+    return p, np.where(p.mask, rng.normal(size=shape), 0.0)
 
 
 class TestBatch:
@@ -496,13 +486,13 @@ class TestBatch:
         res = residual_of(p, w)
         norm_sq = norm_sq_of(p, w)
         coupling = coupling_integral(p, w)
-        lap = laplacian_all(p.graph, w.u)
-        for i in range(len(w.u)):
-            row = PairFunction(w.u[i], w.v[i])
+        lap = laplacian_all(p.graph, w[:, 0])
+        for i in range(len(w)):
+            row = w[i]
             one = residual_of(p, row)
-            np.testing.assert_array_equal(res.u[i], one.u)
-            np.testing.assert_array_equal(res.v[i], one.v)
-            np.testing.assert_array_equal(lap[i], laplacian_all(p.graph, row.u))
+            np.testing.assert_array_equal(res[i, 0], one[0])
+            np.testing.assert_array_equal(res[i, 1], one[1])
+            np.testing.assert_array_equal(lap[i], laplacian_all(p.graph, row[0]))
             assert norm_sq[i] == pytest.approx(norm_sq_of(p, row), rel=1e-14, abs=0.0)
             assert coupling[i] == pytest.approx(coupling_integral(p, row), rel=1e-14, abs=0.0)
 
@@ -520,10 +510,10 @@ class TestBatch:
         u = np.random.default_rng(8).uniform(0.5, 1.5, size=(3, n))
         v = u.copy()
         v[1] = 0.0
-        t = nehari_scale(p, PairFunction(u, v))
+        t = nehari_scale(p, np.stack((u, v), axis=1))
         assert np.isnan(t[1])
         for i in (0, 2):
-            assert t[i] == pytest.approx(nehari_scale(p, (u[i], v[i])), rel=1e-14)
+            assert t[i] == pytest.approx(nehari_scale(p, np.array((u[i], v[i]))), rel=1e-14)
 
     def test_batch_sizes_in_any_order(self):
         # The graph keeps the row-offset edge ids of the largest batch seen;

@@ -63,6 +63,26 @@ class TestConstruction:
         with pytest.raises(GraphValidationError):
             WeightedGraph(2, [(0, 5, 1.0)])
 
+    def test_non_integer_vertex_ids_rejected(self):
+        # int() would truncate 2.7 to 2, 1.9 to 1 and 0.5 to 0 and pose the
+        # problem on other vertices than the caller named; each error names
+        # the value instead.
+        with pytest.raises(GraphValidationError, match="2.7"):
+            WeightedGraph(2.7, [(0, 1, 1.0)])
+        with pytest.raises(GraphValidationError, match="1.9"):
+            WeightedGraph(2, [(0, 1.9, 1.0)])
+        g = WeightedGraph(2, [(0, 1, 1.0)])
+        with pytest.raises(UnknownLabelError, match="0.5"):
+            DirichletProblem(g, {0.5}, {0.2, 1.7}, 2.0, 2.0)
+        with pytest.raises(UnknownLabelError, match="0.9"):
+            boundary(g, [0.9])
+        with pytest.raises(UnknownLabelError, match="1.99"):
+            g.check_vertex(1.99)
+        # numpy integers are integers
+        g = WeightedGraph(np.int64(2), [(np.int32(0), np.int64(1), 1.0)])
+        assert g.check_vertex(np.int64(1)) == 1
+        assert as_domain(g, np.arange(2)) == frozenset({0, 1})
+
     def test_nonfinite_weight_rejected(self):
         with pytest.raises(GraphValidationError):
             WeightedGraph(2, [(0, 1, float("nan"))])
