@@ -9,7 +9,7 @@ measure, mass coefficients coef (rows lam a + 1 and lam b + 1, or ones), masks
 mask of the unknowns (all true, or the wells; mask_a and mask_b are its rows),
 the exponents and the seed support `overlap`. From that data alone the kernel
 functions (coupling_integral, norm_sq_of, energy_of, residual_of,
-hessian_matvec, nehari_scale) compute J(w) = (1/2) ||w||^2 -
+hessian_operator, nehari_scale) compute J(w) = (1/2) ||w||^2 -
 coupling(w)/(alpha+beta), its residual and the Hessian's action, zero off the
 masks. Mass, Laplacian, masking and reductions act on both components at once;
 only the coupling terms index a component. The kernels trust their input;
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -183,24 +183,34 @@ def _abs_power(u: np.ndarray, q: float) -> np.ndarray:
     return np.power(a, q, out=np.zeros_like(a), where=a > 0.0)
 
 
-def hessian_matvec(p: Problem, w: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """H d, with H the Jacobian of mu*residual_of at w.
+def hessian_operator(p: Problem, w: np.ndarray) -> Callable[..., np.ndarray]:
+    """The Hessian H at w, the Jacobian of mu*residual_of, as a function d -> H d.
 
     mu*r is the Euclidean gradient of J in the vertex values, so H is the
     symmetric Hessian: the edge-weighted Laplacian, the diagonal
     mu*(coef - alpha(alpha-1)/gamma |u|^(alpha-2) |v|^beta) and its v twin, and
-    one u-v coupling entry per vertex. Rows off the masks are zero, like the
-    residual's. Where alpha or beta < 2 the diagonal term is singular at a
-    zero of u or v; it is taken as 0 there. Costs O(|E| + n).
+    one u-v coupling entry per vertex. The diagonal and the coupling entries
+    depend on w alone and are formed here, once; each application then costs
+    one Laplacian and a few elementwise operations, O(|E| + n). Rows off the masks are zero,
+    like the residual's. Where alpha or beta < 2 the diagonal term is singular
+    at a zero of u or v; it is taken as 0 there.
+
+    For a batch w of k pairs, the function takes d of the same shape, or the
+    (j, 2, n) directions of the pairs w[rows] for an index array rows.
     """
     u, v = w[..., 0, :], w[..., 1, :]
     g = p.graph
     a, b, gam = p.alpha, p.beta, p.gamma
-    cross = (a * b / gam) * signed_power(u, a - 1.0) * signed_power(v, b - 1.0)
-    h = p.coef * d - laplacian_all(g, d) - cross[..., None, :] * d[..., ::-1, :]
-    h[..., 0, :] -= (a * (a - 1.0) / gam) * _abs_power(u, a - 2.0) * np.abs(v) ** b * d[..., 0, :]
-    h[..., 1, :] -= (b * (b - 1.0) / gam) * np.abs(u) ** a * _abs_power(v, b - 2.0) * d[..., 1, :]
-    return np.where(p.mask, g.mu * h, 0.0)
+    second = np.stack(((a * (a - 1.0) / gam) * _abs_power(u, a - 2.0) * np.abs(v) ** b,
+                       (b * (b - 1.0) / gam) * np.abs(u) ** a * _abs_power(v, b - 2.0)), axis=-2)
+    diag = g.mu * (p.coef - second)
+    cross = (g.mu * (a * b / gam) * signed_power(u, a - 1.0) * signed_power(v, b - 1.0))[..., None, :]
+
+    def apply(d: np.ndarray, rows=slice(None)) -> np.ndarray:
+        h = diag[rows] * d - g.mu * laplacian_all(g, d) - cross[rows] * d[..., ::-1, :]
+        return np.where(p.mask, h, 0.0)
+
+    return apply
 
 
 def nehari_scale(p: Problem, w) -> float | np.ndarray:

@@ -25,8 +25,10 @@ stalling.
 Pairs are the package's (2, n) arrays, and all starts of one solve (warm
 starts, then the seeded restarts) descend in lockstep as the rows of one
 (k, 2, n) batch, so each loop head and line-search round pays numpy's
-per-call cost once for all of them. A row leaves the batch when it stops; the
-Newton hand-offs below run row by row, on the same (2, n) arrays.
+per-call cost once for all of them. A row leaves the batch when it stops. The
+Newton hand-offs below run as batches of the same arrays: the rows that stop
+are polished together after the loop, and the rows that stall are polished
+together at their progress check.
 
 A restart has one stop rule, tested at the loop head: descent ends once the
 residual reaches max(grad_tol, _POLISH_SWITCH * max(1, ||w||)). Every iterate
@@ -50,10 +52,12 @@ residual. One residual norm serves throughout: the mu-weighted ||r|| of the
 certificate decides the descent stop, the progress test, the polish's
 damping and the keep-if-lower test.
 
-The polish is matrix-free. Its Jacobian is the analytic Hessian, applied by
-functional.hessian_matvec in O(|E| + n); each Newton step solves with it by
-MINRES, preconditioned with the descent diagonal above. No matrix is formed,
-so memory stays O(k(|E| + n)) for k starts.
+The polish is matrix-free. Its Jacobian is the analytic Hessian: each Newton
+step forms its diagonal and coupling terms once, by
+functional.hessian_operator, applies it in O(|E| + n) per row and product, and
+solves with it by MINRES, preconditioned with the descent diagonal above, for
+all rows of the batch in lockstep. No matrix is formed, so memory stays
+O(k(|E| + n)) for k starts.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ from .functional import (
     Problem,
     coupling_integral,
     energy_of,
-    hessian_matvec,
+    hessian_operator,
     nehari_diagnostics,
     nehari_scale,
     norm_sq_of,
@@ -160,145 +164,180 @@ def _residual_norm(p: Problem, r: np.ndarray) -> np.floating | np.ndarray:
     return np.sqrt(pair_sum(r * r, p.graph.mu))
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (k, 2, n) batches, shaped (k, 1, 1). Each
+    row is one BLAS dot, the same sum as np.vdot of that row alone."""
+    k = len(a)
+    return np.matmul(a.reshape(k, 1, -1), b.reshape(k, -1, 1))
+
+
 def _minres(matvec, b: np.ndarray, minv: np.ndarray) -> np.ndarray:
     """Preconditioned MINRES for the symmetric, possibly indefinite A x = b.
 
     Paige & Saunders (SIAM J. Numer. Anal. 12, 1975), started from x = 0, with
-    the SPD diagonal preconditioner M given by its inverse ``minv``. Stops when
-    the M^-1-norm of the residual drops below _MINRES_RTOL times that of b, or
-    after _MINRES_ITERS_PER_UNKNOWN * b.size iterations; the caller judges the
-    returned x by its own decrease test either way. Vectors may have any
-    shape; dot products run over all of their entries.
+    the SPD diagonal preconditioner M given by its inverse ``minv``. Each row
+    of the (k, 2, n) batch b is its own system, and the rows run in lockstep,
+    each with its own scalars, shaped (k, 1, 1) to broadcast over its row; the
+    arithmetic of a row is that of a batch of one. matvec(d, rows) applies the
+    operators of the batch rows ``rows`` to the directions d. A row leaves the
+    batch, its x frozen, once the M^-1-norm of its residual drops below
+    _MINRES_RTOL times that of its b; a zero b gives x = 0 at once. All rows
+    stop after _MINRES_ITERS_PER_UNKNOWN iterations per entry of one row; the
+    caller judges the returned x by its own decrease test either way.
     """
     x = np.zeros_like(b)
-    r1 = b
-    r2 = b
     y = minv * b
-    beta1 = math.sqrt(float(np.vdot(b, y)))
-    if beta1 == 0.0:
-        return x
+    beta1 = np.sqrt(_dots(b, y))
+    rows = np.flatnonzero(beta1)
+    r1 = r2 = b[rows]
+    y, beta1 = y[rows], beta1[rows]
     beta, oldb = beta1, 0.0
     dbar = epsln = 0.0
     phibar = beta1
     cs, sn = -1.0, 0.0
-    w = np.zeros_like(b)
-    w2 = np.zeros_like(b)
+    xs = w = w2 = np.zeros_like(r2)
     eps = np.finfo(np.float64).eps
-    for k in range(_MINRES_ITERS_PER_UNKNOWN * b.size):
+    for k in range(_MINRES_ITERS_PER_UNKNOWN * b[0].size):
+        if not rows.size:
+            break
         v = y / beta
-        y = matvec(v)
+        y = matvec(v, rows)
         if k > 0:
             y = y - (beta / oldb) * r1
-        alfa = float(np.vdot(v, y))
+        alfa = _dots(v, y)
         y = y - (alfa / beta) * r2
         r1, r2 = r2, y
         y = minv * r2
-        oldb, beta = beta, math.sqrt(max(float(np.vdot(r2, y)), 0.0))
+        oldb, beta = beta, np.sqrt(np.maximum(_dots(r2, y), 0.0))
         # Apply the previous rotation, then form the next one.
         oldeps = epsln
         delta = cs * dbar + sn * alfa
         gbar = sn * dbar - cs * alfa
         epsln = sn * beta
         dbar = -cs * beta
-        gamma = max(math.hypot(gbar, beta), eps)
+        gamma = np.maximum(np.hypot(gbar, beta), eps)
         cs, sn = gbar / gamma, beta / gamma
         phi, phibar = cs * phibar, sn * phibar
         w1, w2 = w2, w
         w = (v - oldeps * w1 - delta * w2) / gamma
-        x = x + phi * w
-        if phibar <= _MINRES_RTOL * beta1:
-            break
+        xs = xs + phi * w
+        done = (phibar <= _MINRES_RTOL * beta1).ravel()
+        if done.any():
+            x[rows[done]] = xs[done]
+            keep = ~done
+            (rows, xs, y, r1, r2, w, w2, beta, oldb, dbar, epsln, phibar, cs, sn, beta1) = (
+                a[keep] for a in (rows, xs, y, r1, r2, w, w2, beta, oldb, dbar, epsln,
+                                  phibar, cs, sn, beta1))
+    x[rows] = xs
     return x
 
 
-def _newton_polish(p: Problem, w: np.ndarray, res: np.ndarray, rnorm: float,
-                   grad_tol: float) -> np.ndarray:
-    """Damped Newton-Krylov on the optimality system f = mu*r = 0.
+def _newton_polish(p: Problem, w: np.ndarray, res: np.ndarray, rnorm: np.ndarray,
+                   grad_tol: np.ndarray) -> np.ndarray:
+    """Damped Newton-Krylov on the optimality system f = mu*r = 0, for every
+    row of the (k, 2, n) batch w at once.
 
     f is the Euclidean gradient of J in the unknowns, so its Jacobian is the
     analytic Hessian, symmetric and indefinite (the radial direction at a
-    Nehari point has negative curvature). Each step solves H step = -f by
-    MINRES preconditioned with the SPD diagonal mu*(coef + wdeg/mu), using
-    only hessian_matvec products: O(|E| + n) time per product and memory
-    overall. The iteration runs on the full (2, n) pair; the preconditioner
+    Nehari point has negative curvature). Each step forms the Hessians of the
+    rows still iterating once, by hessian_operator, and solves H step = -f for
+    all of them in one lockstep MINRES, preconditioned with the SPD diagonal
+    mu*(coef + wdeg/mu): O(|E| + n) time per row and product, and memory
+    overall. The iteration runs on full (2, n) pairs; the preconditioner
     inverse is zero off the masks, so every Krylov vector, and with it the
     iterate, stays exactly zero there.
 
     Steps are damped by halving until the certificate's residual norm, the
-    mu-weighted ||r||, strictly shrinks. A Newton step is a descent direction
-    for every weighted norm of f, so an inexact solve can only waste a few
-    evaluations, never corrupt the iterate; a nonfinite trial fails the test.
-    The caller passes the residual res of w and its norm rnorm.
+    mu-weighted ||r||, strictly shrinks; the rows backtrack in lockstep, each
+    from its own full step. A Newton step is a descent direction for every
+    weighted norm of f, so an inexact solve can only waste a few evaluations,
+    never corrupt the iterate; a nonfinite trial fails the test. A row stops
+    at rnorm <= grad_tol / 2 (grad_tol has one entry per row), at a nonfinite
+    step, or when its backtracks run out. The caller passes the residuals res
+    of w and their norms rnorm.
     """
     mu = p.graph.mu
 
-    def stacked(z: np.ndarray) -> tuple[np.ndarray, float]:
+    def stacked(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r = residual_of(p, z)
         return mu * r, _residual_norm(p, r)
 
     minv = np.where(p.mask, 1.0 / (mu * _diag_of(p)), 0.0)
+    w = w.copy()        # rows move in place; _try_newton falls back to the caller's w
     f = mu * res
+    rnorm = np.array(rnorm, dtype=np.float64)
+    live = np.ones(len(w), dtype=bool)
     for _ in range(_POLISH_MAX_ITERS):
-        if not math.isfinite(rnorm) or rnorm <= 0.5 * grad_tol:
+        live &= np.isfinite(rnorm) & (rnorm > 0.5 * grad_tol)
+        rows = np.flatnonzero(live)
+        if not rows.size:
             break
-        step = _minres(lambda d: hessian_matvec(p, w, d), -f, minv)
-        if not np.all(np.isfinite(step)):
-            break
-        t = 1.0
+        step = _minres(hessian_operator(p, w[rows]), -f[rows], minv)
+        finite = np.isfinite(step).all(axis=(-2, -1))
+        live[rows[~finite]] = False
+        rows, step = rows[finite], step[finite]
+        t = np.ones((rows.size, 1, 1))
         for _ in range(_POLISH_BACKTRACKS):
-            ft, rt = stacked(w + t * step)
-            if rt < rnorm:
-                w = w + t * step
-                f, rnorm = ft, rt
+            if not rows.size:
                 break
-            t *= 0.5
-        else:
-            break
+            trial = w[rows] + t * step
+            ft, rt = stacked(trial)
+            better = rt < rnorm[rows]
+            took = rows[better]
+            w[took], f[took], rnorm[took] = trial[better], ft[better], rt[better]
+            rows, step, t = rows[~better], step[~better], 0.5 * t[~better]
+        live[rows] = False      # their backtracks ran out
     return w
 
 
-def _try_newton(p: Problem, w: np.ndarray, res: np.ndarray, rnorm: float,
-                energy: float, grad_tol: float) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Polish w by Newton and keep the re-projected result only if it is better.
+def _try_newton(p: Problem, w: np.ndarray, res: np.ndarray, rnorm: np.ndarray,
+                energy: np.ndarray, grad_tol: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Polish the rows of w by Newton; keep each re-projected result only if it is better.
 
-    Returns (w, res, rnorm, energy) of the kept point: the candidate when its
-    residual is finite and below rnorm and its energy does not exceed energy
-    (up to rounding), else the inputs unchanged. The energy test matters
-    because a Newton step converges to whichever critical point is nearest,
-    which may lie above the level that descent has already reached.
+    Returns (w, res, rnorm, energy), batches like the inputs, where each row
+    is its candidate when the candidate's residual is finite and below rnorm
+    and its energy does not exceed energy (up to rounding), else that row of
+    the inputs. The energy test matters because a Newton step converges to
+    whichever critical point is nearest, which may lie above the level that
+    descent has already reached.
     """
     polished = _newton_polish(p, w, res, rnorm, grad_tol)
-    try:
-        # Re-project so the caller sees an exact manifold point; at a polished
-        # critical point the scale is 1 up to rounding.
-        t = nehari_scale(p, polished)
-    except DegeneratePairError:
-        return w, res, rnorm, energy
-    cand = t * polished
+    # Re-project so the caller sees exact manifold points; at a polished
+    # critical point the scale is 1 up to rounding. A row without a
+    # projection gets the scale nan, so it fails the test below.
+    cand = nehari_scale(p, polished)[:, None, None] * polished
     cres = residual_of(p, cand)
     cnorm = _residual_norm(p, cres)
     cenergy = energy_of(p, cand)
-    slack = 4.0 * np.finfo(np.float64).eps * max(1.0, abs(energy))
-    if math.isfinite(cnorm) and cnorm < rnorm and cenergy <= energy + slack:
-        return cand, cres, cnorm, cenergy
-    return w, res, rnorm, energy
+    slack = 4.0 * np.finfo(np.float64).eps * np.maximum(1.0, np.abs(energy))
+    keep = np.isfinite(cnorm) & (cnorm < rnorm) & (cenergy <= energy + slack)
+    pick = keep[:, None, None]
+    return (np.where(pick, cand, w), np.where(pick, cres, res),
+            np.where(keep, cnorm, rnorm), np.where(keep, cenergy, energy))
 
 
-def _finish(p: Problem, cfg: SolverConfig, w: np.ndarray, res: np.ndarray, rnorm: float,
-            energy: float, norm_sq: float, iters: int, index: int) -> SolveResult:
-    """Polish a restart that has left the batch, then certify its result."""
-    tol = _tolerance(cfg.grad_tol, norm_sq)
-    if rnorm > tol:
-        w, _, rnorm, _ = _try_newton(p, w, res, rnorm, energy, tol)
-    rnorm = float(rnorm)      # a numpy scalar when the polish was kept
-    nd = nehari_diagnostics(p, w)
-    converged = bool(rnorm <= _tolerance(cfg.grad_tol, nd.norm_sq)
-                     and abs(nd.defect) <= math.sqrt(cfg.grad_tol) * nd.norm_sq
-                     and nd.nontrivial)
-    logger.debug("restart %d: energy %.12g rnorm %.3e iters %d converged %s",
-                 index, nd.energy, rnorm, iters, converged)
-    return SolveResult(pair=PairFunction(*w), energy=nd.energy, residual_norm=rnorm, nehari=nd,
-                       iterations=iters, restart_index=index, converged=converged)
+def _finish(p: Problem, cfg: SolverConfig, w: np.ndarray, res: np.ndarray, rnorm: np.ndarray,
+            energy: np.ndarray, norm_sq: np.ndarray, iters: Sequence[int],
+            index: Sequence[int]) -> list[SolveResult]:
+    """Polish the restarts that have left the batch, in one batch, then
+    certify each result."""
+    tol = np.array([_tolerance(cfg.grad_tol, n) for n in norm_sq.tolist()])
+    need = np.flatnonzero(rnorm > tol)
+    if need.size:
+        w[need], _, rnorm[need], _ = _try_newton(p, w[need], res[need], rnorm[need],
+                                                 energy[need], tol[need])
+    out = []
+    for wi, r, it, i in zip(w, rnorm.tolist(), iters, index):
+        nd = nehari_diagnostics(p, wi)
+        converged = bool(r <= _tolerance(cfg.grad_tol, nd.norm_sq)
+                         and abs(nd.defect) <= math.sqrt(cfg.grad_tol) * nd.norm_sq
+                         and nd.nontrivial)
+        logger.debug("restart %d: energy %.12g rnorm %.3e iters %d converged %s",
+                     i, nd.energy, r, it, converged)
+        out.append(SolveResult(pair=PairFunction(*wi), energy=nd.energy, residual_norm=r,
+                               nehari=nd, iterations=it, restart_index=i, converged=converged))
+    return out
 
 
 def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
@@ -309,7 +348,9 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
     result per row, None where the start has no finite Nehari projection. The
     kernels run on the whole batch at once; each row's scalars (energy, step,
     window residual) are updated row by row with the arithmetic of a single
-    restart.
+    restart. The Newton hand-offs run as batches too: one per progress check
+    for the rows that qualify, and one after the loop for every row that
+    left above its tolerance.
     """
     starts = np.where(p.mask, starts, 0.0)
     t = nehari_scale(p, starts)
@@ -330,6 +371,7 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
 
     energy = energy_of(p, w)
     window = np.full(rows.size, math.inf)
+    left = []       # (row of starts, w, res, rnorm, energy, norm_sq, iterations) per stopped row
 
     for k in range(_MAX_ITERS + 1):
         res = residual_of(p, w)
@@ -340,12 +382,15 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
         if k % _PROGRESS_WINDOW == 0:
             # Linear descent that has stalled in a basin hands over to Newton
             # long before the residual reaches the switch above.
-            for i in range(rows.size):
-                if not stop[i] and rnorm[i] > _PROGRESS_RATIO * window[i]:
-                    tol = _tolerance(cfg.grad_tol, norm_sq[i])
-                    w[i], res[i], rnorm[i], energy[i] = _try_newton(p, w[i], res[i], rnorm[i],
-                                                                    energy[i], tol)
-                    stop[i] = rnorm[i] <= tol
+            hand = [i for i in range(rows.size)
+                    if not stop[i] and rnorm[i] > _PROGRESS_RATIO * window[i]]
+            if hand:
+                tol = np.array([_tolerance(cfg.grad_tol, norm_sq[i]) for i in hand])
+                w[hand], res[hand], polished, energy[hand] = _try_newton(
+                    p, w[hand], res[hand], np.array(rnorm)[hand], energy[hand], tol)
+                for i, r, tl in zip(hand, polished.tolist(), tol.tolist()):
+                    rnorm[i] = r
+                    stop[i] = r <= tl
             window = np.array(rnorm)
 
         # Armijo line search on the re-projected energy, in lockstep: each
@@ -382,8 +427,7 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
         # Rows that stopped leave with their loop head's point and residual.
         if any(stop):
             for i in np.flatnonzero(stop):
-                out[rows[i]] = _finish(p, cfg, w[i], res[i], rnorm[i], energy[i],
-                                       norm_sq[i], k + 1, indices[rows[i]])
+                left.append((rows[i], w[i], res[i], rnorm[i], energy[i], norm_sq[i], k + 1))
             if all(stop):
                 break
             keep = np.logical_not(stop)
@@ -391,6 +435,13 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
                 x[keep] for x in (rows, window, energy_t, scale, trial))
         w = scale[:, None, None] * trial
         energy = energy_t
+
+    order, ws, ress, rnorms, energies, norm_sqs, iters = zip(*left)
+    finished = _finish(p, cfg, np.array(ws), np.array(ress), np.array(rnorms),
+                       np.array(energies), np.array(norm_sqs), iters,
+                       [indices[i] for i in order])
+    for i, result in zip(order, finished):
+        out[i] = result
     return out
 
 

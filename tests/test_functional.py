@@ -30,7 +30,7 @@ from graphwell import (
 from graphwell.functional import (
     coupling_integral,
     energy_of,
-    hessian_matvec,
+    hessian_operator,
     nehari_scale,
     norm_sq_of,
     residual_of,
@@ -407,7 +407,7 @@ def unknowns_direction(p, rng):
 
 
 class TestHessian:
-    # hessian_matvec is the Jacobian of mu*residual_of, which the
+    # hessian_operator applies the Jacobian of mu*residual_of, which the
     # Newton polish inverts by MINRES; central differences are its oracle.
     # Directions stay on the unknowns: off the masks a Dirichlet pair sits at
     # zeros where, for exponents below 2, the residual is only Holder
@@ -419,7 +419,7 @@ class TestHessian:
         d = unknowns_direction(p, rng)
         h = 1e-5
         fd = (stacked_residual(p, w + h * d) - stacked_residual(p, w - h * d)) / (2.0 * h)
-        hd = hessian_matvec(p, w, d)
+        hd = hessian_operator(p, w)(d)
         assert np.linalg.norm(hd - fd) <= 1e-6 * np.linalg.norm(fd)
 
     @settings(max_examples=100, deadline=None)
@@ -427,8 +427,8 @@ class TestHessian:
     def test_symmetric_on_the_unknowns(self, inst):
         p, w, rng = inst
         x, y = unknowns_direction(p, rng), unknowns_direction(p, rng)
-        hx = hessian_matvec(p, w, x)
-        hy = hessian_matvec(p, w, y)
+        hx = hessian_operator(p, w)(x)
+        hy = hessian_operator(p, w)(y)
         scale = np.linalg.norm(x) * np.linalg.norm(hy) + np.linalg.norm(hx) * np.linalg.norm(y)
         assert abs(np.vdot(x, hy) - np.vdot(hx, y)) <= 1e-12 * scale
 
@@ -446,7 +446,7 @@ class TestHessian:
         w[k, 0] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = hessian_matvec(p, w, d)[k]
+            out = hessian_operator(p, w)(d)[k]
         assert np.all(np.isfinite(out))
         nbr, wts = g.neighbors(0)
         coef = p.coef[k][0]

@@ -17,6 +17,7 @@ from graphwell import (
     solve_ground_state,
     solver,
 )
+from graphwell.functional import hessian_operator, nehari_scale, residual_of
 from tests.conftest import make_problem, random_connected_graph
 
 
@@ -195,7 +196,7 @@ class TestGroundStates:
         monkeypatch.setattr(solver, "_newton_polish", lambda p, w, res, rnorm, tol: w)
         descent = restart_at(0)
         monkeypatch.setattr(solver, "_newton_polish",
-                            lambda p, w, res, rnorm, tol: np.array(high.pair))
+                            lambda p, w, res, rnorm, tol: np.array(high.pair)[None])
         out = restart_at(0)
         assert out.energy == pytest.approx(descent.energy, rel=1e-12)
         assert out.energy < high.energy
@@ -245,6 +246,132 @@ class TestLockstep:
             assert m.restart_index == a.restart_index
             assert m.converged == a.converged
             assert m.energy == pytest.approx(a.energy, rel=1e-12)
+
+    def test_a_rejected_polish_leaves_the_other_rows_alone(self, monkeypatch):
+        # The path instance of test_newton_never_lands_on_a_higher_critical_point:
+        # every polish is made to return the higher critical point on vertex 2.
+        # The energy guard rejects it for the row started at vertex 0 and keeps
+        # that row's descent point; each row must still get what it gets alone.
+        p = make_problem(n=3, edges=[(0, 1, 1.0), (1, 2, 1.0)], mu=[1.0, 1.0, 2.0],
+                         a=[0.0, 1.0, 0.0], b=[0.0, 1.0, 0.0], lam=100.0, alpha=2.0, beta=2.0)
+        cfg = SolverConfig()
+        starts = np.array([(x, x) for x in np.eye(3)[[0, 2]]])
+        [high] = solver._run_descent(p, cfg, starts[1:], [1])
+        monkeypatch.setattr(solver, "_newton_polish", lambda p, w, res, rnorm, tol:
+                            np.repeat(np.array(high.pair)[None], len(w), axis=0))
+        both = solver._run_descent(p, cfg, starts, [0, 1])
+        assert both[0].energy < high.energy - 0.1
+        for i, row in enumerate(both):
+            [alone] = solver._run_descent(p, cfg, starts[i:i + 1], [i])
+            assert row.restart_index == alone.restart_index == i
+            assert row.converged == alone.converged
+            assert row.iterations == alone.iterations
+            assert row.energy == pytest.approx(alone.energy, rel=1e-12)
+
+    def test_one_polish_per_solve(self, g22, monkeypatch):
+        # The restarts that leave the descent above their tolerance are
+        # polished together, in one call, after the loop.
+        _graph, _pots, d = g22
+        cfg = SolverConfig(restarts=8)
+        calls = []
+        polish = solver._newton_polish
+
+        def spy(p, w, res, rnorm, grad_tol):
+            calls.append((len(w), np.array(rnorm), np.array(grad_tol)))
+            return polish(p, w, res, rnorm, grad_tol)
+
+        monkeypatch.setattr(solver, "_newton_polish", spy)
+        out = solve_dirichlet(d, cfg)
+        [(m, rnorm, tol)] = calls
+        assert m > 1
+        assert np.all(rnorm > tol)
+        # Without a polish, exactly these m restarts end above the tolerance.
+        monkeypatch.setattr(solver, "_newton_polish", lambda p, w, res, rnorm, tol: w)
+        bare = solver._run_descent(d, cfg, np.array(cold_starts(d, 8)), range(8))
+        assert m == sum(r.residual_norm > cfg.grad_tol for r in bare)
+        # The CLI formats these as Python floats.
+        assert type(out.energy) is float
+        assert type(out.residual_norm) is float
+
+
+@st.composite
+def polish_systems(draw):
+    """k = 1..6 rows of the polish's Newton system H(w) x = -mu r(w) on a
+    random connected graph, for either flavour: w are positive pairs on the
+    masks, projected onto the Nehari manifold, where H is indefinite (the
+    radial direction has negative curvature)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_connected_graph(rng, 3, 30)
+    pots = two_wells(rng, g.vertex_count)
+    alpha, beta = draw(st.floats(1.2, 4.0)), draw(st.floats(1.2, 4.0))
+    if draw(st.booleans()):
+        p = DirichletProblem(g, pots.omega_a, pots.omega_b, alpha, beta)
+    else:
+        p = LambdaProblem(g, pots, 10.0 ** draw(st.floats(-2.0, 9.0)), alpha, beta)
+    k = draw(st.integers(1, 6))
+    w = np.where(p.mask, rng.uniform(0.3, 2.0, (k, 2, g.vertex_count)), 0.0)
+    w = nehari_scale(p, w)[:, None, None] * w
+    b = -p.graph.mu * residual_of(p, w)
+    minv = np.where(p.mask, 1.0 / (p.graph.mu * solver._diag_of(p)), 0.0)
+    return p, w, b, minv
+
+
+def minres_alone(p, w, b, minv, i):
+    """Row i of the system, solved as a batch of one."""
+    return solver._minres(hessian_operator(p, w[i:i + 1]), b[i:i + 1], minv)[0]
+
+
+class TestMinres:
+    # The polish solves the Newton systems of all its rows in one lockstep
+    # MINRES; each row must get what it gets alone.
+    @settings(max_examples=40, deadline=None)
+    @given(system=polish_systems())
+    def test_rows_match_batches_of_one(self, system):
+        p, w, b, minv = system
+        x = solver._minres(hessian_operator(p, w), b, minv)
+        for i in range(len(b)):
+            alone = minres_alone(p, w, b, minv, i)
+            assert np.linalg.norm(x[i] - alone) <= 1e-10 * np.linalg.norm(alone)
+
+    @settings(max_examples=40, deadline=None)
+    @given(system=polish_systems(), zero=st.integers(0, 5))
+    def test_zero_right_hand_side_gives_zero_and_leaves_the_rest(self, system, zero):
+        p, w, b, minv = system
+        zero %= len(b)
+        b[zero] = 0.0
+        x = solver._minres(hessian_operator(p, w), b, minv)
+        assert not x[zero].any()
+        for i in range(len(b)):
+            if i != zero:
+                alone = minres_alone(p, w, b, minv, i)
+                assert np.linalg.norm(x[i] - alone) <= 1e-10 * np.linalg.norm(alone)
+
+    @settings(max_examples=40, deadline=None)
+    @given(system=polish_systems())
+    def test_iteration_cap_does_not_grow_with_the_batch(self, system):
+        # With a relative tolerance of 0 only the cap, or an exact zero
+        # residual, stops a row. The batch runs as long as its slowest row
+        # alone, within the cap of one row.
+        p, w, b, minv = system
+        products = []
+
+        def counted(hess):
+            def matvec(d, rows):
+                products.append(len(rows))
+                return hess(d, rows)
+            return matvec
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_MINRES_RTOL", 0.0)
+            solver._minres(counted(hessian_operator(p, w)), b, minv)
+            batch = len(products)
+            alone = []
+            for i in range(len(b)):
+                products.clear()
+                solver._minres(counted(hessian_operator(p, w[i:i + 1])), b[i:i + 1], minv)
+                alone.append(len(products))
+        assert batch <= solver._MINRES_ITERS_PER_UNKNOWN * w[0].size
+        assert batch == max(alone)
 
 
 class TestScale:
@@ -369,7 +496,7 @@ class TestDirichlet:
         _graph, _pots, d = g22
         out = solve_dirichlet(d, SolverConfig(restarts=1))
         assert out.iterations == 4
-        [(p, w, res, rnorm)] = handed
+        [(p, [w], [res], [rnorm])] = handed
         want = solver.residual_of(p, w)
         np.testing.assert_array_equal(res[0], want[0])
         np.testing.assert_array_equal(res[1], want[1])

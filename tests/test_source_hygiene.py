@@ -46,3 +46,25 @@ def test_no_scipy(path):
 
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"graph.py", "solver.py", "cli.py"}
+
+
+def test_every_public_function_is_used():
+    # No public function that nothing in the package uses: every top-level
+    # public def or class must be named somewhere in src/graphwell, as a name,
+    # an attribute or an import (which covers the exports of __init__).
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in PACKAGE_DIR.glob("*.py")}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    unused = sorted(f"{name}.{node.name} (line {node.lineno})"
+                    for name, tree in trees.items() for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and node.name not in named)
+    assert not unused, f"public functions nothing in the package uses: {', '.join(unused)}"
