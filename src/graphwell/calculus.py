@@ -55,15 +55,21 @@ def pair_sum(f: np.ndarray, weight: np.ndarray) -> float | np.ndarray:
     return weighted_sum(f.sum(axis=-2), weight)
 
 
-def laplacian_all(g: WeightedGraph, u: np.ndarray) -> np.ndarray:
-    """mu-Laplacian at every vertex, assembled by edge scatter. Leading axes
-    of u index separate functions, scattered in one bincount over row-offset
-    vertex ids, so each row sums its edges in the order of a single function."""
+def edge_laplacian(g: WeightedGraph, u: np.ndarray) -> np.ndarray:
+    """sum_y w_xy (u(y) - u(x)) at every vertex x, assembled by edge scatter:
+    mu times the mu-Laplacian. Leading axes of u index separate functions,
+    scattered in one bincount over row-offset vertex ids, so each row sums its
+    edges in the order of a single function."""
     ei, ej = g.batch_edges(u.size // g.vertex_count)
     flow = (g.edge_w * (u.take(g.edge_j, axis=-1) - u.take(g.edge_i, axis=-1))).ravel()
     acc = np.bincount(ei, weights=flow, minlength=u.size)
     acc -= np.bincount(ej, weights=flow, minlength=u.size)
-    return acc.reshape(u.shape) / g.mu
+    return acc.reshape(u.shape)
+
+
+def laplacian_all(g: WeightedGraph, u: np.ndarray) -> np.ndarray:
+    """mu-Laplacian at every vertex: edge_laplacian divided by mu."""
+    return edge_laplacian(g, u) / g.mu
 
 
 def gradient_form_all(g: WeightedGraph, u: np.ndarray, v: np.ndarray) -> np.ndarray:

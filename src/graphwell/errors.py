@@ -30,7 +30,7 @@ class BoundaryMismatchError(GraphwellError):
 
 
 class ParseError(GraphwellError):
-    """A problem file could not be parsed. Carries the 1-based line number."""
+    """A problem or solution file could not be parsed. Carries the 1-based line number."""
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")

@@ -15,7 +15,8 @@ masks. Mass, Laplacian, masking and reductions act on both components at once;
 only the coupling terms index a component. The kernels trust their input;
 energy_J_*, grad_J_*, norm_H_*_sq and nehari_diagnostics validate the pair once
 and then call them. Given a batch, the kernels return one value or residual
-per pair.
+per pair; _nehari_rows is nehari_diagnostics for a trusted batch, the form in
+which the solver certifies its results.
 
 The masked-kernel identity: on admissible pairs (u = 0 off Omega_a, v = 0 off
 Omega_b, with the wells the zero sets of a and b) the lam a, lam b terms drop
@@ -30,8 +31,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .calculus import (PairFunction, as_pair, check_admissible, laplacian_all, pair_sum,
-                       weighted_sum)
+from .calculus import (PairFunction, as_pair, check_admissible, edge_laplacian, laplacian_all,
+                       pair_sum, weighted_sum)
 from .errors import DegeneratePairError, GraphValidationError
 from .graph import PotentialField, WeightedGraph, as_domain
 
@@ -191,9 +192,10 @@ def hessian_operator(p: Problem, w: np.ndarray) -> Callable[..., np.ndarray]:
     mu*(coef - alpha(alpha-1)/gamma |u|^(alpha-2) |v|^beta) and its v twin, and
     one u-v coupling entry per vertex. The diagonal and the coupling entries
     depend on w alone and are formed here, once; each application then costs
-    one Laplacian and a few elementwise operations, O(|E| + n). Rows off the masks are zero,
-    like the residual's. Where alpha or beta < 2 the diagonal term is singular
-    at a zero of u or v; it is taken as 0 there.
+    one edge scatter (edge_laplacian, mu times laplacian_all) and a few
+    elementwise operations, O(|E| + n). Rows off the masks are zero, like the
+    residual's. Where alpha or beta < 2 the diagonal term is singular at a
+    zero of u or v; it is taken as 0 there.
 
     For a batch w of k pairs, the function takes d of the same shape, or the
     (j, 2, n) directions of the pairs w[rows] for an index array rows.
@@ -207,7 +209,7 @@ def hessian_operator(p: Problem, w: np.ndarray) -> Callable[..., np.ndarray]:
     cross = (g.mu * (a * b / gam) * signed_power(u, a - 1.0) * signed_power(v, b - 1.0))[..., None, :]
 
     def apply(d: np.ndarray, rows=slice(None)) -> np.ndarray:
-        h = diag[rows] * d - g.mu * laplacian_all(g, d) - cross[rows] * d[..., ::-1, :]
+        h = diag[rows] * d - edge_laplacian(g, d) - cross[rows] * d[..., ::-1, :]
         return np.where(p.mask, h, 0.0)
 
     return apply
@@ -265,14 +267,14 @@ def grad_J_Omega(d: DirichletProblem, w) -> PairFunction:
     return PairFunction(*residual_of(d, check_admissible(d, w)))
 
 
+def _nehari_rows(p: Problem, w: np.ndarray) -> list[NehariDiagnostics]:
+    """The NehariDiagnostics of each pair of the (k, 2, n) batch w, from one
+    norm_sq_of and one coupling_integral call; w is trusted, like a kernel's
+    input."""
+    return [NehariDiagnostics(norm_sq=n, coupling=c, defect=n - c, energy=0.5 * n - c / p.gamma,
+                              nontrivial=n > 0.0 and c > 0.0)
+            for n, c in zip(norm_sq_of(p, w).tolist(), coupling_integral(p, w).tolist())]
+
+
 def nehari_diagnostics(p: Problem, w) -> NehariDiagnostics:
-    w = p.check_pair(w)
-    norm_sq = norm_sq_of(p, w)
-    coupling = coupling_integral(p, w)
-    return NehariDiagnostics(
-        norm_sq=norm_sq,
-        coupling=coupling,
-        defect=norm_sq - coupling,
-        energy=0.5 * norm_sq - coupling / p.gamma,
-        nontrivial=bool(norm_sq > 0.0 and coupling > 0.0),
-    )
+    return _nehari_rows(p, p.check_pair(w)[None])[0]

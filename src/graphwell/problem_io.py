@@ -223,13 +223,25 @@ def write_sweep(records: Iterable, sink) -> None:
 
 
 def read_solution(source) -> dict[str, tuple[float, float]]:
-    """Inverse of write_solution: label -> (u, v)."""
+    """Inverse of write_solution: label -> (u, v). A header other than
+    vertex,u,v, a row without three fields, a value that is not a finite
+    number and a repeated vertex label raise ParseError with the line."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
         text = source.read()
+    rows = csv.reader(text.splitlines())
+    header = next(rows, [])
+    if header != ["vertex", "u", "v"]:
+        raise ParseError(f"solution header must be 'vertex,u,v', got {','.join(header)!r}", 1)
     out: dict[str, tuple[float, float]] = {}
-    for row in csv.DictReader(text.splitlines()):
-        out[row["vertex"]] = (float(row["u"]), float(row["v"]))
+    for row in rows:
+        line = rows.line_num
+        if len(row) != 3:
+            raise ParseError(f"solution row needs 'vertex,u,v', got {len(row)} fields", line)
+        label, u, v = row
+        if label in out:
+            raise ParseError(f"duplicate vertex label {label!r}", line)
+        out[label] = (_float(u, line, "u"), _float(v, line, "v"))
     return out

@@ -77,10 +77,10 @@ from .functional import (
     LambdaProblem,
     NehariDiagnostics,
     Problem,
+    _nehari_rows,
     coupling_integral,
     energy_of,
     hessian_operator,
-    nehari_diagnostics,
     nehari_scale,
     norm_sq_of,
     residual_of,
@@ -142,10 +142,10 @@ def _level_energy(norm_sq: float, coupling: float, gamma: float) -> float:
     return (0.5 - 1.0 / gamma) * math.exp(logval)
 
 
-def _tolerance(grad_tol: float, norm_sq: float) -> float:
-    """The residual target: grad_tol, raised to the rounding floor
-    _ROUNDING * ||w||_H where ||w||_H is huge."""
-    return max(grad_tol, _ROUNDING * math.sqrt(norm_sq))
+def _tolerance(grad_tol: float, norm_sq: np.ndarray) -> np.ndarray:
+    """The residual target of each row: grad_tol, raised to the rounding
+    floor _ROUNDING * ||w||_H where ||w||_H is huge."""
+    return np.maximum(grad_tol, _ROUNDING * np.sqrt(norm_sq))
 
 
 def _diag_of(p: Problem) -> np.ndarray:
@@ -318,18 +318,25 @@ def _try_newton(p: Problem, w: np.ndarray, res: np.ndarray, rnorm: np.ndarray,
 
 
 def _finish(p: Problem, cfg: SolverConfig, w: np.ndarray, res: np.ndarray, rnorm: np.ndarray,
-            energy: np.ndarray, norm_sq: np.ndarray, iters: Sequence[int],
-            index: Sequence[int]) -> list[SolveResult]:
-    """Polish the restarts that have left the batch, in one batch, then
-    certify each result."""
-    tol = np.array([_tolerance(cfg.grad_tol, n) for n in norm_sq.tolist()])
+            energy: np.ndarray, norm_sq: np.ndarray, iters: np.ndarray,
+            index: np.ndarray) -> list[SolveResult]:
+    """Polish the restarts that left the descent above their tolerance, in one
+    batch, then certify every restart.
+
+    Row i of the batch w is restart index[i] as it left the descent after
+    iters[i] loop heads, with its residual, residual norm, energy and norm_sq.
+    The certificate takes the norms and couplings of all rows from one batched
+    call each, without validating them again: they are the solver's own
+    iterates.
+    """
+    tol = _tolerance(cfg.grad_tol, norm_sq)
     need = np.flatnonzero(rnorm > tol)
     if need.size:
         w[need], _, rnorm[need], _ = _try_newton(p, w[need], res[need], rnorm[need],
                                                  energy[need], tol[need])
     out = []
-    for wi, r, it, i in zip(w, rnorm.tolist(), iters, index):
-        nd = nehari_diagnostics(p, wi)
+    for wi, r, nd, it, i in zip(w, rnorm.tolist(), _nehari_rows(p, w), iters.tolist(),
+                                index.tolist()):
         converged = bool(r <= _tolerance(cfg.grad_tol, nd.norm_sq)
                          and abs(nd.defect) <= math.sqrt(cfg.grad_tol) * nd.norm_sq
                          and nd.nontrivial)
@@ -345,23 +352,30 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
     """Descend from every start of one solve in lockstep.
 
     Row i of the (k, 2, n) batch starts is restart indices[i]. Returns one
-    result per row, None where the start has no finite Nehari projection. The
-    kernels run on the whole batch at once; each row's scalars (energy, step,
-    window residual) are updated row by row with the arithmetic of a single
-    restart. The Newton hand-offs run as batches too: one per progress check
-    for the rows that qualify, and one after the loop for every row that
-    left above its tolerance.
+    result per row, None where the start has no finite Nehari projection.
+    The other starts descend as the rows of one batch, whose state is arrays
+    indexed by batch row: the kernels, the stop rule and the progress test act
+    on all rows at once, and each Armijo round updates the scalars (energy,
+    step) of the rows still searching one by one, with the arithmetic of a
+    single restart. A row that stops writes its point, residual, residual
+    norm, energy, norm_sq and iteration count once, at that loop head, into
+    arrays indexed by start, and leaves the batch. The Newton hand-offs run as
+    batches too: one per progress check for the rows that qualify, and one in
+    _finish, after the loop, for every start that left above its tolerance.
     """
     starts = np.where(p.mask, starts, 0.0)
     t = nehari_scale(p, starts)
+    entered = np.flatnonzero(np.isfinite(t))
     out: list[SolveResult | None] = [None] * len(t)
-    rows = np.flatnonzero(np.isfinite(t))     # batch row -> row of starts
-    if not rows.size:
+    if not entered.size:
         if np.isinf(t).any():
             raise EnergyOverflowError(
                 f"the Nehari projection of every start overflowed (alpha {p.alpha}, beta {p.beta})")
         return out
-    w = t[rows, None, None] * starts[rows]
+    # From here on a start is one of those that entered, numbered in order.
+    w = t[entered, None, None] * starts[entered]
+    index = np.asarray(indices)[entered]
+    rows = np.arange(entered.size)      # batch row -> start
 
     gamma = p.gamma
     exponent = 1.0 / (gamma - 2.0)
@@ -371,76 +385,74 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
 
     energy = energy_of(p, w)
     window = np.full(rows.size, math.inf)
-    left = []       # (row of starts, w, res, rnorm, energy, norm_sq, iterations) per stopped row
+    # What each start leaves the batch with.
+    w_end, res_end = np.empty_like(w), np.empty_like(w)
+    rnorm_end, energy_end, norm_sq_end = np.empty((3, rows.size))
+    iters = np.empty(rows.size, dtype=int)
 
     for k in range(_MAX_ITERS + 1):
         res = residual_of(p, w)
-        rnorm = _residual_norm(p, res).tolist()
-        norm_sq = norm_sq_of(p, w).tolist()
-        stop = [k == _MAX_ITERS or r <= max(cfg.grad_tol, _POLISH_SWITCH * max(1.0, math.sqrt(n)))
-                for r, n in zip(rnorm, norm_sq)]
+        rnorm = _residual_norm(p, res)
+        norm_sq = norm_sq_of(p, w)
+        stop = (k == _MAX_ITERS) | (rnorm <= np.maximum(
+            cfg.grad_tol, _POLISH_SWITCH * np.maximum(1.0, np.sqrt(norm_sq))))
         if k % _PROGRESS_WINDOW == 0:
             # Linear descent that has stalled in a basin hands over to Newton
             # long before the residual reaches the switch above.
-            hand = [i for i in range(rows.size)
-                    if not stop[i] and rnorm[i] > _PROGRESS_RATIO * window[i]]
-            if hand:
-                tol = np.array([_tolerance(cfg.grad_tol, norm_sq[i]) for i in hand])
-                w[hand], res[hand], polished, energy[hand] = _try_newton(
-                    p, w[hand], res[hand], np.array(rnorm)[hand], energy[hand], tol)
-                for i, r, tl in zip(hand, polished.tolist(), tol.tolist()):
-                    rnorm[i] = r
-                    stop[i] = r <= tl
-            window = np.array(rnorm)
+            hand = np.flatnonzero(~stop & (rnorm > _PROGRESS_RATIO * window))
+            if hand.size:
+                tol = _tolerance(cfg.grad_tol, norm_sq[hand])
+                w[hand], res[hand], rnorm[hand], energy[hand] = _try_newton(
+                    p, w[hand], res[hand], rnorm[hand], energy[hand], tol)
+                stop[hand] = rnorm[hand] <= tol
+            window = rnorm
 
         # Armijo line search on the re-projected energy, in lockstep: each
-        # round tries every row at its own step and halves the steps of the
-        # rows that fail. A row that has accepted gets the same trial, and so
-        # the same verdict, again.
+        # round tries every row at its own step, and the rows that fail halve
+        # their steps and search again. A row that has accepted keeps its
+        # step, so its row of the last round's trial is its accepted trial.
         direction = res / diag
         slope = pair_sum(res * direction, mu).tolist()
         step = np.ones(rows.size)
         scale = np.empty(rows.size)
         energy_t = np.empty(rows.size)
-        searching = [not s for s in stop]
-        while any(searching):
+        searching = (~stop).nonzero()[0].tolist()
+        while searching:
             trial = w - step[:, None, None] * direction
             norm_t = norm_sq_of(p, trial).tolist()
             coup_t = coupling_integral(p, trial).tolist()
-            for i in range(rows.size):
-                if not searching[i]:
-                    continue
+            failed = []
+            for i in searching:
                 if coup_t[i] > 0.0 and norm_t[i] > 0.0:
                     energy_t[i] = _level_energy(norm_t[i], coup_t[i], gamma)
                     slack = 4.0 * eps * max(1.0, abs(energy[i]))
                     if energy_t[i] <= energy[i] - _ARMIJO_C * step[i] * slope[i] + slack:
                         scale[i] = (norm_t[i] / coup_t[i]) ** exponent
-                        searching[i] = False
                         continue
                 step[i] *= _BACKTRACK
                 if step[i] <= _STEP_UNDERFLOW:
                     logger.debug("restart %d: line search underflow at iteration %d",
-                                 indices[rows[i]], k + 1)
-                    searching[i] = False
+                                 index[rows[i]], k + 1)
                     stop[i] = True
+                else:
+                    failed.append(i)
+            searching = failed
 
         # Rows that stopped leave with their loop head's point and residual.
-        if any(stop):
-            for i in np.flatnonzero(stop):
-                left.append((rows[i], w[i], res[i], rnorm[i], energy[i], norm_sq[i], k + 1))
-            if all(stop):
+        gone = rows[stop]
+        if gone.size:
+            w_end[gone], res_end[gone], rnorm_end[gone] = w[stop], res[stop], rnorm[stop]
+            energy_end[gone], norm_sq_end[gone], iters[gone] = energy[stop], norm_sq[stop], k + 1
+            if gone.size == rows.size:
                 break
-            keep = np.logical_not(stop)
+            keep = ~stop
             rows, window, energy_t, scale, trial = (
-                x[keep] for x in (rows, window, energy_t, scale, trial))
+                rows[keep], window[keep], energy_t[keep], scale[keep], trial[keep])
         w = scale[:, None, None] * trial
         energy = energy_t
 
-    order, ws, ress, rnorms, energies, norm_sqs, iters = zip(*left)
-    finished = _finish(p, cfg, np.array(ws), np.array(ress), np.array(rnorms),
-                       np.array(energies), np.array(norm_sqs), iters,
-                       [indices[i] for i in order])
-    for i, result in zip(order, finished):
+    finished = _finish(p, cfg, w_end, res_end, rnorm_end, energy_end, norm_sq_end, iters, index)
+    for i, result in zip(entered, finished):
         out[i] = result
     return out
 

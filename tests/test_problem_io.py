@@ -174,6 +174,26 @@ class TestSolutionRoundTrip:
         rows = buf.getvalue().splitlines()
         assert rows[1].startswith("p,") and rows[2].startswith("q,")
 
+    def test_wrong_header_names_line_1(self):
+        with pytest.raises(ParseError, match="header") as exc:
+            read_solution(io.StringIO("label,u,v\np,1,2\n"))
+        assert exc.value.line == 1
+
+    def test_short_row_names_its_line(self):
+        with pytest.raises(ParseError, match="2 fields") as exc:
+            read_solution(io.StringIO("vertex,u,v\np,1,2\nq,3\n"))
+        assert exc.value.line == 3
+
+    def test_non_number_names_its_line(self):
+        with pytest.raises(ParseError, match="v is not a number") as exc:
+            read_solution(io.StringIO("vertex,u,v\np,1,two\n"))
+        assert exc.value.line == 2
+
+    def test_repeated_vertex_names_its_line(self):
+        with pytest.raises(ParseError, match="duplicate vertex label 'p'") as exc:
+            read_solution(io.StringIO("vertex,u,v\np,1,2\nq,3,4\np,5,6\n"))
+        assert exc.value.line == 4
+
 
 class TestSweepOutput:
     def test_empty_is_header_only(self):

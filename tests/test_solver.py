@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,11 +14,12 @@ from graphwell import (
     PotentialField,
     SolverConfig,
     WeightedGraph,
+    functional,
     solve_dirichlet,
     solve_ground_state,
     solver,
 )
-from graphwell.functional import hessian_operator, nehari_scale, residual_of
+from graphwell.functional import hessian_operator, nehari_diagnostics, nehari_scale, residual_of
 from tests.conftest import make_problem, random_connected_graph
 
 
@@ -292,6 +294,60 @@ class TestLockstep:
         # The CLI formats these as Python floats.
         assert type(out.energy) is float
         assert type(out.residual_norm) is float
+
+
+def g22_problem(g22, flavour):
+    graph, pots, d = g22
+    return d if flavour == "dirichlet" else LambdaProblem(graph, pots, 100.0, d.alpha, d.beta)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("flavour", ["dirichlet", "lambda"])
+    def test_solve_validates_only_its_warm_starts(self, g22, g22_dirichlet, monkeypatch,
+                                                  flavour):
+        # Pairs are validated once, where they enter through the public API;
+        # the solver's own iterates are never checked or copied again.
+        p = g22_problem(g22, flavour)
+        calls = Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args):
+                calls[f"{module.__name__}.{name}"] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(functional, "as_pair")
+        count(functional, "check_admissible")
+        count(solver, "as_pair")
+        ground = g22_dirichlet.pair
+        warm = [ground, PairFunction(0.5 * ground.u, 0.5 * ground.v)]
+        solve = solve_dirichlet if flavour == "dirichlet" else solve_ground_state
+        out = solve(p, warm_starts=warm)
+        assert out.converged
+        assert calls == {"graphwell.solver.as_pair": 2}
+
+    @pytest.mark.parametrize("flavour", ["dirichlet", "lambda"])
+    def test_batched_certificate_matches_nehari_diagnostics(self, g22, flavour):
+        p = g22_problem(g22, flavour)
+        cfg = SolverConfig()
+        eps = np.finfo(np.float64).eps
+        rows = solver._run_descent(p, cfg, np.array(cold_starts(p, 8)), range(8))
+        assert len(rows) == 8
+        for row in rows:
+            nd, ref = row.nehari, nehari_diagnostics(p, row.pair)
+            assert [type(x) for x in nd] == [float, float, float, float, bool]
+            assert type(row.energy) is float and type(row.residual_norm) is float
+            for name in ("norm_sq", "coupling", "energy"):
+                assert getattr(nd, name) == pytest.approx(getattr(ref, name), rel=1e-12)
+            assert nd.nontrivial == ref.nontrivial
+            assert row.energy == nd.energy
+            tol = max(cfg.grad_tol, 64 * eps * math.sqrt(nd.norm_sq))
+            assert row.converged == (row.residual_norm <= tol
+                                     and abs(nd.defect) <= math.sqrt(cfg.grad_tol) * nd.norm_sq
+                                     and nd.nontrivial)
 
 
 @st.composite
