@@ -49,6 +49,13 @@ def _check_exponents(alpha: float, beta: float) -> None:
         raise ValueError(f"alpha and beta must be finite and exceed 1, got {alpha}, {beta}")
 
 
+def _store_floats(obj, *names: str) -> None:
+    """Store checked scalar fields of a frozen dataclass as Python floats, so
+    that numpy scalars given for them never leak into the results."""
+    for name in names:
+        object.__setattr__(obj, name, float(getattr(obj, name)))
+
+
 @dataclass(frozen=True, eq=False)
 class _Kernel:
     """The kernel data of both flavours: coef and mask, rows u and v."""
@@ -86,6 +93,7 @@ class LambdaProblem(_Kernel):
         if not (np.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lambda must be positive and finite, got {self.lam}")
         _check_exponents(self.alpha, self.beta)
+        _store_floats(self, "lam", "alpha", "beta")
         _freeze(self, coef=self.lam * np.array((pots.a, pots.b)) + 1.0,
                 mask=np.ones((2, self.graph.vertex_count), dtype=bool))
 
@@ -118,6 +126,7 @@ class DirichletProblem(_Kernel):
         if not (omega_a & omega_b):
             raise GraphValidationError("the wells do not overlap")
         _check_exponents(self.alpha, self.beta)
+        _store_floats(self, "alpha", "beta")
         mask = np.zeros((2, g.vertex_count), dtype=bool)
         mask[0, list(omega_a)] = True
         mask[1, list(omega_b)] = True

@@ -10,9 +10,6 @@ import numpy as np
 
 from .errors import GraphValidationError, UnknownLabelError
 
-VertexId = int
-DomainSet = frozenset
-
 
 def _integer(x, what: str, error: type[Exception]) -> int:
     """x as an int, if it is one (numpy integers included), else raise error."""
@@ -221,7 +218,7 @@ def _bfs_reach(g: WeightedGraph, source: int) -> np.ndarray:
 
 
 def as_domain(g: WeightedGraph, members: Iterable[int]) -> frozenset:
-    """Normalize an iterable of vertex ids into a validated DomainSet."""
+    """Normalize an iterable of vertex ids into a validated frozenset."""
     return frozenset(g.check_vertex(v) for v in members)
 
 

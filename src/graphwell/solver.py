@@ -25,32 +25,31 @@ stalling.
 Pairs are the package's (2, n) arrays, and all starts of one solve (warm
 starts, then the seeded restarts) descend in lockstep as the rows of one
 (k, 2, n) batch, so each loop head and line-search round pays numpy's
-per-call cost once for all of them. A row leaves the batch when it stops. The
-Newton hand-offs below run as batches of the same arrays: the rows that stop
-are polished together after the loop, and the rows that stall are polished
-together at their progress check.
+per-call cost once for all of them. A row leaves the batch when it stops, and
+the rows that stop above their residual target are polished together, as one
+batch of the same arrays, after the loop.
 
-A restart has one stop rule, tested at the loop head: descent ends once the
-residual reaches max(grad_tol, _POLISH_SWITCH * max(1, ||w||)). Every iterate
-is an exact Nehari projection, so its defect is rounding-level and is checked
-once, by the certificate after the loop. The iteration budget, tested at the
-same loop head, and a line search that underflows end a restart early; both
-hand over to the polish too, with the residual that the loop head last
-computed. The residual target of the restart, of its polish and of its
-certificate is grad_tol, raised to the rounding floor _ROUNDING * ||w||_H for
-solutions so large (exponents near 1) that grad_tol is below rounding.
+A restart stops at a loop head once its residual reaches
+max(grad_tol, _POLISH_SWITCH * max(1, ||w||)). Every iterate is an exact
+Nehari projection, so its defect is rounding-level and is checked once, by the
+certificate after the loop. Three more rules end a restart early: the
+iteration budget, tested at the same loop head; a line search that
+underflows; and a stall, tested every _PROGRESS_WINDOW loop heads, where the
+residual exceeds _PROGRESS_RATIO times its value one window earlier, so that
+a descent crawling through a basin stops long before it reaches the switch.
+A restart leaves with the point, residual and energy of its last loop head,
+whichever rule stopped it; descent never resumes. The residual target of
+the restart, of its polish and of its certificate is grad_tol, raised to the
+rounding floor _ROUNDING * ||w||_H for solutions so large (exponents near 1)
+that grad_tol is below rounding.
 
-Descent also hands over by progress: every _PROGRESS_WINDOW loop heads, if
-the residual exceeds _PROGRESS_RATIO times its value one window earlier, the
-polish runs from the current point. Descent then continues from the polished
-point, or the restart ends if that point meets grad_tol. Both hand-offs go
-through _try_newton, which keeps the re-projected polished point only when
-its residual is lower and its energy is not higher, up to rounding: Newton
-converges to the nearest critical point, which may lie above the level that
-descent has reached, and the restart must not trade its level for a smaller
-residual. One residual norm serves throughout: the mu-weighted ||r|| of the
-certificate decides the descent stop, the progress test, the polish's
-damping and the keep-if-lower test.
+A restart that left above its target is polished once, in _finish, and keeps
+the re-projected polished point only when its residual is lower and its
+energy is not higher, up to rounding: Newton converges to the nearest critical
+point, which may lie above the level that descent has reached, and the
+restart must not trade its level for a smaller residual. One residual norm
+serves throughout: the mu-weighted ||r|| of the certificate decides the
+descent stop, the stall test, the polish's damping and the keep-if-lower test.
 
 The polish is matrix-free. Its Jacobian is the analytic Hessian: each Newton
 step forms its diagonal and coupling terms once, by
@@ -94,7 +93,7 @@ _BACKTRACK = 0.5            # step shrink factor per rejected trial
 _STEP_UNDERFLOW = 1e-18     # smallest trial step before the line search gives up
 _POLISH_SWITCH = 1e-4       # hand off to Newton at rnorm <= this * max(1, ||w||)
 _PROGRESS_WINDOW = 50       # loop heads between two progress checks
-_PROGRESS_RATIO = 0.5       # try Newton when a window shrinks rnorm by less than this
+_PROGRESS_RATIO = 0.5       # stop when a window shrinks rnorm by less than this
 # Residual norms below _ROUNDING * ||w||_H are rounding level: about 10 times
 # the floor measured on ground states with ||w||_H up to 6e21. The floor
 # exceeds the default grad_tol only where ||w||_H > 7e4.
@@ -263,7 +262,7 @@ def _newton_polish(p: Problem, w: np.ndarray, res: np.ndarray, rnorm: np.ndarray
         return mu * r, _residual_norm(p, r)
 
     minv = np.where(p.mask, 1.0 / (mu * _diag_of(p)), 0.0)
-    w = w.copy()        # rows move in place; _try_newton falls back to the caller's w
+    w = w.copy()        # rows move in place; the caller's w is left as it was
     f = mu * res
     rnorm = np.array(rnorm, dtype=np.float64)
     live = np.ones(len(w), dtype=bool)
@@ -290,33 +289,6 @@ def _newton_polish(p: Problem, w: np.ndarray, res: np.ndarray, rnorm: np.ndarray
     return w
 
 
-def _try_newton(p: Problem, w: np.ndarray, res: np.ndarray, rnorm: np.ndarray,
-                energy: np.ndarray, grad_tol: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Polish the rows of w by Newton; keep each re-projected result only if it is better.
-
-    Returns (w, res, rnorm, energy), batches like the inputs, where each row
-    is its candidate when the candidate's residual is finite and below rnorm
-    and its energy does not exceed energy (up to rounding), else that row of
-    the inputs. The energy test matters because a Newton step converges to
-    whichever critical point is nearest, which may lie above the level that
-    descent has already reached.
-    """
-    polished = _newton_polish(p, w, res, rnorm, grad_tol)
-    # Re-project so the caller sees exact manifold points; at a polished
-    # critical point the scale is 1 up to rounding. A row without a
-    # projection gets the scale nan, so it fails the test below.
-    cand = nehari_scale(p, polished)[:, None, None] * polished
-    cres = residual_of(p, cand)
-    cnorm = _residual_norm(p, cres)
-    cenergy = energy_of(p, cand)
-    slack = 4.0 * np.finfo(np.float64).eps * np.maximum(1.0, np.abs(energy))
-    keep = np.isfinite(cnorm) & (cnorm < rnorm) & (cenergy <= energy + slack)
-    pick = keep[:, None, None]
-    return (np.where(pick, cand, w), np.where(pick, cres, res),
-            np.where(keep, cnorm, rnorm), np.where(keep, cenergy, energy))
-
-
 def _finish(p: Problem, cfg: SolverConfig, w: np.ndarray, res: np.ndarray, rnorm: np.ndarray,
             energy: np.ndarray, norm_sq: np.ndarray, iters: np.ndarray,
             index: np.ndarray) -> list[SolveResult]:
@@ -325,15 +297,26 @@ def _finish(p: Problem, cfg: SolverConfig, w: np.ndarray, res: np.ndarray, rnorm
 
     Row i of the batch w is restart index[i] as it left the descent after
     iters[i] loop heads, with its residual, residual norm, energy and norm_sq.
-    The certificate takes the norms and couplings of all rows from one batched
-    call each, without validating them again: they are the solver's own
-    iterates.
+    Each polished row is re-projected and kept only if its residual is finite
+    and below rnorm and its energy does not exceed energy (up to rounding): a
+    Newton step converges to whichever critical point is nearest, which may
+    lie above the level that descent has already reached. The certificate
+    takes the norms and couplings of all rows from one batched call each,
+    without validating them again: they are the solver's own iterates.
     """
     tol = _tolerance(cfg.grad_tol, norm_sq)
     need = np.flatnonzero(rnorm > tol)
     if need.size:
-        w[need], _, rnorm[need], _ = _try_newton(p, w[need], res[need], rnorm[need],
-                                                 energy[need], tol[need])
+        polished = _newton_polish(p, w[need], res[need], rnorm[need], tol[need])
+        # Re-project to exact manifold points; at a polished critical point
+        # the scale is 1 up to rounding. A row without a projection gets the
+        # scale nan, so it fails the test below.
+        cand = nehari_scale(p, polished)[:, None, None] * polished
+        cnorm = _residual_norm(p, residual_of(p, cand))
+        cenergy = energy_of(p, cand)
+        slack = 4.0 * np.finfo(np.float64).eps * np.maximum(1.0, np.abs(energy[need]))
+        keep = np.isfinite(cnorm) & (cnorm < rnorm[need]) & (cenergy <= energy[need] + slack)
+        w[need[keep]], rnorm[need[keep]] = cand[keep], cnorm[keep]
     out = []
     for wi, r, nd, it, i in zip(w, rnorm.tolist(), _nehari_rows(p, w), iters.tolist(),
                                 index.tolist()):
@@ -354,14 +337,13 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
     Row i of the (k, 2, n) batch starts is restart indices[i]. Returns one
     result per row, None where the start has no finite Nehari projection.
     The other starts descend as the rows of one batch, whose state is arrays
-    indexed by batch row: the kernels, the stop rule and the progress test act
-    on all rows at once, and each Armijo round updates the scalars (energy,
-    step) of the rows still searching one by one, with the arithmetic of a
-    single restart. A row that stops writes its point, residual, residual
-    norm, energy, norm_sq and iteration count once, at that loop head, into
-    arrays indexed by start, and leaves the batch. The Newton hand-offs run as
-    batches too: one per progress check for the rows that qualify, and one in
-    _finish, after the loop, for every start that left above its tolerance.
+    indexed by batch row: the kernels and the stop rules act on all rows at
+    once, and each Armijo round updates the scalars (energy, step) of the rows
+    still searching one by one, with the arithmetic of a single restart. A row
+    that stops, by any rule, writes its point, residual, residual norm,
+    energy, norm_sq and iteration count once, at that loop head, into arrays
+    indexed by start, and leaves the batch. _finish then polishes every start
+    that left above its tolerance, in one Newton batch, and certifies them all.
     """
     starts = np.where(p.mask, starts, 0.0)
     t = nehari_scale(p, starts)
@@ -397,14 +379,9 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
         stop = (k == _MAX_ITERS) | (rnorm <= np.maximum(
             cfg.grad_tol, _POLISH_SWITCH * np.maximum(1.0, np.sqrt(norm_sq))))
         if k % _PROGRESS_WINDOW == 0:
-            # Linear descent that has stalled in a basin hands over to Newton
+            # Linear descent that has stalled in a basin stops, for the polish,
             # long before the residual reaches the switch above.
-            hand = np.flatnonzero(~stop & (rnorm > _PROGRESS_RATIO * window))
-            if hand.size:
-                tol = _tolerance(cfg.grad_tol, norm_sq[hand])
-                w[hand], res[hand], rnorm[hand], energy[hand] = _try_newton(
-                    p, w[hand], res[hand], rnorm[hand], energy[hand], tol)
-                stop[hand] = rnorm[hand] <= tol
+            stop |= rnorm > _PROGRESS_RATIO * window
             window = rnorm
 
         # Armijo line search on the re-projected energy, in lockstep: each

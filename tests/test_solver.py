@@ -135,16 +135,27 @@ class TestGroundStates:
         assert np.all(steps <= 0.0)
         assert np.count_nonzero(steps < 0.0) >= 20
 
-    def test_slow_descent_tail_hands_over_to_newton(self):
+    def test_slow_descent_tail_hands_over_to_newton(self, monkeypatch):
         # Restart 0 wins, but once it is in the ground state's basin its
         # descent shrinks the residual by only a factor 0.998 per step: left
-        # to reach the residual switch, it runs about 6000 iterations.
+        # to reach the residual switch, it runs about 6000 iterations. The
+        # stall test stops it instead; the rows that stall and the rows that
+        # reach the switch are all polished in one batch, after the loop.
         rng = np.random.default_rng(1024)
         g = random_connected_graph(rng, 3, 30)
         pots = two_wells(rng, g.vertex_count)
         alpha, beta = rng.uniform(1.2, 4.0, 2)
         lam = 10.0 ** rng.uniform(-2.0, 9.0)
+        calls = []
+        polish = solver._newton_polish
+
+        def spy(p, w, res, rnorm, grad_tol):
+            calls.append(len(w))
+            return polish(p, w, res, rnorm, grad_tol)
+
+        monkeypatch.setattr(solver, "_newton_polish", spy)
         out = solve_ground_state(LambdaProblem(g, pots, lam, alpha, beta))
+        assert calls == [8]
         assert out.converged
         assert out.restart_index == 0
         assert out.energy == pytest.approx(4.42876079711885, rel=1e-12)
@@ -271,8 +282,10 @@ class TestLockstep:
             assert row.energy == pytest.approx(alone.energy, rel=1e-12)
 
     def test_one_polish_per_solve(self, g22, monkeypatch):
-        # The restarts that leave the descent above their tolerance are
-        # polished together, in one call, after the loop.
+        # The restarts that leave the descent above their tolerance, by any
+        # stop rule, are polished together, in one call, after the loop. No
+        # row of this solve stalls; test_slow_descent_tail_hands_over_to_newton
+        # covers rows that do.
         _graph, _pots, d = g22
         cfg = SolverConfig(restarts=8)
         calls = []
@@ -294,6 +307,24 @@ class TestLockstep:
         # The CLI formats these as Python floats.
         assert type(out.energy) is float
         assert type(out.residual_norm) is float
+
+
+@pytest.mark.parametrize("flavour", ["dirichlet", "lambda"])
+def test_numpy_scalar_parameters_give_python_floats(flavour):
+    # Problems store lam, alpha and beta as Python floats, so numpy scalars
+    # given for them never leak into the energies they produce.
+    g = WeightedGraph(2, [(0, 1, 1.0)])
+    alpha, beta = np.float64(2.0), np.float64(2.5)
+    if flavour == "dirichlet":
+        p = DirichletProblem(g, frozenset({0}), frozenset({0, 1}), alpha, beta)
+        out, energy = solve_dirichlet(p), functional.energy_J_Omega(p, ([1.0, 0.0], [1.0, 1.0]))
+    else:
+        p = LambdaProblem(g, PotentialField([0.0, 1.0], [0.0, 0.0]), np.float64(3.0), alpha, beta)
+        out, energy = solve_ground_state(p), functional.energy_J_lambda(p, (np.ones(2), np.ones(2)))
+    assert out.converged
+    assert type(out.energy) is float
+    assert type(out.nehari.energy) is float
+    assert type(energy) is float
 
 
 def g22_problem(g22, flavour):

@@ -48,23 +48,47 @@ def test_modules_found():
     assert {p.name for p in MODULES} >= {"graph.py", "solver.py", "cli.py"}
 
 
-def test_every_public_function_is_used():
-    # No public function that nothing in the package uses: every top-level
-    # public def or class must be named somewhere in src/graphwell, as a name,
-    # an attribute or an import (which covers the exports of __init__).
-    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
-             for p in PACKAGE_DIR.glob("*.py")}
-    named = set()
+def package_trees() -> dict[str, ast.Module]:
+    return {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+            for p in PACKAGE_DIR.glob("*.py")}
+
+
+def names_read(trees: dict[str, ast.Module]) -> set[str]:
+    """Every name the package reads, as a name or an attribute, or imports
+    (which covers the exports of __init__)."""
+    read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
             elif isinstance(node, ast.alias):
-                named.add(node.name)
+                read.add(node.name)
+    return read
+
+
+def test_every_public_function_is_used():
+    # No public function that nothing in the package uses: every top-level
+    # public def or class must be read or imported somewhere in src/graphwell.
+    trees = package_trees()
+    read = names_read(trees)
     unused = sorted(f"{name}.{node.name} (line {node.lineno})"
                     for name, tree in trees.items() for node in tree.body
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_") and node.name not in named)
+                    and not node.name.startswith("_") and node.name not in read)
     assert not unused, f"public functions nothing in the package uses: {', '.join(unused)}"
+
+
+def test_every_public_assignment_is_read():
+    # No dead module-level names either: every top-level public assignment
+    # must be read or imported somewhere in src/graphwell.
+    trees = package_trees()
+    read = names_read(trees)
+    unread = sorted(f"{name}.{target.id} (line {node.lineno})"
+                    for name, tree in trees.items() for node in tree.body
+                    if isinstance(node, (ast.Assign, ast.AnnAssign))
+                    for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                    if isinstance(target, ast.Name) and not target.id.startswith("_")
+                    and target.id not in read)
+    assert not unread, f"public names nothing in the package reads: {', '.join(unread)}"
