@@ -33,7 +33,7 @@ import numpy as np
 
 from .calculus import (PairFunction, as_pair, check_admissible, edge_laplacian, laplacian_all,
                        pair_sum, weighted_sum)
-from .errors import DegeneratePairError, GraphValidationError
+from .errors import GraphValidationError
 from .graph import PotentialField, WeightedGraph, as_domain
 
 
@@ -228,19 +228,15 @@ def nehari_scale(p: Problem, w) -> float | np.ndarray:
     """The unique t > 0 placing t*w on the Nehari manifold.
 
     Solves t^2 norm_sq = t^gamma coupling, so t = (norm_sq/coupling)^(1/(gamma-2)).
-    A single pair without a projection raises DegeneratePairError; in a batch,
-    such rows get t = nan.
+    A pair without a projection (zero norm or coupling) gets t = nan. One value
+    per pair of a batch, a float for a single pair.
     """
     norm_sq = norm_sq_of(p, w)
     coupling = coupling_integral(p, w)
     exponent = 1.0 / (p.gamma - 2.0)
-    if isinstance(coupling, np.ndarray):
-        bad = (coupling <= 0.0) | (norm_sq <= 0.0)
-        return np.where(bad, np.nan, (norm_sq / np.where(bad, 1.0, coupling)) ** exponent)
-    if coupling <= 0.0 or norm_sq <= 0.0:
-        raise DegeneratePairError(
-            f"no Nehari projection: norm_sq={norm_sq}, coupling={coupling}")
-    return float((norm_sq / coupling) ** exponent)
+    bad = (coupling <= 0.0) | (norm_sq <= 0.0)
+    t = np.where(bad, np.nan, (norm_sq / np.where(bad, 1.0, coupling)) ** exponent)
+    return t if t.ndim else float(t)
 
 
 def norm_H_lambda_sq(p: LambdaProblem, w) -> float:

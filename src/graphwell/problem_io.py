@@ -9,6 +9,7 @@ with 17 significant digits, so reading them back reproduces it bit exactly.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import os
@@ -188,28 +189,25 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _open_sink(sink):
+def _sink(sink):
+    """A context giving the stream to write to: a path is opened (and closed
+    on exit), a caller's stream is used as it is and left open."""
     if isinstance(sink, (str, os.PathLike)):
-        return open(sink, "w", encoding="utf-8", newline="\n"), True
-    return sink, False
+        return open(sink, "w", encoding="utf-8", newline="\n")
+    return contextlib.nullcontext(sink)
 
 
 def write_solution(graph: WeightedGraph, result: SolveResult, sink) -> None:
     """CSV rows vertex,u,v in declaration order, 17 significant digits."""
-    fh, owned = _open_sink(sink)
-    try:
+    with _sink(sink) as fh:
         fh.write("vertex,u,v\n")
         for x in range(graph.vertex_count):
             fh.write(f"{graph.labels[x]},{_fmt(result.pair.u[x])},{_fmt(result.pair.v[x])}\n")
-    finally:
-        if owned:
-            fh.close()
 
 
 def write_sweep(records: Iterable, sink) -> None:
     """One CSV row per lambda with the sweep metrics; header always present."""
-    fh, owned = _open_sink(sink)
-    try:
+    with _sink(sink) as fh:
         fh.write("lambda,energy,sup_u_outside,sup_v_outside,h_distance,residual_norm,converged\n")
         for r in records:
             fh.write(",".join([
@@ -217,9 +215,6 @@ def write_sweep(records: Iterable, sink) -> None:
                 _fmt(r.h_distance), _fmt(r.residual_norm),
                 "true" if r.converged else "false",
             ]) + "\n")
-    finally:
-        if owned:
-            fh.close()
 
 
 def read_solution(source) -> dict[str, tuple[float, float]]:

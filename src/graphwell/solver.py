@@ -37,11 +37,11 @@ iteration budget, tested at the same loop head; a line search that
 underflows; and a stall, tested every _PROGRESS_WINDOW loop heads, where the
 residual exceeds _PROGRESS_RATIO times its value one window earlier, so that
 a descent crawling through a basin stops long before it reaches the switch.
-A restart leaves with the point, residual and energy of its last loop head,
-whichever rule stopped it; descent never resumes. The residual target of
-the restart, of its polish and of its certificate is grad_tol, raised to the
-rounding floor _ROUNDING * ||w||_H for solutions so large (exponents near 1)
-that grad_tol is below rounding.
+A restart leaves with the point of its last loop head, whichever rule
+stopped it; descent never resumes. The residual target of the restart, of
+its polish and of its certificate is grad_tol, raised to the rounding floor
+_ROUNDING * ||w||_H for solutions so large (exponents near 1) that grad_tol
+is below rounding.
 
 A restart that left above its target is polished once, in _finish, and keeps
 the re-projected polished point only when its residual is lower and its
@@ -231,8 +231,7 @@ def _minres(matvec, b: np.ndarray, minv: np.ndarray) -> np.ndarray:
     return x
 
 
-def _newton_polish(p: Problem, w: np.ndarray, res: np.ndarray, rnorm: np.ndarray,
-                   grad_tol: np.ndarray) -> np.ndarray:
+def _newton_polish(p: Problem, w: np.ndarray, grad_tol: np.ndarray) -> np.ndarray:
     """Damped Newton-Krylov on the optimality system f = mu*r = 0, for every
     row of the (k, 2, n) batch w at once.
 
@@ -252,8 +251,7 @@ def _newton_polish(p: Problem, w: np.ndarray, res: np.ndarray, rnorm: np.ndarray
     weighted norm of f, so an inexact solve can only waste a few evaluations,
     never corrupt the iterate; a nonfinite trial fails the test. A row stops
     at rnorm <= grad_tol / 2 (grad_tol has one entry per row), at a nonfinite
-    step, or when its backtracks run out. The caller passes the residuals res
-    of w and their norms rnorm.
+    step, or when its backtracks run out.
     """
     mu = p.graph.mu
 
@@ -263,8 +261,7 @@ def _newton_polish(p: Problem, w: np.ndarray, res: np.ndarray, rnorm: np.ndarray
 
     minv = np.where(p.mask, 1.0 / (mu * _diag_of(p)), 0.0)
     w = w.copy()        # rows move in place; the caller's w is left as it was
-    f = mu * res
-    rnorm = np.array(rnorm, dtype=np.float64)
+    f, rnorm = stacked(w)
     live = np.ones(len(w), dtype=bool)
     for _ in range(_POLISH_MAX_ITERS):
         live &= np.isfinite(rnorm) & (rnorm > 0.5 * grad_tol)
@@ -289,25 +286,26 @@ def _newton_polish(p: Problem, w: np.ndarray, res: np.ndarray, rnorm: np.ndarray
     return w
 
 
-def _finish(p: Problem, cfg: SolverConfig, w: np.ndarray, res: np.ndarray, rnorm: np.ndarray,
-            energy: np.ndarray, norm_sq: np.ndarray, iters: np.ndarray,
+def _finish(p: Problem, cfg: SolverConfig, w: np.ndarray, iters: np.ndarray,
             index: np.ndarray) -> list[SolveResult]:
     """Polish the restarts that left the descent above their tolerance, in one
     batch, then certify every restart.
 
     Row i of the batch w is restart index[i] as it left the descent after
-    iters[i] loop heads, with its residual, residual norm, energy and norm_sq.
-    Each polished row is re-projected and kept only if its residual is finite
-    and below rnorm and its energy does not exceed energy (up to rounding): a
-    Newton step converges to whichever critical point is nearest, which may
-    lie above the level that descent has already reached. The certificate
-    takes the norms and couplings of all rows from one batched call each,
-    without validating them again: they are the solver's own iterates.
+    iters[i] loop heads. Each polished row is re-projected and kept only if
+    its residual is finite and below the row's and its energy does not exceed
+    the row's (up to rounding): a Newton step converges to whichever critical
+    point is nearest, which may lie above the level that descent has already
+    reached. The residual norms, norms, energies and certificates of all rows
+    come from one batched call each, without validating the rows again: they
+    are the solver's own iterates.
     """
-    tol = _tolerance(cfg.grad_tol, norm_sq)
+    rnorm = _residual_norm(p, residual_of(p, w))
+    energy = energy_of(p, w)
+    tol = _tolerance(cfg.grad_tol, norm_sq_of(p, w))
     need = np.flatnonzero(rnorm > tol)
     if need.size:
-        polished = _newton_polish(p, w[need], res[need], rnorm[need], tol[need])
+        polished = _newton_polish(p, w[need], tol[need])
         # Re-project to exact manifold points; at a polished critical point
         # the scale is 1 up to rounding. A row without a projection gets the
         # scale nan, so it fails the test below.
@@ -340,12 +338,12 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
     indexed by batch row: the kernels and the stop rules act on all rows at
     once, and each Armijo round updates the scalars (energy, step) of the rows
     still searching one by one, with the arithmetic of a single restart. A row
-    that stops, by any rule, writes its point, residual, residual norm,
-    energy, norm_sq and iteration count once, at that loop head, into arrays
-    indexed by start, and leaves the batch. _finish then polishes every start
-    that left above its tolerance, in one Newton batch, and certifies them all.
+    that stops, by any rule, writes its point and iteration count once, at
+    that loop head, into arrays indexed by start, and leaves the batch.
+    _finish then polishes every start that left above its tolerance, in one
+    Newton batch, and certifies them all. The starts must vanish off the
+    masks.
     """
-    starts = np.where(p.mask, starts, 0.0)
     t = nehari_scale(p, starts)
     entered = np.flatnonzero(np.isfinite(t))
     out: list[SolveResult | None] = [None] * len(t)
@@ -368,8 +366,7 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
     energy = energy_of(p, w)
     window = np.full(rows.size, math.inf)
     # What each start leaves the batch with.
-    w_end, res_end = np.empty_like(w), np.empty_like(w)
-    rnorm_end, energy_end, norm_sq_end = np.empty((3, rows.size))
+    w_end = np.empty_like(w)
     iters = np.empty(rows.size, dtype=int)
 
     for k in range(_MAX_ITERS + 1):
@@ -415,11 +412,10 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
                     failed.append(i)
             searching = failed
 
-        # Rows that stopped leave with their loop head's point and residual.
+        # Rows that stopped leave with their loop head's point.
         gone = rows[stop]
         if gone.size:
-            w_end[gone], res_end[gone], rnorm_end[gone] = w[stop], res[stop], rnorm[stop]
-            energy_end[gone], norm_sq_end[gone], iters[gone] = energy[stop], norm_sq[stop], k + 1
+            w_end[gone], iters[gone] = w[stop], k + 1
             if gone.size == rows.size:
                 break
             keep = ~stop
@@ -428,14 +424,14 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
         w = scale[:, None, None] * trial
         energy = energy_t
 
-    finished = _finish(p, cfg, w_end, res_end, rnorm_end, energy_end, norm_sq_end, iters, index)
+    finished = _finish(p, cfg, w_end, iters, index)
     for i, result in zip(entered, finished):
         out[i] = result
     return out
 
 
 def _solve(p: Problem, cfg: SolverConfig, warm_starts: Sequence[PairFunction]) -> SolveResult:
-    starts = [as_pair(p.graph, w0) for w0 in warm_starts]
+    starts = [np.where(p.mask, as_pair(p.graph, w0), 0.0) for w0 in warm_starts]
     starts += [_initial_pair(p, np.random.default_rng([cfg.rng_seed, i])) for i in range(cfg.restarts)]
     # Overflow near gamma = 2 is caught below by the finite-energy test, and
     # the line search screens out the nonpositive norms and couplings.

@@ -5,6 +5,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from graphwell import read_solution, solver
@@ -82,11 +83,22 @@ class TestSolve:
         # A tiny --tol would not do: the residual target is floored at
         # rounding level relative to ||w||.
         monkeypatch.setattr(solver, "_MAX_ITERS", 0)
-        monkeypatch.setattr(solver, "_newton_polish", lambda p, w, res, rnorm, tol: w)
+        monkeypatch.setattr(solver, "_newton_polish", lambda p, w, tol: w)
         rc = main(["solve", tiny, "--restarts", "2"])
         captured = capsys.readouterr()
         assert rc == EXIT_UNCONVERGED
         assert "converged false" in captured.err
+
+    def test_degenerate_exit_code(self, tiny, capsys, monkeypatch):
+        # Zero starts have no Nehari projection, so no restart enters descent.
+        monkeypatch.setattr(solver, "_initial_pair",
+                            lambda p, rng: np.zeros((2, p.graph.vertex_count)))
+        rc = main(["solve", tiny, "--restarts", "2"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_DEGENERATE
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("graphwell: degenerate problem: ")
 
     def test_exponent_overrides(self, tiny, capsys):
         rc = main(["solve", tiny, "--alpha", "2.5", "--beta", "2.5"])
@@ -224,6 +236,21 @@ class TestSweep:
                      "--out", str(b)]) == EXIT_OK
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unconverged_exit_code(self, tiny, tmp_path, capsys, monkeypatch):
+        # As in TestSolve.test_unconverged_exit_code: no descent steps and no
+        # polish leave every solve uncertified. The CSV is written anyway.
+        monkeypatch.setattr(solver, "_MAX_ITERS", 0)
+        monkeypatch.setattr(solver, "_newton_polish", lambda p, w, tol: w)
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", tiny, "--lambdas", "1,10", "--restarts", "2", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_UNCONVERGED
+        assert captured.err == "graphwell: 2 of 2 lambda solves did not converge\n"
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("lambda,energy,")
+        assert len(lines) == 3
+        assert all(row.endswith(",false") for row in lines[1:])
 
     def test_g22_sweep_matches_golden_answer(self, tmp_path, capsys):
         # tests/data/g22_sweep_seed7.csv is the output of

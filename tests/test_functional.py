@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphwell import (
-    DegeneratePairError,
     DirichletProblem,
     DomainViolationError,
     GraphValidationError,
@@ -265,13 +264,12 @@ class TestNehari:
         w = np.array([[s], [s]])
         assert nehari_scale(p, w) == pytest.approx(1.0, rel=1e-14)
 
-    def test_degenerate_pairs_rejected(self):
+    def test_degenerate_pairs_get_nan(self):
         p = single_vertex_problem()
-        with pytest.raises(DegeneratePairError):
-            nehari_scale(p, np.zeros((2, 1)))
-        with pytest.raises(DegeneratePairError):
-            # v = 0 kills the coupling even though the norm is positive
-            nehari_scale(p, np.array([[1.0], [0.0]]))
+        assert math.isnan(nehari_scale(p, np.zeros((2, 1))))
+        # v = 0 kills the coupling even though the norm is positive
+        t = nehari_scale(p, np.array([[1.0], [0.0]]))
+        assert type(t) is float and math.isnan(t)
 
     def test_projection_idempotent(self):
         rng = np.random.default_rng(25)
@@ -504,7 +502,8 @@ class TestBatch:
             assert type(value) is float
 
     def test_nehari_scale_marks_degenerate_rows(self):
-        # A single pair without a projection raises; a batch row gets nan.
+        # A batch row without a projection gets nan, as a single pair does;
+        # the other rows get the scale they get alone.
         p = random_problem(np.random.default_rng(7))
         n = p.graph.vertex_count
         u = np.random.default_rng(8).uniform(0.5, 1.5, size=(3, n))

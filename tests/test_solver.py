@@ -126,7 +126,7 @@ class TestGroundStates:
         # Armijo test would raise the energy from step 12 on.
         p = make_problem(n=3, edges=[(0, 1, 1.0), (1, 2, 2.0)], mu=[1.0, 0.5, 2.0],
                          a=[0.0, 0.0, 1.2], b=[0.5, 0.0, 0.0], lam=1.5, alpha=1.2, beta=1.3)
-        monkeypatch.setattr(solver, "_newton_polish", lambda p, w, res, rnorm, tol: w)
+        monkeypatch.setattr(solver, "_newton_polish", lambda p, w, tol: w)
         energies = []
         for k in range(41):
             monkeypatch.setattr(solver, "_MAX_ITERS", k)
@@ -134,6 +134,28 @@ class TestGroundStates:
         steps = np.diff(energies)
         assert np.all(steps <= 0.0)
         assert np.count_nonzero(steps < 0.0) >= 20
+
+    def test_line_search_underflow_stops_the_restart(self, monkeypatch, caplog):
+        # With an absurd sufficient-decrease constant every Armijo trial
+        # fails, so the step halves down to _STEP_UNDERFLOW in the first line
+        # search. The restart stops at its first loop head and still reaches
+        # the one polish batch, which certifies it.
+        calls = []
+        polish = solver._newton_polish
+
+        def spy(p, w, grad_tol):
+            calls.append(len(w))
+            return polish(p, w, grad_tol)
+
+        monkeypatch.setattr(solver, "_ARMIJO_C", 1e300)
+        monkeypatch.setattr(solver, "_newton_polish", spy)
+        with caplog.at_level("DEBUG", logger=solver.__name__):
+            out = solve_ground_state(k1_problem(), SolverConfig(restarts=1))
+        assert "line search underflow at iteration 1" in caplog.text
+        assert out.iterations == 1
+        assert calls == [1]
+        assert out.converged
+        assert out.energy == pytest.approx(1.0, rel=1e-12)
 
     def test_slow_descent_tail_hands_over_to_newton(self, monkeypatch):
         # Restart 0 wins, but once it is in the ground state's basin its
@@ -149,9 +171,9 @@ class TestGroundStates:
         calls = []
         polish = solver._newton_polish
 
-        def spy(p, w, res, rnorm, grad_tol):
+        def spy(p, w, grad_tol):
             calls.append(len(w))
-            return polish(p, w, res, rnorm, grad_tol)
+            return polish(p, w, grad_tol)
 
         monkeypatch.setattr(solver, "_newton_polish", spy)
         out = solve_ground_state(LambdaProblem(g, pots, lam, alpha, beta))
@@ -206,13 +228,28 @@ class TestGroundStates:
         low, high = restart_at(0), restart_at(2)
         assert low.converged and high.converged
         assert high.energy > low.energy + 0.1
-        monkeypatch.setattr(solver, "_newton_polish", lambda p, w, res, rnorm, tol: w)
+        monkeypatch.setattr(solver, "_newton_polish", lambda p, w, tol: w)
         descent = restart_at(0)
         monkeypatch.setattr(solver, "_newton_polish",
-                            lambda p, w, res, rnorm, tol: np.array(high.pair)[None])
+                            lambda p, w, tol: np.array(high.pair)[None])
         out = restart_at(0)
         assert out.energy == pytest.approx(descent.energy, rel=1e-12)
         assert out.energy < high.energy
+
+    def test_energy_guard_compares_energy_of_with_energy_of(self):
+        # Exponents near 1 (gamma = 2.21, energies near 5.3e6): the descent's
+        # ray-maximum energy of a point can lie 3e-14 relative below energy_of
+        # of the same point, far beyond the guard's 4 eps slack. Against that
+        # baseline the guard rejected restart 6's polish, which lowers
+        # energy_of and meets the tolerance. Both sides of the guard are
+        # energy_of, so every restart of this solve converges.
+        rng = np.random.default_rng([11, 190])
+        g = random_connected_graph(rng, 3, 30)
+        pots = two_wells(rng, g.vertex_count)
+        alpha, beta = rng.uniform(1.01, 1.1, 2)
+        d = DirichletProblem(g, pots.omega_a, pots.omega_b, alpha, beta)
+        rows = solver._run_descent(d, SolverConfig(), np.array(cold_starts(d, 8)), range(8))
+        assert [r.converged for r in rows] == [True] * 8
 
 
 def cold_starts(p, count, seed=0):
@@ -270,7 +307,7 @@ class TestLockstep:
         cfg = SolverConfig()
         starts = np.array([(x, x) for x in np.eye(3)[[0, 2]]])
         [high] = solver._run_descent(p, cfg, starts[1:], [1])
-        monkeypatch.setattr(solver, "_newton_polish", lambda p, w, res, rnorm, tol:
+        monkeypatch.setattr(solver, "_newton_polish", lambda p, w, tol:
                             np.repeat(np.array(high.pair)[None], len(w), axis=0))
         both = solver._run_descent(p, cfg, starts, [0, 1])
         assert both[0].energy < high.energy - 0.1
@@ -291,9 +328,10 @@ class TestLockstep:
         calls = []
         polish = solver._newton_polish
 
-        def spy(p, w, res, rnorm, grad_tol):
-            calls.append((len(w), np.array(rnorm), np.array(grad_tol)))
-            return polish(p, w, res, rnorm, grad_tol)
+        def spy(p, w, grad_tol):
+            rnorm = solver._residual_norm(p, residual_of(p, w))
+            calls.append((len(w), rnorm, np.array(grad_tol)))
+            return polish(p, w, grad_tol)
 
         monkeypatch.setattr(solver, "_newton_polish", spy)
         out = solve_dirichlet(d, cfg)
@@ -301,7 +339,7 @@ class TestLockstep:
         assert m > 1
         assert np.all(rnorm > tol)
         # Without a polish, exactly these m restarts end above the tolerance.
-        monkeypatch.setattr(solver, "_newton_polish", lambda p, w, res, rnorm, tol: w)
+        monkeypatch.setattr(solver, "_newton_polish", lambda p, w, tol: w)
         bare = solver._run_descent(d, cfg, np.array(cold_starts(d, 8)), range(8))
         assert m == sum(r.residual_norm > cfg.grad_tol for r in bare)
         # The CLI formats these as Python floats.
@@ -567,27 +605,31 @@ class TestDirichlet:
         assert out.energy >= ref * (1 - 1e-12)
         assert out.energy == pytest.approx(ref, rel=1e-4)
 
-    def test_iteration_budget_hands_its_residual_to_the_polish(self, g22, monkeypatch):
+    def test_iteration_budget_hands_its_point_to_the_polish(self, g22, monkeypatch):
         # The budget is tested at the loop head: after _MAX_ITERS descent
-        # steps the restart leaves on its _MAX_ITERS + 1st residual, which
-        # must be the residual of the point the polish starts from.
-        handed = []
-        polish = solver._newton_polish
+        # steps the restart leaves at its _MAX_ITERS + 1st loop head, and the
+        # point it leaves with is the one the polish starts from.
+        finished, polished = [], []
+        finish, polish = solver._finish, solver._newton_polish
 
-        def spy(p, w, res, rnorm, grad_tol):
-            handed.append((p, w, res, rnorm))
-            return polish(p, w, res, rnorm, grad_tol)
+        def finish_spy(p, cfg, w, iters, index):
+            finished.append((w.copy(), iters.copy()))
+            return finish(p, cfg, w, iters, index)
+
+        def polish_spy(p, w, grad_tol):
+            polished.append(w.copy())
+            return polish(p, w, grad_tol)
 
         monkeypatch.setattr(solver, "_MAX_ITERS", 3)
-        monkeypatch.setattr(solver, "_newton_polish", spy)
+        monkeypatch.setattr(solver, "_finish", finish_spy)
+        monkeypatch.setattr(solver, "_newton_polish", polish_spy)
         _graph, _pots, d = g22
         out = solve_dirichlet(d, SolverConfig(restarts=1))
         assert out.iterations == 4
-        [(p, [w], [res], [rnorm])] = handed
-        want = solver.residual_of(p, w)
-        np.testing.assert_array_equal(res[0], want[0])
-        np.testing.assert_array_equal(res[1], want[1])
-        assert rnorm == solver._residual_norm(p, want)
+        [(left, iters)] = finished
+        assert iters.tolist() == [4]
+        [start] = polished
+        np.testing.assert_array_equal(start, left)
 
     def test_result_always_admissible(self):
         g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
