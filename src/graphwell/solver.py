@@ -7,7 +7,9 @@ AFTER re-projection: along the ray the manifold point is the energy maximum,
 so plain descent on J followed by projection could move uphill, while the
 projected energy is the quantity the iteration actually drives down. At a
 manifold point both energies share the same directional derivative, so the
-usual Armijo decrement applies unchanged.
+usual Armijo decrement applies unchanged. On the manifold J = (1/2 - 1/gamma)
+||w||^2, so the test prices the current point and each projected trial by
+their norms alone.
 
 Descent directions are the strong residual scaled by the diagonal of the
 linearized operator, (lam a + 1) + wdeg/mu. Without that scaling the mass
@@ -35,13 +37,14 @@ Nehari projection, so its defect is rounding-level and is checked once, by the
 certificate after the loop. Three more rules end a restart early: the
 iteration budget, tested at the same loop head; a line search that
 underflows; and a stall, tested every _PROGRESS_WINDOW loop heads, where the
-residual exceeds _PROGRESS_RATIO times its value one window earlier, so that
-a descent crawling through a basin stops long before it reaches the switch.
-A restart leaves with the point of its last loop head, whichever rule
-stopped it; descent never resumes. The residual target of the restart, of
-its polish and of its certificate is grad_tol, raised to the rounding floor
-_ROUNDING * ||w||_H for solutions so large (exponents near 1) that grad_tol
-is below rounding.
+residual has shrunk since one window earlier, but by less than the factor
+_PROGRESS_RATIO, so that a descent crawling through a basin stops long before
+it reaches the switch; a residual that grew is crossing a saddle plateau, and
+descent goes on. A restart leaves with the point of its last loop head,
+whichever rule stopped it; descent never resumes. The residual target of the
+restart, of its polish and of its certificate is grad_tol, raised to the
+rounding floor _ROUNDING * ||w||_H for solutions so large (exponents near 1)
+that grad_tol is below rounding.
 
 A restart that left above its target is polished once, in _finish, and keeps
 the re-projected polished point only when its residual is lower and its
@@ -133,12 +136,6 @@ class SolveResult:
     iterations: int
     restart_index: int
     converged: bool
-
-
-def _level_energy(norm_sq: float, coupling: float, gamma: float) -> float:
-    """Energy after exact Nehari projection, from the ray maximum formula."""
-    logval = (gamma * math.log(norm_sq) - 2.0 * math.log(coupling)) / (gamma - 2.0)
-    return (0.5 - 1.0 / gamma) * math.exp(logval)
 
 
 def _tolerance(grad_tol: float, norm_sq: np.ndarray) -> np.ndarray:
@@ -335,14 +332,13 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
     Row i of the (k, 2, n) batch starts is restart indices[i]. Returns one
     result per row, None where the start has no finite Nehari projection.
     The other starts descend as the rows of one batch, whose state is arrays
-    indexed by batch row: the kernels and the stop rules act on all rows at
-    once, and each Armijo round updates the scalars (energy, step) of the rows
-    still searching one by one, with the arithmetic of a single restart. A row
-    that stops, by any rule, writes its point and iteration count once, at
-    that loop head, into arrays indexed by start, and leaves the batch.
-    _finish then polishes every start that left above its tolerance, in one
-    Newton batch, and certifies them all. The starts must vanish off the
-    masks.
+    indexed by batch row: the kernels, the stop rules and each Armijo round
+    act on all rows at once, and a row's arithmetic is that of a batch of
+    one, up to rounding in the batched reductions. A row that stops, by any
+    rule, writes its point and iteration count once, at that loop head, into
+    arrays indexed by start, and leaves the batch. _finish then polishes
+    every start that left above its tolerance, in one Newton batch, and
+    certifies them all. The starts must vanish off the masks.
     """
     t = nehari_scale(p, starts)
     entered = np.flatnonzero(np.isfinite(t))
@@ -357,13 +353,12 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
     index = np.asarray(indices)[entered]
     rows = np.arange(entered.size)      # batch row -> start
 
-    gamma = p.gamma
-    exponent = 1.0 / (gamma - 2.0)
+    exponent = 1.0 / (p.gamma - 2.0)
+    level = 0.5 - 1.0 / p.gamma      # J = level * ||w||^2 on the manifold
     mu = p.graph.mu
     diag = _diag_of(p)
     eps = np.finfo(np.float64).eps
 
-    energy = energy_of(p, w)
     window = np.full(rows.size, math.inf)
     # What each start leaves the batch with.
     w_end = np.empty_like(w)
@@ -377,40 +372,39 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
             cfg.grad_tol, _POLISH_SWITCH * np.maximum(1.0, np.sqrt(norm_sq))))
         if k % _PROGRESS_WINDOW == 0:
             # Linear descent that has stalled in a basin stops, for the polish,
-            # long before the residual reaches the switch above.
-            stop |= rnorm > _PROGRESS_RATIO * window
+            # long before the residual reaches the switch above. A residual
+            # that grew is crossing a plateau, not stalled.
+            stop |= (rnorm > _PROGRESS_RATIO * window) & (rnorm <= window)
             window = rnorm
 
         # Armijo line search on the re-projected energy, in lockstep: each
         # round tries every row at its own step, and the rows that fail halve
-        # their steps and search again. A row that has accepted keeps its
-        # step, so its row of the last round's trial is its accepted trial.
+        # their steps and search again, so every row still searching in round
+        # r has the step 2^-r. A row that has accepted keeps its step, so its
+        # row of the last round's trial and scale are those of its accepted
+        # trial. Both sides of the test price a Nehari point by its norm,
+        # J(s x) = level * s^2 ||x||^2; a nan or inf trial energy fails it.
         direction = res / diag
-        slope = pair_sum(res * direction, mu).tolist()
-        step = np.ones(rows.size)
-        scale = np.empty(rows.size)
-        energy_t = np.empty(rows.size)
-        searching = (~stop).nonzero()[0].tolist()
-        while searching:
-            trial = w - step[:, None, None] * direction
-            norm_t = norm_sq_of(p, trial).tolist()
-            coup_t = coupling_integral(p, trial).tolist()
-            failed = []
-            for i in searching:
-                if coup_t[i] > 0.0 and norm_t[i] > 0.0:
-                    energy_t[i] = _level_energy(norm_t[i], coup_t[i], gamma)
-                    slack = 4.0 * eps * max(1.0, abs(energy[i]))
-                    if energy_t[i] <= energy[i] - _ARMIJO_C * step[i] * slope[i] + slack:
-                        scale[i] = (norm_t[i] / coup_t[i]) ** exponent
-                        continue
-                step[i] *= _BACKTRACK
-                if step[i] <= _STEP_UNDERFLOW:
+        slope = pair_sum(res * direction, mu)
+        baseline = level * norm_sq
+        slack = 4.0 * eps * np.maximum(1.0, baseline)
+        steps = np.ones(rows.size)
+        step = 1.0
+        searching = ~stop
+        while searching.any():
+            trial = w - steps[:, None, None] * direction
+            norm_t = norm_sq_of(p, trial)
+            scale = (norm_t / coupling_integral(p, trial)) ** exponent
+            searching &= ~(level * scale**2 * norm_t
+                           <= baseline - _ARMIJO_C * steps * slope + slack)
+            step *= _BACKTRACK
+            steps[searching] = step
+            if step <= _STEP_UNDERFLOW:
+                for i in np.flatnonzero(searching):
                     logger.debug("restart %d: line search underflow at iteration %d",
                                  index[rows[i]], k + 1)
-                    stop[i] = True
-                else:
-                    failed.append(i)
-            searching = failed
+                stop |= searching
+                break
 
         # Rows that stopped leave with their loop head's point.
         gone = rows[stop]
@@ -419,10 +413,8 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
             if gone.size == rows.size:
                 break
             keep = ~stop
-            rows, window, energy_t, scale, trial = (
-                rows[keep], window[keep], energy_t[keep], scale[keep], trial[keep])
+            rows, window, scale, trial = rows[keep], window[keep], scale[keep], trial[keep]
         w = scale[:, None, None] * trial
-        energy = energy_t
 
     finished = _finish(p, cfg, w_end, iters, index)
     for i, result in zip(entered, finished):

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphwell import (
@@ -138,8 +138,9 @@ class TestGroundStates:
     def test_line_search_underflow_stops_the_restart(self, monkeypatch, caplog):
         # With an absurd sufficient-decrease constant every Armijo trial
         # fails, so the step halves down to _STEP_UNDERFLOW in the first line
-        # search. The restart stops at its first loop head and still reaches
-        # the one polish batch, which certifies it.
+        # search. Every restart stops at its first loop head, with one debug
+        # line each, and all of them reach the one polish batch, which
+        # certifies them.
         calls = []
         polish = solver._newton_polish
 
@@ -150,10 +151,11 @@ class TestGroundStates:
         monkeypatch.setattr(solver, "_ARMIJO_C", 1e300)
         monkeypatch.setattr(solver, "_newton_polish", spy)
         with caplog.at_level("DEBUG", logger=solver.__name__):
-            out = solve_ground_state(k1_problem(), SolverConfig(restarts=1))
-        assert "line search underflow at iteration 1" in caplog.text
+            out = solve_ground_state(k1_problem(), SolverConfig(restarts=3))
+        lines = [r.getMessage() for r in caplog.records if "underflow" in r.getMessage()]
+        assert lines == [f"restart {i}: line search underflow at iteration 1" for i in range(3)]
         assert out.iterations == 1
-        assert calls == [1]
+        assert calls == [3]
         assert out.converged
         assert out.energy == pytest.approx(1.0, rel=1e-12)
 
@@ -186,6 +188,10 @@ class TestGroundStates:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(1.2, 4.0),
            beta=st.floats(1.2, 4.0), log_lam=st.floats(-2.0, 9.0))
+    # All 8 restarts of this draw cross a saddle plateau near iteration 150,
+    # where the residual grows over a progress window; a stall rule that took
+    # growth for a stall stopped them all there, unconverged.
+    @example(seed=63039, alpha=3.59375, beta=2.0625, log_lam=-1.25)
     def test_converges_within_iteration_budget(self, seed, alpha, beta, log_lam):
         rng = np.random.default_rng(seed)
         g = random_connected_graph(rng, 3, 30)
@@ -237,10 +243,11 @@ class TestGroundStates:
         assert out.energy < high.energy
 
     def test_energy_guard_compares_energy_of_with_energy_of(self):
-        # Exponents near 1 (gamma = 2.21, energies near 5.3e6): the descent's
-        # ray-maximum energy of a point can lie 3e-14 relative below energy_of
-        # of the same point, far beyond the guard's 4 eps slack. Against that
-        # baseline the guard rejected restart 6's polish, which lowers
+        # Exponents near 1 (gamma = 2.21, energies near 5.3e6): a manifold
+        # formula for the energy of a point, such as the ray maximum, can lie
+        # 3e-14 relative below energy_of of the same point, far beyond the
+        # guard's 4 eps slack. Against such a baseline the guard rejected
+        # restart 6's polish, which lowers
         # energy_of and meets the tolerance. Both sides of the guard are
         # energy_of, so every restart of this solve converges.
         rng = np.random.default_rng([11, 190])

@@ -68,27 +68,48 @@ def names_read(trees: dict[str, ast.Module]) -> set[str]:
     return read
 
 
+def top_level_defs(trees: dict[str, ast.Module]):
+    """(module, name, line) of every top-level def and class."""
+    return [(name, node.name, node.lineno) for name, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
+def top_level_assignments(trees: dict[str, ast.Module]):
+    """(module, name, line) of every name a top-level assignment binds."""
+    return [(name, target.id, node.lineno) for name, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name)]
+
+
+def unread(names, read: set[str], private: bool) -> str:
+    """The names of one kind, public or private, that are not in read.
+    Dunder names (__version__, __all__) are read by Python and tools."""
+    return ", ".join(sorted(f"{module}.{name} (line {line})" for module, name, line in names
+                            if name.startswith("_") == private and not name.startswith("__")
+                            and name not in read))
+
+
 def test_every_public_function_is_used():
     # No public function that nothing in the package uses: every top-level
     # public def or class must be read or imported somewhere in src/graphwell.
     trees = package_trees()
-    read = names_read(trees)
-    unused = sorted(f"{name}.{node.name} (line {node.lineno})"
-                    for name, tree in trees.items() for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_") and node.name not in read)
-    assert not unused, f"public functions nothing in the package uses: {', '.join(unused)}"
+    unused = unread(top_level_defs(trees), names_read(trees), private=False)
+    assert not unused, f"public functions nothing in the package uses: {unused}"
 
 
 def test_every_public_assignment_is_read():
     # No dead module-level names either: every top-level public assignment
     # must be read or imported somewhere in src/graphwell.
     trees = package_trees()
-    read = names_read(trees)
-    unread = sorted(f"{name}.{target.id} (line {node.lineno})"
-                    for name, tree in trees.items() for node in tree.body
-                    if isinstance(node, (ast.Assign, ast.AnnAssign))
-                    for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
-                    if isinstance(target, ast.Name) and not target.id.startswith("_")
-                    and target.id not in read)
-    assert not unread, f"public names nothing in the package reads: {', '.join(unread)}"
+    unused = unread(top_level_assignments(trees), names_read(trees), private=False)
+    assert not unused, f"public names nothing in the package reads: {unused}"
+
+
+def test_every_private_name_is_read():
+    # A private top-level def, class or assignment is there for the package's
+    # own use; one that nothing in src/graphwell reads is left-over code.
+    trees = package_trees()
+    names = top_level_defs(trees) + top_level_assignments(trees)
+    unused = unread(names, names_read(trees), private=True)
+    assert not unused, f"private names nothing in the package reads: {unused}"
