@@ -44,8 +44,13 @@ def as_pair(g: WeightedGraph, w) -> np.ndarray:
 
 
 def weighted_sum(f: np.ndarray, weight: np.ndarray) -> float | np.ndarray:
-    """sum_x weight(x) f(x) over the last axis; a float for a 1-D f."""
-    s = np.dot(f, weight)
+    """sum_x weight(x) f(x) over the last axis; a float for a 1-D f.
+
+    The package's one vertex sum. np.vecdot sums each row of a batch as the
+    BLAS dot of that row alone, so a row's sum has the same bits whatever
+    else shares its batch; a matrix-vector product would sum the batch in
+    blocks of rows, and a row's bits would depend on its neighbours."""
+    s = np.vecdot(f, weight)
     return s if s.ndim else float(s)
 
 
@@ -84,11 +89,9 @@ def integrate(g: WeightedGraph, f, over: Iterable[int] | None = None) -> float:
     """Integral of f against the vertex measure, over all of V by default."""
     f = as_vertex_function(g, f)
     if over is None:
-        return float(np.dot(g.mu, f))
+        return weighted_sum(f, g.mu)
     idx = sorted(as_domain(g, over))
-    if not idx:
-        return 0.0
-    return float(np.dot(g.mu[idx], f[idx]))
+    return weighted_sum(f[idx], g.mu[idx])
 
 
 def dirichlet_energy_sq(g: WeightedGraph, u: np.ndarray) -> float | np.ndarray:
@@ -101,7 +104,7 @@ def norm_H_sq(g: WeightedGraph, w) -> float:
     """Squared H norm: unit-coefficient mass, same gradient terms."""
     u, v = as_pair(g, w)
     grad = dirichlet_energy_sq(g, u) + dirichlet_energy_sq(g, v)
-    mass = float(np.dot(g.mu, u * u + v * v))
+    mass = weighted_sum(u * u + v * v, g.mu)
     return grad + mass
 
 

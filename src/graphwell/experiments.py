@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .calculus import PairFunction, norm_H_sq
-from .errors import BoundaryMismatchError, DegeneratePairError, UnknownLabelError
+from .errors import BoundaryMismatchError, UnknownLabelError
 from .functional import DirichletProblem, LambdaProblem
 from .graph import PotentialField, WeightedGraph, boundary, validate_graph
 from .problem_io import read_solution
@@ -164,9 +164,7 @@ def lambda_sweep(potentials: PotentialField, d: DirichletProblem,
     validated, before the first solve. Each lambda is seeded with the previous
     solution and with the Dirichlet minimizer (an admissible competitor at
     every lambda, which keeps the energy below the limit level); the seeded
-    runs compete against the usual cold restarts and the best energy wins. A
-    lambda whose solve degenerates is recorded unconverged, and the next one
-    is seeded with the Dirichlet minimizer alone.
+    runs compete against the usual cold restarts and the best energy wins.
     """
     cfg = cfg or SweepConfig()
     g = d.graph
@@ -178,22 +176,14 @@ def lambda_sweep(potentials: PotentialField, d: DirichletProblem,
     ref = dres.pair
 
     records: list[SweepRecord] = []
-    prev: PairFunction | None = None
+    seeds = [ref]
     for problem in problems:
-        lam = problem.lam
-        seeds = [ref] if prev is None else [prev, ref]
-        try:
-            res = solve_ground_state(problem, cfg.solver, warm_starts=seeds)
-        except DegeneratePairError:
-            records.append(SweepRecord(lam, math.nan, math.nan, math.nan,
-                                       math.nan, math.nan, False))
-            prev = None
-            continue
+        res = solve_ground_state(problem, cfg.solver, warm_starts=seeds)
         u, v = res.pair
         sup_u = float(np.max(np.abs(u[outside_a]))) if outside_a.any() else 0.0
         sup_v = float(np.max(np.abs(v[outside_b]))) if outside_b.any() else 0.0
         records.append(SweepRecord(
-            lam=lam,
+            lam=problem.lam,
             energy=res.energy,
             sup_u_outside=sup_u,
             sup_v_outside=sup_v,
@@ -201,7 +191,7 @@ def lambda_sweep(potentials: PotentialField, d: DirichletProblem,
             residual_norm=res.residual_norm,
             converged=res.converged,
         ))
-        prev = res.pair
+        seeds = [res.pair, ref]
     return records
 
 

@@ -29,7 +29,10 @@ starts, then the seeded restarts) descend in lockstep as the rows of one
 (k, 2, n) batch, so each loop head and line-search round pays numpy's
 per-call cost once for all of them. A row leaves the batch when it stops, and
 the rows that stop above their residual target are polished together, as one
-batch of the same arrays, after the loop.
+batch of the same arrays, after the loop. Every vertex sum, in the kernels and
+in MINRES, is np.vecdot, which sums each row as the BLAS dot of that row
+alone; so a row's arithmetic is exactly that of a batch of one, and each
+restart's result has the same bits as its start solved alone.
 
 A restart stops at a loop head once its residual reaches
 max(grad_tol, _POLISH_SWITCH * max(1, ||w||)). Every iterate is an exact
@@ -161,10 +164,11 @@ def _residual_norm(p: Problem, r: np.ndarray) -> np.floating | np.ndarray:
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (k, 2, n) batches, shaped (k, 1, 1). Each
-    row is one BLAS dot, the same sum as np.vdot of that row alone."""
+    """Row-wise dot products of two (k, 2, n) batches, shaped (k, 1, 1): the
+    np.vecdot of the flattened rows, as in calculus.weighted_sum, so each row
+    is the BLAS dot of that row alone, whatever else shares its batch."""
     k = len(a)
-    return np.matmul(a.reshape(k, 1, -1), b.reshape(k, -1, 1))
+    return np.vecdot(a.reshape(k, -1), b.reshape(k, -1))[:, None, None]
 
 
 def _minres(matvec, b: np.ndarray, minv: np.ndarray) -> np.ndarray:
@@ -333,12 +337,13 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
     result per row, None where the start has no finite Nehari projection.
     The other starts descend as the rows of one batch, whose state is arrays
     indexed by batch row: the kernels, the stop rules and each Armijo round
-    act on all rows at once, and a row's arithmetic is that of a batch of
-    one, up to rounding in the batched reductions. A row that stops, by any
-    rule, writes its point and iteration count once, at that loop head, into
-    arrays indexed by start, and leaves the batch. _finish then polishes
-    every start that left above its tolerance, in one Newton batch, and
-    certifies them all. The starts must vanish off the masks.
+    act on all rows at once, and a row's arithmetic is exactly that of a
+    batch of one, so its result has the same bits as its start solved alone,
+    whatever else is in the batch. A row that stops, by any rule, writes its
+    point and iteration count once, at that loop head, into arrays indexed by
+    start, and leaves the batch. _finish then polishes every start that left
+    above its tolerance, in one Newton batch, and certifies them all. The
+    starts must vanish off the masks.
     """
     t = nehari_scale(p, starts)
     entered = np.flatnonzero(np.isfinite(t))

@@ -5,7 +5,6 @@ import pytest
 
 from graphwell import (
     BoundaryMismatchError,
-    DegeneratePairError,
     DirichletProblem,
     GraphValidationError,
     LambdaProblem,
@@ -198,32 +197,6 @@ class TestSweep:
         with pytest.raises(GraphValidationError):
             lambda_sweep(PotentialField([0.0, 0.0], [0.0, 1.0]), d)
         assert solves == []
-
-    def test_degenerate_lambda_is_recorded_and_not_seeded_from(self, monkeypatch):
-        # A lambda whose solve degenerates gives a nan row, flagged
-        # unconverged, and the next lambda is seeded with the Dirichlet
-        # minimizer alone.
-        pots, d = small_family()
-        seeds = {}
-        solve = solve_ground_state
-
-        def flaky(problem, cfg=None, warm_starts=()):
-            seeds[problem.lam] = [np.array(w) for w in warm_starts]
-            if problem.lam == 10.0:
-                raise DegeneratePairError("no Nehari projection")
-            return solve(problem, cfg, warm_starts)
-
-        monkeypatch.setattr("graphwell.experiments.solve_ground_state", flaky)
-        records = lambda_sweep(pots, d, SweepConfig(lambdas=(1.0, 10.0, 100.0)))
-        ref = np.array(solve_dirichlet(d).pair)
-        assert [r.converged for r in records] == [True, False, True]
-        bad = records[1]
-        assert bad.lam == 10.0
-        assert all(math.isnan(x) for x in (bad.energy, bad.sup_u_outside, bad.sup_v_outside,
-                                           bad.h_distance, bad.residual_norm))
-        assert len(seeds[10.0]) == 2
-        [only] = seeds[100.0]
-        np.testing.assert_array_equal(only, ref)
 
     def test_lambda_problems_take_the_dirichlet_exponents(self):
         pots, d = small_family(alpha=3.0, beta=2.5)

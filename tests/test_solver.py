@@ -263,12 +263,25 @@ def cold_starts(p, count, seed=0):
     return [solver._initial_pair(p, np.random.default_rng([seed, i])) for i in range(count)]
 
 
+def assert_same_result(row, alone):
+    """row and alone carry the same bits: index, flag, iterations, energy, pair."""
+    assert row.restart_index == alone.restart_index
+    assert row.converged == alone.converged
+    assert row.iterations == alone.iterations
+    assert row.energy == alone.energy
+    assert np.array_equal(row.pair, alone.pair)
+
+
 class TestLockstep:
-    # _run_descent runs every start of a solve as one batch; a row's result
-    # must not depend on the other rows beyond rounding in the reductions.
+    # _run_descent runs every start of a solve as one batch; every vertex sum
+    # is taken per row, so a row's result has the same bits as its start
+    # solved alone, whatever else is in the batch.
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(1.2, 4.0),
            beta=st.floats(1.2, 4.0), log_lam=st.floats(-2.0, 9.0), dirichlet=st.booleans())
+    # Restarts 3 and 6 of this draw stall unconverged; a batch summed in
+    # blocks of rows moves their energies by 1e-9 relative.
+    @example(seed=150, alpha=1.25, beta=1.21875, log_lam=0.0, dirichlet=False)
     def test_rows_match_batches_of_one(self, seed, alpha, beta, log_lam, dirichlet):
         rng = np.random.default_rng(seed)
         g = random_connected_graph(rng, 3, 30)
@@ -282,9 +295,8 @@ class TestLockstep:
         batch = solver._run_descent(p, cfg, np.array(starts), range(8))
         for i, start in enumerate(starts):
             [alone] = solver._run_descent(p, cfg, np.array([start]), [i])
-            assert batch[i].restart_index == alone.restart_index == i
-            assert batch[i].converged == alone.converged
-            assert batch[i].energy == pytest.approx(alone.energy, rel=1e-12)
+            assert alone.restart_index == i
+            assert_same_result(batch[i], alone)
 
     def test_rows_that_leave_early_do_not_disturb_the_rest(self, g22):
         # A zero warm start has no Nehari projection and leaves before the
@@ -300,9 +312,7 @@ class TestLockstep:
         assert mixed[0] is None
         assert mixed[1].converged and mixed[1].iterations == 1
         for a, m in zip(alone, mixed[2:]):
-            assert m.restart_index == a.restart_index
-            assert m.converged == a.converged
-            assert m.energy == pytest.approx(a.energy, rel=1e-12)
+            assert_same_result(m, a)
 
     def test_a_rejected_polish_leaves_the_other_rows_alone(self, monkeypatch):
         # The path instance of test_newton_never_lands_on_a_higher_critical_point:
@@ -320,10 +330,8 @@ class TestLockstep:
         assert both[0].energy < high.energy - 0.1
         for i, row in enumerate(both):
             [alone] = solver._run_descent(p, cfg, starts[i:i + 1], [i])
-            assert row.restart_index == alone.restart_index == i
-            assert row.converged == alone.converged
-            assert row.iterations == alone.iterations
-            assert row.energy == pytest.approx(alone.energy, rel=1e-12)
+            assert alone.restart_index == i
+            assert_same_result(row, alone)
 
     def test_one_polish_per_solve(self, g22, monkeypatch):
         # The restarts that leave the descent above their tolerance, by any
@@ -417,7 +425,7 @@ class TestCertificate:
             assert [type(x) for x in nd] == [float, float, float, float, bool]
             assert type(row.energy) is float and type(row.residual_norm) is float
             for name in ("norm_sq", "coupling", "energy"):
-                assert getattr(nd, name) == pytest.approx(getattr(ref, name), rel=1e-12)
+                assert getattr(nd, name) == getattr(ref, name)
             assert nd.nontrivial == ref.nontrivial
             assert row.energy == nd.energy
             tol = max(cfg.grad_tol, 64 * eps * math.sqrt(nd.norm_sq))
@@ -462,8 +470,7 @@ class TestMinres:
         p, w, b, minv = system
         x = solver._minres(hessian_operator(p, w), b, minv)
         for i in range(len(b)):
-            alone = minres_alone(p, w, b, minv, i)
-            assert np.linalg.norm(x[i] - alone) <= 1e-10 * np.linalg.norm(alone)
+            np.testing.assert_array_equal(x[i], minres_alone(p, w, b, minv, i))
 
     @settings(max_examples=40, deadline=None)
     @given(system=polish_systems(), zero=st.integers(0, 5))
@@ -475,8 +482,7 @@ class TestMinres:
         assert not x[zero].any()
         for i in range(len(b)):
             if i != zero:
-                alone = minres_alone(p, w, b, minv, i)
-                assert np.linalg.norm(x[i] - alone) <= 1e-10 * np.linalg.norm(alone)
+                np.testing.assert_array_equal(x[i], minres_alone(p, w, b, minv, i))
 
     @settings(max_examples=40, deadline=None)
     @given(system=polish_systems())

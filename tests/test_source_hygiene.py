@@ -113,3 +113,21 @@ def test_every_private_name_is_read():
     names = top_level_defs(trees) + top_level_assignments(trees)
     unused = unread(names, names_read(trees), private=True)
     assert not unused, f"private names nothing in the package reads: {unused}"
+
+
+MATRIX_PRODUCTS = {"dot", "matmul", "inner", "vdot", "einsum", "tensordot"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_one_reduction_primitive(path):
+    # Every vertex sum is np.vecdot (calculus.weighted_sum, solver._dots),
+    # which sums each row of a batch as that row alone. The matrix products
+    # may sum a batch in blocks of rows, so a restart's bits would depend on
+    # the other restarts in its batch.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [f"np.{node.attr} (line {node.lineno})" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in MATRIX_PRODUCTS
+             and isinstance(node.value, ast.Name) and node.value.id == "np"]
+    found += [f"@ (line {node.lineno})" for node in ast.walk(tree)
+              if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)]
+    assert not found, f"{path.name} sums with a matrix product: {', '.join(found)}"
