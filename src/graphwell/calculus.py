@@ -125,6 +125,6 @@ def norm_Lq(g: WeightedGraph, w, q: float) -> float:
     if q == math.inf:
         return float(w.max(axis=1).sum())
     q = float(q)
-    if q < 2.0:
+    if not q >= 2.0:
         raise ValueError(f"q must be >= 2 or inf, got {q}")
     return pair_sum(w ** q, g.mu) ** (1.0 / q)

@@ -15,8 +15,8 @@ masks. Mass, Laplacian, masking and reductions act on both components at once;
 only the coupling terms index a component. The kernels trust their input;
 energy_J_*, grad_J_*, norm_H_*_sq and nehari_diagnostics validate the pair once
 and then call them. Given a batch, the kernels return one value or residual
-per pair; _nehari_rows is nehari_diagnostics for a trusted batch, the form in
-which the solver certifies its results.
+per pair; _nehari_rows is nehari_diagnostics for the norms and couplings of a
+trusted batch, the form in which the solver certifies its results.
 
 The masked-kernel identity: on admissible pairs (u = 0 off Omega_a, v = 0 off
 Omega_b, with the wells the zero sets of a and b) the lam a, lam b terms drop
@@ -169,8 +169,13 @@ def norm_sq_of(p: Problem, w: np.ndarray) -> float | np.ndarray:
     return pair_sum(dw * dw, g.edge_w) + pair_sum(p.coef * w * w, g.mu)
 
 
+def _energy(p: Problem, norm_sq, coupling):
+    """J from the squared norm and the coupling: (1/2) norm_sq - coupling/gamma."""
+    return 0.5 * norm_sq - coupling / p.gamma
+
+
 def energy_of(p: Problem, w: np.ndarray) -> float | np.ndarray:
-    return 0.5 * norm_sq_of(p, w) - coupling_integral(p, w) / p.gamma
+    return _energy(p, norm_sq_of(p, w), coupling_integral(p, w))
 
 
 def residual_of(p: Problem, w: np.ndarray) -> np.ndarray:
@@ -272,14 +277,13 @@ def grad_J_Omega(d: DirichletProblem, w) -> PairFunction:
     return PairFunction(*residual_of(d, check_admissible(d, w)))
 
 
-def _nehari_rows(p: Problem, w: np.ndarray) -> list[NehariDiagnostics]:
-    """The NehariDiagnostics of each pair of the (k, 2, n) batch w, from one
-    norm_sq_of and one coupling_integral call; w is trusted, like a kernel's
-    input."""
-    return [NehariDiagnostics(norm_sq=n, coupling=c, defect=n - c, energy=0.5 * n - c / p.gamma,
+def _nehari_rows(p: Problem, norm_sq: np.ndarray, coupling: np.ndarray) -> list[NehariDiagnostics]:
+    """The NehariDiagnostics of each pair of a batch, from its norm and coupling arrays."""
+    return [NehariDiagnostics(norm_sq=n, coupling=c, defect=n - c, energy=_energy(p, n, c),
                               nontrivial=n > 0.0 and c > 0.0)
-            for n, c in zip(norm_sq_of(p, w).tolist(), coupling_integral(p, w).tolist())]
+            for n, c in zip(norm_sq.tolist(), coupling.tolist())]
 
 
 def nehari_diagnostics(p: Problem, w) -> NehariDiagnostics:
-    return _nehari_rows(p, p.check_pair(w)[None])[0]
+    w = p.check_pair(w)[None]
+    return _nehari_rows(p, norm_sq_of(p, w), coupling_integral(p, w))[0]

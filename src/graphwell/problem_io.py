@@ -3,8 +3,8 @@
 The problem format is line oriented and diff friendly: four sections headed
 by [vertices], [edges], [params], [domains], whitespace-separated fields,
 '#' starts a comment. Domains are optional; when absent the wells are the
-zero sets of the potentials. The solution and sweep CSVs write every float
-with 17 significant digits, so reading them back reproduces it bit exactly.
+zero sets of the potentials. The CSVs write labels by csv quoting rules and
+floats to 17 digits, so reading one back gives every label and float exactly.
 """
 
 from __future__ import annotations
@@ -200,9 +200,9 @@ def _sink(sink):
 def write_solution(graph: WeightedGraph, result: SolveResult, sink) -> None:
     """CSV rows vertex,u,v in declaration order, 17 significant digits."""
     with _sink(sink) as fh:
-        fh.write("vertex,u,v\n")
-        for x in range(graph.vertex_count):
-            fh.write(f"{graph.labels[x]},{_fmt(result.pair.u[x])},{_fmt(result.pair.v[x])}\n")
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(("vertex", "u", "v"))
+        out.writerows((lab, _fmt(u), _fmt(v)) for lab, u, v in zip(graph.labels, *result.pair))
 
 
 def write_sweep(records: Iterable, sink) -> None:

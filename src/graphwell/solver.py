@@ -24,15 +24,15 @@ restart therefore hands over to a damped Newton polish of the optimality
 system; Newton moves along such valleys at a fixed linear rate instead of
 stalling.
 
-Pairs are the package's (2, n) arrays, and all starts of one solve (warm
-starts, then the seeded restarts) descend in lockstep as the rows of one
-(k, 2, n) batch, so each loop head and line-search round pays numpy's
-per-call cost once for all of them. A row leaves the batch when it stops, and
-the rows that stop above their residual target are polished together, as one
-batch of the same arrays, after the loop. Every vertex sum, in the kernels and
-in MINRES, is np.vecdot, which sums each row as the BLAS dot of that row
-alone; so a row's arithmetic is exactly that of a batch of one, and each
-restart's result has the same bits as its start solved alone.
+Pairs are the package's (2, n) arrays. The starts of one solve (warm starts,
+then the seeded restarts) with a Nehari projection descend in lockstep as the
+rows of one (k, 2, n) batch, so each loop head and line-search round pays
+numpy's per-call cost once for all of them. A row leaves the batch when it
+stops, and the rows that stop above their residual target are polished
+together, as one batch of the same arrays, after the loop. Every vertex sum,
+in the kernels and in MINRES, is np.vecdot, which sums each row as the BLAS
+dot of that row alone; so a row's arithmetic is exactly that of a batch of
+one, and each restart's result has the same bits as its start solved alone.
 
 A restart stops at a loop head once its residual reaches
 max(grad_tol, _POLISH_SWITCH * max(1, ||w||)). Every iterate is an exact
@@ -50,12 +50,13 @@ rounding floor _ROUNDING * ||w||_H for solutions so large (exponents near 1)
 that grad_tol is below rounding.
 
 A restart that left above its target is polished once, in _finish, and keeps
-the re-projected polished point only when its residual is lower and its
-energy is not higher, up to rounding: Newton converges to the nearest critical
-point, which may lie above the level that descent has reached, and the
-restart must not trade its level for a smaller residual. One residual norm
-serves throughout: the mu-weighted ||r|| of the certificate decides the
-descent stop, the stall test, the polish's damping and the keep-if-lower test.
+the re-projected polished point only when its residual is lower and its energy
+is not higher, up to rounding: Newton converges to the nearest critical point,
+which may lie above the level that descent has reached. The stopped rows and
+the candidates are evaluated once each, and the guard and the certificate read
+those norms and couplings. One residual norm, the mu-weighted ||r|| of the
+certificate, decides the descent stop, the stall test, the polish's damping
+and the keep-if-lower test.
 
 The polish is matrix-free. Its Jacobian is the analytic Hessian: each Newton
 step forms its diagonal and coupling terms once, by
@@ -82,9 +83,9 @@ from .functional import (
     LambdaProblem,
     NehariDiagnostics,
     Problem,
+    _energy,
     _nehari_rows,
     coupling_integral,
-    energy_of,
     hessian_operator,
     nehari_scale,
     norm_sq_of,
@@ -293,17 +294,15 @@ def _finish(p: Problem, cfg: SolverConfig, w: np.ndarray, iters: np.ndarray,
     batch, then certify every restart.
 
     Row i of the batch w is restart index[i] as it left the descent after
-    iters[i] loop heads. Each polished row is re-projected and kept only if
-    its residual is finite and below the row's and its energy does not exceed
-    the row's (up to rounding): a Newton step converges to whichever critical
-    point is nearest, which may lie above the level that descent has already
-    reached. The residual norms, norms, energies and certificates of all rows
-    come from one batched call each, without validating the rows again: they
-    are the solver's own iterates.
+    iters[i] loop heads. A polished row is re-projected and kept only if its
+    residual is finite and lower and its energy is not higher (see the module
+    docstring). The rows, then the candidates, are evaluated once each,
+    without validation, and the guard and the certificate are computed from
+    those values.
     """
     rnorm = _residual_norm(p, residual_of(p, w))
-    energy = energy_of(p, w)
-    tol = _tolerance(cfg.grad_tol, norm_sq_of(p, w))
+    norm_sq, coupling = norm_sq_of(p, w), coupling_integral(p, w)
+    tol = _tolerance(cfg.grad_tol, norm_sq)
     need = np.flatnonzero(rnorm > tol)
     if need.size:
         polished = _newton_polish(p, w[need], tol[need])
@@ -312,47 +311,50 @@ def _finish(p: Problem, cfg: SolverConfig, w: np.ndarray, iters: np.ndarray,
         # scale nan, so it fails the test below.
         cand = nehari_scale(p, polished)[:, None, None] * polished
         cnorm = _residual_norm(p, residual_of(p, cand))
-        cenergy = energy_of(p, cand)
-        slack = 4.0 * np.finfo(np.float64).eps * np.maximum(1.0, np.abs(energy[need]))
-        keep = np.isfinite(cnorm) & (cnorm < rnorm[need]) & (cenergy <= energy[need] + slack)
-        w[need[keep]], rnorm[need[keep]] = cand[keep], cnorm[keep]
+        cnorm_sq, ccoupling = norm_sq_of(p, cand), coupling_integral(p, cand)
+        energy = _energy(p, norm_sq[need], coupling[need])
+        slack = 4.0 * np.finfo(np.float64).eps * np.maximum(1.0, np.abs(energy))
+        keep = (np.isfinite(cnorm) & (cnorm < rnorm[need])
+                & (_energy(p, cnorm_sq, ccoupling) <= energy + slack))
+        for old, new in ((w, cand), (rnorm, cnorm), (norm_sq, cnorm_sq), (coupling, ccoupling)):
+            old[need[keep]] = new[keep]
+    converged = ((rnorm <= _tolerance(cfg.grad_tol, norm_sq))
+                 & (np.abs(norm_sq - coupling) <= math.sqrt(cfg.grad_tol) * norm_sq)
+                 & (norm_sq > 0.0) & (coupling > 0.0))
     out = []
-    for wi, r, nd, it, i in zip(w, rnorm.tolist(), _nehari_rows(p, w), iters.tolist(),
-                                index.tolist()):
-        converged = bool(r <= _tolerance(cfg.grad_tol, nd.norm_sq)
-                         and abs(nd.defect) <= math.sqrt(cfg.grad_tol) * nd.norm_sq
-                         and nd.nontrivial)
+    for wi, r, nd, ok, it, i in zip(w, rnorm.tolist(), _nehari_rows(p, norm_sq, coupling),
+                                    converged.tolist(), iters.tolist(), index.tolist()):
         logger.debug("restart %d: energy %.12g rnorm %.3e iters %d converged %s",
-                     i, nd.energy, r, it, converged)
+                     i, nd.energy, r, it, ok)
         out.append(SolveResult(pair=PairFunction(*wi), energy=nd.energy, residual_norm=r,
-                               nehari=nd, iterations=it, restart_index=i, converged=converged))
+                               nehari=nd, iterations=it, restart_index=i, converged=ok))
     return out
 
 
 def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
-                 indices: Sequence[int]) -> list[SolveResult | None]:
+                 indices: Sequence[int]) -> list[SolveResult]:
     """Descend from every start of one solve in lockstep.
 
-    Row i of the (k, 2, n) batch starts is restart indices[i]. Returns one
-    result per row, None where the start has no finite Nehari projection.
-    The other starts descend as the rows of one batch, whose state is arrays
-    indexed by batch row: the kernels, the stop rules and each Armijo round
-    act on all rows at once, and a row's arithmetic is exactly that of a
-    batch of one, so its result has the same bits as its start solved alone,
-    whatever else is in the batch. A row that stops, by any rule, writes its
+    Row i of the (k, 2, n) batch starts is restart indices[i]; the starts
+    must vanish off the masks. Only starts with a finite Nehari projection
+    enter, and the result has one entry for each, in start order. If none
+    enters, EnergyOverflowError is raised when a projection overflowed, else
+    DegeneratePairError. The starts that entered descend as the rows of one
+    batch, whose state is arrays indexed by batch row: the kernels, the stop
+    rules and each Armijo round act on all rows at once, and a row's
+    arithmetic is exactly that of a batch of one, so its result has the same
+    bits as its start solved alone. A row that stops, by any rule, writes its
     point and iteration count once, at that loop head, into arrays indexed by
-    start, and leaves the batch. _finish then polishes every start that left
-    above its tolerance, in one Newton batch, and certifies them all. The
-    starts must vanish off the masks.
+    start, and leaves. _finish then polishes and certifies them all.
     """
     t = nehari_scale(p, starts)
     entered = np.flatnonzero(np.isfinite(t))
-    out: list[SolveResult | None] = [None] * len(t)
     if not entered.size:
         if np.isinf(t).any():
             raise EnergyOverflowError(
                 f"the Nehari projection of every start overflowed (alpha {p.alpha}, beta {p.beta})")
-        return out
+        raise DegeneratePairError(
+            "coupling degenerated to zero in every restart; no Nehari projection exists")
     # From here on a start is one of those that entered, numbered in order.
     w = t[entered, None, None] * starts[entered]
     index = np.asarray(indices)[entered]
@@ -421,10 +423,7 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
             rows, window, scale, trial = rows[keep], window[keep], scale[keep], trial[keep]
         w = scale[:, None, None] * trial
 
-    finished = _finish(p, cfg, w_end, iters, index)
-    for i, result in zip(entered, finished):
-        out[i] = result
-    return out
+    return _finish(p, cfg, w_end, iters, index)
 
 
 def _solve(p: Problem, cfg: SolverConfig, warm_starts: Sequence[PairFunction]) -> SolveResult:
@@ -434,11 +433,7 @@ def _solve(p: Problem, cfg: SolverConfig, warm_starts: Sequence[PairFunction]) -
     # the line search screens out the nonpositive norms and couplings.
     with np.errstate(all="ignore"):
         results = _run_descent(p, cfg, np.array(starts), range(-len(warm_starts), cfg.restarts))
-    candidates = [c for c in results if c is not None]
-    if not candidates:
-        raise DegeneratePairError(
-            "coupling degenerated to zero in every restart; no Nehari projection exists")
-    candidates = [c for c in candidates if math.isfinite(c.energy)]
+    candidates = [c for c in results if math.isfinite(c.energy)]
     if not candidates:
         raise EnergyOverflowError(
             f"the energy overflowed in every restart (alpha {p.alpha}, beta {p.beta})")

@@ -243,8 +243,9 @@ class TestLqNorms:
     def test_small_q_rejected(self):
         g = two_vertex()
         w = (np.ones(2), np.ones(2))
-        with pytest.raises(ValueError):
-            norm_Lq(g, w, 1.5)
+        for q in (1.5, math.nan):
+            with pytest.raises(ValueError):
+                norm_Lq(g, w, q)
 
     def test_zero_pair(self):
         g = two_vertex()

@@ -157,6 +157,16 @@ class TestSolutionRoundTrip:
         assert back["p"] == (0.1, 1e-300)
         assert back["q"] == (1.0 / 3.0, -2.5e-17)
 
+    def test_labels_with_commas_and_quotes_survive(self):
+        # A label is any token without whitespace, so a comma or a quote in
+        # one must not split its row or be stripped on the way back.
+        pf = parse_problem('[vertices]\np,1 1 0 0\n"q" 2 0.5 0\n[edges]\np,1 "q" 1.5\n'
+                           '[params]\nalpha 2\nbeta 2\n')
+        buf = io.StringIO()
+        write_solution(pf.graph, fake_result([1.25, 0.0], [-3.5, 2.0]), buf)
+        buf.seek(0)
+        assert read_solution(buf) == {"p,1": (1.25, -3.5), '"q"': (0.0, 2.0)}
+
     def test_stringio_and_path_agree(self, tmp_path):
         pf = parse_problem(MINIMAL)
         res = fake_result([1.25, 0.0], [-3.5, 2.0])

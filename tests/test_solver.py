@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphwell import (
+    DegeneratePairError,
     DirichletProblem,
     LambdaProblem,
     PairFunction,
@@ -248,8 +249,9 @@ class TestGroundStates:
         # 3e-14 relative below energy_of of the same point, far beyond the
         # guard's 4 eps slack. Against such a baseline the guard rejected
         # restart 6's polish, which lowers
-        # energy_of and meets the tolerance. Both sides of the guard are
-        # energy_of, so every restart of this solve converges.
+        # energy_of and meets the tolerance. Both sides of the guard take
+        # energy_of's arithmetic on the kernels' norms and couplings, so every
+        # restart of this solve converges.
         rng = np.random.default_rng([11, 190])
         g = random_connected_graph(rng, 3, 30)
         pots = two_wells(rng, g.vertex_count)
@@ -299,8 +301,9 @@ class TestLockstep:
             assert_same_result(batch[i], alone)
 
     def test_rows_that_leave_early_do_not_disturb_the_rest(self, g22):
-        # A zero warm start has no Nehari projection and leaves before the
-        # first loop head; a converged warm start leaves at the first head.
+        # A zero warm start has no Nehari projection and never enters the
+        # batch, so it has no result; a converged warm start leaves at the
+        # first loop head.
         graph, pots, _d = g22
         p = LambdaProblem(graph, pots, 100.0, 2.0, 2.0)
         cfg = SolverConfig()
@@ -309,9 +312,9 @@ class TestLockstep:
         cold = cold_starts(p, 8)
         alone = solver._run_descent(p, cfg, np.array(cold), range(8))
         mixed = solver._run_descent(p, cfg, np.array([zero, ground, *cold]), range(-2, 8))
-        assert mixed[0] is None
-        assert mixed[1].converged and mixed[1].iterations == 1
-        for a, m in zip(alone, mixed[2:]):
+        assert [m.restart_index for m in mixed] == list(range(-1, 8))
+        assert mixed[0].converged and mixed[0].iterations == 1
+        for a, m in zip(alone, mixed[1:]):
             assert_same_result(m, a)
 
     def test_a_rejected_polish_leaves_the_other_rows_alone(self, monkeypatch):
@@ -412,6 +415,51 @@ class TestCertificate:
         out = solve(p, warm_starts=warm)
         assert out.converged
         assert calls == {"graphwell.solver.as_pair": 2}
+
+    def test_finish_evaluates_each_set_of_points_once(self, g22, monkeypatch):
+        # The rows that left the descent and the re-projected polish
+        # candidates are each evaluated once; nehari_scale makes the third
+        # call of each kernel. The energies, the guard and the certificate
+        # are computed from those values.
+        _graph, _pots, d = g22
+        calls, during, polished = Counter(), [], []
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module in (solver, functional):
+            count(module, "norm_sq_of")
+            count(module, "coupling_integral")
+        finish, polish = solver._finish, solver._newton_polish
+
+        def finish_spy(*args):
+            before = calls.copy()
+            out = finish(*args)
+            during.append(calls - before)
+            return out
+
+        def polish_spy(p, w, grad_tol):
+            polished.append(len(w))
+            return polish(p, w, grad_tol)
+
+        monkeypatch.setattr(solver, "_finish", finish_spy)
+        monkeypatch.setattr(solver, "_newton_polish", polish_spy)
+        assert solve_dirichlet(d).converged
+        [m] = polished
+        assert m > 1
+        assert during == [{"norm_sq_of": 3, "coupling_integral": 3}]
+
+    def test_starts_without_a_projection_raise_at_entry(self, g22):
+        _graph, _pots, d = g22
+        zero = np.zeros((2, 2, d.graph.vertex_count))
+        with pytest.raises(DegeneratePairError, match="no Nehari projection exists"):
+            solver._run_descent(d, SolverConfig(), zero, [0, 1])
 
     @pytest.mark.parametrize("flavour", ["dirichlet", "lambda"])
     def test_batched_certificate_matches_nehari_diagnostics(self, g22, flavour):
