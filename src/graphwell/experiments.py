@@ -12,6 +12,7 @@ are compared diagnostically rather than gated on; see compare_reference.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping, Sequence
@@ -113,9 +114,18 @@ def build_g22(edges: Sequence[tuple[str, str]] = G22_EDGES,
 
 
 def decade_grid(start_exp: float = 0.0, stop_exp: float = 7.0, per_decade: int = 1) -> tuple[float, ...]:
-    """Logarithmic lambda grid, per_decade points in each factor-of-ten span."""
-    count = int(round((stop_exp - start_exp) * per_decade)) + 1
-    return tuple(float(10.0 ** e) for e in np.linspace(start_exp, stop_exp, count))
+    """Logarithmic lambda grid, per_decade points in each factor-of-ten span.
+
+    per_decade must be a positive integer, and the span from 10^start_exp to
+    10^stop_exp a nonnegative whole number of its steps (to rounding).
+    """
+    if not (isinstance(per_decade, numbers.Integral) and per_decade >= 1):
+        raise ValueError(f"per_decade must be a positive integer, got {per_decade!r}")
+    steps = (stop_exp - start_exp) * per_decade
+    if not (0 <= steps < math.inf and abs(steps - round(steps)) <= 1e-9 * max(1.0, steps)):
+        raise ValueError(f"exponents {start_exp} to {stop_exp} are not a nonnegative whole "
+                         f"number of steps of 1/{per_decade} decade")
+    return tuple(float(10.0 ** e) for e in np.linspace(start_exp, stop_exp, round(steps) + 1))
 
 
 @dataclass(frozen=True)

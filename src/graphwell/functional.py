@@ -198,7 +198,7 @@ def _abs_power(u: np.ndarray, q: float) -> np.ndarray:
     return np.power(a, q, out=np.zeros_like(a), where=a > 0.0)
 
 
-def hessian_operator(p: Problem, w: np.ndarray) -> Callable[..., np.ndarray]:
+def hessian_operator(p: Problem, w: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The Hessian H at w, the Jacobian of mu*residual_of, as a function d -> H d.
 
     mu*r is the Euclidean gradient of J in the vertex values, so H is the
@@ -209,10 +209,8 @@ def hessian_operator(p: Problem, w: np.ndarray) -> Callable[..., np.ndarray]:
     one edge scatter (edge_laplacian, mu times laplacian_all) and a few
     elementwise operations, O(|E| + n). Rows off the masks are zero, like the
     residual's. Where alpha or beta < 2 the diagonal term is singular at a
-    zero of u or v; it is taken as 0 there.
-
-    For a batch w of k pairs, the function takes d of the same shape, or the
-    (j, 2, n) directions of the pairs w[rows] for an index array rows.
+    zero of u or v; it is taken as 0 there. For a batch w of k pairs, the
+    function takes directions d of the same shape.
     """
     u, v = w[..., 0, :], w[..., 1, :]
     g = p.graph
@@ -222,8 +220,8 @@ def hessian_operator(p: Problem, w: np.ndarray) -> Callable[..., np.ndarray]:
     diag = g.mu * (p.coef - second)
     cross = (g.mu * (a * b / gam) * signed_power(u, a - 1.0) * signed_power(v, b - 1.0))[..., None, :]
 
-    def apply(d: np.ndarray, rows=slice(None)) -> np.ndarray:
-        h = diag[rows] * d - edge_laplacian(g, d) - cross[rows] * d[..., ::-1, :]
+    def apply(d: np.ndarray) -> np.ndarray:
+        h = diag * d - edge_laplacian(g, d) - cross * d[..., ::-1, :]
         return np.where(p.mask, h, 0.0)
 
     return apply

@@ -205,16 +205,20 @@ def validate_graph(g: WeightedGraph) -> None:
 
 
 def _bfs_reach(g: WeightedGraph, source: int) -> np.ndarray:
-    reached = np.zeros(g.vertex_count, dtype=bool)
+    """Mask of the vertices reachable from source. It walks the adjacency
+    arrays as Python lists, not through neighbors(): every vertex it pops is
+    in range by construction, so none needs validating."""
+    reached = [False] * g.vertex_count
     reached[source] = True
     queue = deque([source])
+    nbr, indptr = g._nbr.tolist(), g._indptr.tolist()
     while queue:
         x = queue.popleft()
-        for y in g.neighbors(x)[0]:
+        for y in nbr[indptr[x]:indptr[x + 1]]:
             if not reached[y]:
                 reached[y] = True
-                queue.append(int(y))
-    return reached
+                queue.append(y)
+    return np.array(reached)
 
 
 def as_domain(g: WeightedGraph, members: Iterable[int]) -> frozenset:

