@@ -1,10 +1,13 @@
 """Regenerate the committed regression values for the 22-vertex experiment.
 
-Independent oracle for the Dirichlet ground state: the optimality system is
-assembled here directly from the committed edge list (no package calculus or
-solver code), solved by dense multi-start Newton via scipy from hundreds of
-seeded starts, and the lowest-energy critical point is frozen as package
-data. Rerunning must reproduce data/g22_dirichlet_reference.csv bit for bit.
+Independent oracle for the Dirichlet ground state. The script reads the
+packaged instance data/g22.graph through the package's parser (build_g22)
+and takes only its edges, wells and labels from it; the optimality system is
+assembled here directly (no package calculus or solver code), solved by dense
+multi-start Newton via scipy from hundreds of seeded starts, and the
+lowest-energy critical point is frozen as package data. Rerunning must
+reproduce data/g22_dirichlet_reference.csv: bit for bit on the BLAS that
+wrote it, to 1e-12 relative on others, which may round the last bits apart.
 
 Usage: python3 scripts/generate_g22_reference.py [--write]
 """
@@ -15,15 +18,17 @@ import pathlib
 import numpy as np
 from scipy.optimize import root
 
-from graphwell.experiments import G22_EDGES, G22_LABELS, G22_WELL_A, G22_WELL_B
+from graphwell import build_g22
 
-IDS = {lab: i for i, lab in enumerate(G22_LABELS)}
-EDGES = [(IDS[a], IDS[b]) for a, b in G22_EDGES]
-OA = sorted(IDS[s] for s in G22_WELL_A)          # u unknowns live here
-OB = sorted(IDS[s] for s in G22_WELL_B)          # v unknowns live here
+GRAPH, _, DIRICHLET = build_g22()
+LABELS = GRAPH.labels
+N = GRAPH.vertex_count
+EDGES = [(int(a), int(b)) for a, b in zip(GRAPH.edge_i, GRAPH.edge_j)]
+OA = np.flatnonzero(DIRICHLET.mask_a).tolist()   # u unknowns live here
+OB = np.flatnonzero(DIRICHLET.mask_b).tolist()   # v unknowns live here
 CORE = sorted(set(OA) & set(OB))
-DEG = np.zeros(22)
-NBRS = [[] for _ in range(22)]
+DEG = np.zeros(N)
+NBRS = [[] for _ in range(N)]
 for a, b in EDGES:
     DEG[a] += 1
     DEG[b] += 1
@@ -35,8 +40,8 @@ GAMMA = ALPHA + BETA
 
 
 def unpack(z):
-    u = np.zeros(22)
-    v = np.zeros(22)
+    u = np.zeros(N)
+    v = np.zeros(N)
     u[OA] = z[: len(OA)]
     v[OB] = z[len(OA):]
     return u, v
@@ -134,9 +139,9 @@ def main():
 
     z = newton_polish(found[0][1])
     u, v = unpack(z)
-    if u[IDS["x1"]] < 0:
+    if u[LABELS.index("x1")] < 0:
         u = -u
-    if v[IDS["x1"]] < 0:
+    if v[LABELS.index("x1")] < 0:
         v = -v
     norm_sq, coupling = norm_and_coupling(np.concatenate([u[OA], v[OB]]))
     print(f"ground level {energy(np.concatenate([u[OA], v[OB]])):.12f}  "
@@ -144,8 +149,8 @@ def main():
           f"residual {np.max(np.abs(residual(np.concatenate([u[OA], v[OB]])))):.2e}")
 
     lines = ["vertex,u,v"]
-    for x in range(22):
-        lines.append(f"{G22_LABELS[x]},{u[x]:.17g},{v[x]:.17g}")
+    for x in range(N):
+        lines.append(f"{LABELS[x]},{u[x]:.17g},{v[x]:.17g}")
     text = "\n".join(lines) + "\n"
     out = pathlib.Path(__file__).resolve().parents[1] / "src/graphwell/data/g22_dirichlet_reference.csv"
     if args.write:

@@ -27,7 +27,6 @@ from .errors import (
     UnknownLabelError,
 )
 from .experiments import (
-    G22_EDGES,
     G22_MIRROR,
     TABLE1_REFERENCE,
     ComparisonReport,

@@ -102,10 +102,13 @@ def dirichlet_energy_sq(g: WeightedGraph, u: np.ndarray) -> float | np.ndarray:
 
 def norm_H_sq(g: WeightedGraph, w) -> float:
     """Squared H norm: unit-coefficient mass, same gradient terms."""
-    u, v = as_pair(g, w)
-    grad = dirichlet_energy_sq(g, u) + dirichlet_energy_sq(g, v)
-    mass = weighted_sum(u * u + v * v, g.mu)
-    return grad + mass
+    return float(norm_H_sq_of(g, as_pair(g, w)))
+
+
+def norm_H_sq_of(g: WeightedGraph, w: np.ndarray) -> float | np.ndarray:
+    """norm_H_sq of each pair of an array (..., 2, n), unvalidated: the
+    gradient sum of u plus that of v, plus the mass sum of u^2 + v^2."""
+    return dirichlet_energy_sq(g, w).sum(axis=-1) + pair_sum(w * w, g.mu)
 
 
 def check_admissible(d: DirichletProblem, w) -> np.ndarray:

@@ -1,12 +1,14 @@
 """The 22-vertex concentration experiment: graph, sweep, reference comparison.
 
-The committed edge list below realizes every structural constraint the
-experiment states: unit weights and measure, the two wells and their exact
-vertex boundaries, connectivity, and a relabeling symmetry sigma that swaps
-the wells while permuting the graph, which forces the mirror structure
-u(x) = v(sigma(x)) of the ground state. The published drawing of the graph
-is not recoverable from those constraints alone, so published point values
-are compared diagnostically rather than gated on; see compare_reference.
+The instance is the packaged problem file data/g22.graph, read by the same
+parser and validation as every user file. Its edge list realizes every
+structural constraint the experiment states: unit weights and measure, the
+two wells and their exact vertex boundaries, connectivity, and a relabeling
+symmetry sigma that swaps the wells while permuting the graph, which forces
+the mirror structure u(x) = v(sigma(x)) of the ground state. The published
+drawing of the graph is not recoverable from those constraints alone, so
+published point values are compared diagnostically rather than gated on; see
+compare_reference.
 """
 
 from __future__ import annotations
@@ -15,42 +17,18 @@ import math
 import numbers
 from dataclasses import dataclass
 from importlib import resources
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .calculus import PairFunction, norm_H_sq
+from .calculus import PairFunction, as_pair, norm_H_sq_of
 from .errors import BoundaryMismatchError, UnknownLabelError
 from .functional import DirichletProblem, LambdaProblem
-from .graph import PotentialField, WeightedGraph, boundary, validate_graph
-from .problem_io import read_solution
+from .graph import PotentialField, WeightedGraph, boundary
+from .problem_io import ProblemFile, parse_problem, read_solution
 from .solver import SolveResult, SolverConfig, solve_dirichlet, solve_ground_state
 
-G22_LABELS = tuple(f"x{i}" for i in range(1, 23))
-
-G22_EDGES = (
-    ("x1", "x2"), ("x1", "x3"), ("x1", "x4"), ("x1", "x5"), ("x1", "x6"), ("x1", "x13"),
-    ("x2", "x3"), ("x2", "x4"), ("x2", "x5"), ("x2", "x6"), ("x2", "x7"), ("x2", "x8"),
-    ("x2", "x9"), ("x2", "x17"),
-    ("x3", "x4"), ("x3", "x5"), ("x3", "x6"), ("x3", "x7"), ("x3", "x8"), ("x3", "x9"),
-    ("x3", "x18"),
-    ("x4", "x5"), ("x4", "x6"), ("x4", "x7"), ("x4", "x9"), ("x4", "x10"), ("x4", "x12"),
-    ("x4", "x13"), ("x4", "x22"),
-    ("x5", "x6"), ("x5", "x10"), ("x5", "x11"), ("x5", "x12"), ("x5", "x17"),
-    ("x6", "x10"), ("x6", "x11"), ("x6", "x12"), ("x6", "x18"),
-    ("x7", "x8"), ("x7", "x14"),
-    ("x8", "x9"), ("x8", "x13"),
-    ("x9", "x16"),
-    ("x10", "x11"), ("x10", "x19"),
-    ("x11", "x12"), ("x11", "x13"),
-    ("x12", "x21"),
-    ("x13", "x20"),
-    ("x14", "x15"),
-    ("x15", "x16"), ("x15", "x19"), ("x15", "x21"),
-    ("x17", "x20"), ("x18", "x20"),
-    ("x20", "x22"),
-)
-
+# The paper's listings: both wells and their vertex boundaries.
 G22_WELL_A = frozenset(f"x{i}" for i in range(1, 10))
 G22_WELL_B = frozenset(f"x{i}" for i in (1, 2, 3, 4, 5, 6, 10, 11, 12))
 G22_BOUNDARY_A = frozenset(f"x{i}" for i in (10, 11, 12, 13, 14, 16, 17, 18, 22))
@@ -76,41 +54,29 @@ TABLE1_REFERENCE: dict[tuple[str, str], float] = {
 }
 
 
-def build_g22(edges: Sequence[tuple[str, str]] = G22_EDGES,
-              ) -> tuple[WeightedGraph, PotentialField, DirichletProblem]:
-    """Assemble the experiment instance, with alpha = beta = 2, and validate
-    its boundary listings.
-
-    The supplied edge list must reproduce the required vertex boundaries of
-    both wells exactly; any disagreement raises BoundaryMismatchError naming
-    an offending vertex.
-    """
-    ids = {lab: i for i, lab in enumerate(G22_LABELS)}
-    triples = []
-    for la, lb in edges:
-        if la not in ids or lb not in ids:
-            raise UnknownLabelError(f"edge ({la}, {lb}) uses a label outside x1..x22")
-        triples.append((ids[la], ids[lb], 1.0))
-    g = WeightedGraph(22, triples, measure=np.ones(22), labels=G22_LABELS)
-    validate_graph(g)
-
-    a = np.ones(22)
-    b = np.ones(22)
-    a[[ids[s] for s in G22_WELL_A]] = 0.0
-    b[[ids[s] for s in G22_WELL_B]] = 0.0
-    pots = PotentialField(a, b)
-
-    for omega, required, name in ((pots.omega_a, G22_BOUNDARY_A, "a"),
-                                  (pots.omega_b, G22_BOUNDARY_B, "b")):
-        got = {g.label_of(x) for x in boundary(g, omega)}
+def _g22_instance(pf: ProblemFile) -> tuple[WeightedGraph, PotentialField, DirichletProblem]:
+    """The experiment instance of a parsed G22 file, once both wells and their
+    vertex boundaries match the listings above; the first disagreement
+    raises BoundaryMismatchError naming an offending vertex."""
+    g = pf.graph
+    for what, ids, required in (
+            ("the a-well", pf.omega_a, G22_WELL_A),
+            ("boundary of the a-well", boundary(g, pf.omega_a), G22_BOUNDARY_A),
+            ("the b-well", pf.omega_b, G22_WELL_B),
+            ("boundary of the b-well", boundary(g, pf.omega_b), G22_BOUNDARY_B)):
+        got = {g.label_of(x) for x in ids}
         if got != required:
-            off = sorted(got ^ required, key=lambda s: int(s[1:]))[0]
+            off = min(got ^ required, key=lambda s: (len(s), s))
             raise BoundaryMismatchError(
-                f"boundary of the {name}-well disagrees with the required listing at {off}",
-                vertex=off)
+                f"{what} disagrees with the required listing at {off}", vertex=off)
+    return g, pf.potentials, DirichletProblem(g, pf.omega_a, pf.omega_b, pf.alpha, pf.beta)
 
-    problem = DirichletProblem(g, pots.omega_a, pots.omega_b, 2.0, 2.0)
-    return g, pots, problem
+
+def build_g22() -> tuple[WeightedGraph, PotentialField, DirichletProblem]:
+    """The experiment instance, alpha = beta = 2, read from the packaged
+    data/g22.graph and checked against the paper's well and boundary listings."""
+    text = resources.files("graphwell").joinpath("data/g22.graph").read_text(encoding="utf-8")
+    return _g22_instance(parse_problem(text))
 
 
 def decade_grid(start_exp: float = 0.0, stop_exp: float = 7.0, per_decade: int = 1) -> tuple[float, ...]:
@@ -134,6 +100,8 @@ class SweepConfig:
     solver: SolverConfig = SolverConfig()
 
     def __post_init__(self):
+        if isinstance(self.lambdas, (str, bytes)):
+            raise ValueError(f"lambdas must be a sequence of numbers, got {self.lambdas!r}")
         lams = tuple(float(x) for x in self.lambdas)
         if not lams:
             raise ValueError("lambdas must be nonempty")
@@ -155,14 +123,16 @@ class SweepRecord:
     converged: bool
 
 
+# Global signs of (u, v) in the four flips, shaped (4, 2, 1) to scale a pair.
+_SIGN_FLIPS = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])[:, :, None]
+
+
 def aligned_h_distance(g: WeightedGraph, w: PairFunction, ref: PairFunction) -> float:
-    """H-distance minimized over per-component global sign flips."""
-    best = math.inf
-    for su in (1.0, -1.0):
-        for sv in (1.0, -1.0):
-            diff = (su * w.u - ref.u, sv * w.v - ref.v)
-            best = min(best, norm_H_sq(g, diff))
-    return math.sqrt(best)
+    """H-distance minimized over per-component global sign flips.
+
+    Both pairs are validated once; the four flips are measured as one batch."""
+    diff = _SIGN_FLIPS * as_pair(g, w) - as_pair(g, ref)
+    return math.sqrt(float(norm_H_sq_of(g, diff).min()))
 
 
 def lambda_sweep(potentials: PotentialField, d: DirichletProblem,
@@ -249,7 +219,7 @@ def compare_reference(g: WeightedGraph, result: SolveResult,
 
 
 def g22_reference_values() -> dict[tuple[str, str], float]:
-    """Committed regression values for the Dirichlet ground state on G22_EDGES.
+    """Committed regression values for the Dirichlet ground state of build_g22.
 
     Produced once by an independent dense multi-start Newton solve of the
     optimality system (scripts/generate_g22_reference.py) and frozen as

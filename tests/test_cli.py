@@ -282,6 +282,27 @@ class TestCheckAndValidate:
         assert out.count("PASS") == 3
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("side", [40, 50])
+    def test_check_passes_on_a_large_grid_with_exponents_near_1(self, side, tmp_path, capsys):
+        # Unit side x side grid, alpha = beta = 1.1. The finite-difference
+        # check drew values near 0, where |u|^1.1 is not smooth, and both
+        # checks measured errors against sums that random signs had cancelled
+        # (integration by parts at side 40, seed 4).
+        width = int(0.6 * side)
+        rows = ["[vertices]"]
+        rows += [f"v{r}_{c} 1 {int(c >= width)} {int(c < side - width)}"
+                 for r in range(side) for c in range(side)]
+        rows.append("[edges]")
+        rows += [f"v{r}_{c} v{r}_{c + 1} 1" for r in range(side) for c in range(side - 1)]
+        rows += [f"v{r}_{c} v{r + 1}_{c} 1" for r in range(side - 1) for c in range(side)]
+        rows += ["[params]", "alpha 1.1", "beta 1.1"]
+        path = tmp_path / "grid.graph"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        for seed in range(5):
+            assert main(["check", str(path), "--seed", str(seed)]) == EXIT_OK
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 3 and all(line.startswith("PASS ") for line in lines), (seed, lines)
+
     def test_validate_summary(self, tmp_path, capsys):
         target = tmp_path / "g22.graph"
         data = resources.files("graphwell").joinpath("data/g22.graph").read_text()

@@ -1,4 +1,5 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -16,26 +17,28 @@ from graphwell import (
     WeightedGraph,
     aligned_h_distance,
     boundary,
-    build_g22,
     compare_reference,
     decade_grid,
     g22_reference_values,
     lambda_sweep,
     grad_J_Omega,
     nehari_diagnostics,
+    norm_H_sq,
+    parse_problem,
     solve_dirichlet,
     solve_ground_state,
 )
 from graphwell.experiments import (
     G22_BOUNDARY_A,
     G22_BOUNDARY_B,
-    G22_EDGES,
-    G22_LABELS,
     G22_MIRROR,
     G22_WELL_A,
     G22_WELL_B,
     TABLE1_REFERENCE,
+    _g22_instance,
 )
+
+G22_TEXT = resources.files("graphwell").joinpath("data/g22.graph").read_text(encoding="utf-8")
 
 
 def small_family(alpha=2.0, beta=2.0):
@@ -50,7 +53,7 @@ class TestBuild:
         g, pots, d = g22
         assert g.vertex_count == 22
         assert g.edge_count == 56
-        assert g.labels == G22_LABELS
+        assert g.labels == tuple(f"x{i}" for i in range(1, 23))
         assert np.all(g.mu == 1.0)
         assert {g.label_of(x) for x in pots.omega_a} == G22_WELL_A
         assert {g.label_of(x) for x in pots.omega_b} == G22_WELL_B
@@ -58,30 +61,27 @@ class TestBuild:
         assert {g.label_of(x) for x in boundary(g, d.omega_a)} == G22_BOUNDARY_A
         assert {g.label_of(x) for x in boundary(g, d.omega_b)} == G22_BOUNDARY_B
 
-    def test_mirror_is_automorphism(self):
-        canon = {tuple(sorted(e)) for e in G22_EDGES}
-        mirrored = {tuple(sorted((G22_MIRROR[a], G22_MIRROR[b]))) for a, b in G22_EDGES}
-        assert mirrored == canon
+    def test_mirror_is_automorphism(self, g22):
+        g, _pots, _d = g22
+        edges = [(g.label_of(int(i)), g.label_of(int(j))) for i, j in zip(g.edge_i, g.edge_j)]
+        canon = {frozenset(e) for e in edges}
+        assert {frozenset((G22_MIRROR[a], G22_MIRROR[b])) for a, b in edges} == canon
         assert {G22_MIRROR[s] for s in G22_WELL_A} == G22_WELL_B
         assert {G22_MIRROR[s] for s in G22_BOUNDARY_A} == G22_BOUNDARY_B
         # involution
-        assert all(G22_MIRROR[G22_MIRROR[s]] == s for s in G22_LABELS)
+        assert all(G22_MIRROR[G22_MIRROR[s]] == s for s in g.labels)
 
-    def test_missing_contact_edge_detected(self):
-        edges = tuple(e for e in G22_EDGES if e != ("x7", "x14"))
+    @pytest.mark.parametrize("old,new,vertex", [
+        ("x7  x14  1\n", "", "x14"),                      # missing contact edge
+        ("[edges]\n", "[edges]\nx1  x15  1\n", "x15"),  # extra contact edge
+        ("x7  1  0  1\n", "x7  1  1  1\n", "x7"),         # x7 left out of the a-well
+    ])
+    def test_edited_instance_detected(self, old, new, vertex):
+        assert G22_TEXT.count(old) == 1
+        pf = parse_problem(G22_TEXT.replace(old, new))
         with pytest.raises(BoundaryMismatchError) as err:
-            build_g22(edges)
-        assert err.value.vertex == "x14"
-
-    def test_extra_contact_edge_detected(self):
-        edges = G22_EDGES + (("x1", "x15"),)
-        with pytest.raises(BoundaryMismatchError) as err:
-            build_g22(edges)
-        assert err.value.vertex == "x15"
-
-    def test_unknown_label_rejected(self):
-        with pytest.raises(UnknownLabelError):
-            build_g22(G22_EDGES + (("x1", "x99"),))
+            _g22_instance(pf)
+        assert err.value.vertex == vertex
 
 
 class TestDirichletGroundState:
@@ -156,8 +156,9 @@ class TestGrids:
             decade_grid(*args)
 
     @pytest.mark.parametrize("lams", [(), (0.0, 1.0), (-1.0, 2.0), (1.0, 1.0), (2.0, 1.0),
-                                      (1.0, math.nan), (1.0, math.inf)])
+                                      (1.0, math.nan), (1.0, math.inf), "15", b"15"])
     def test_sweep_config_rejects_bad_grids(self, lams):
+        # A string iterates as its characters: "15" was read as (1.0, 5.0).
         with pytest.raises(ValueError):
             SweepConfig(lambdas=lams)
 
@@ -180,6 +181,25 @@ class TestAlignment:
         # best alignment flips u, leaving the constant difference (-1, -1):
         # no gradient, mass 2
         assert aligned_h_distance(g, w1, w2) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+    def test_same_bits_as_the_four_flips_alone(self, g22):
+        g, _pots, _d = g22
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            w = PairFunction(*rng.normal(size=(2, 22)))
+            ref = PairFunction(*rng.normal(size=(2, 22)))
+            flips = [norm_H_sq(g, (su * w.u - ref.u, sv * w.v - ref.v))
+                     for su in (1.0, -1.0) for sv in (1.0, -1.0)]
+            assert aligned_h_distance(g, w, ref) == math.sqrt(min(flips))
+
+    @pytest.mark.parametrize("bad", [np.array([1.0, math.nan]), np.zeros(3)])
+    def test_pairs_validated(self, bad):
+        g = WeightedGraph(2, [(0, 1, 1.0)])
+        good = PairFunction(np.ones(2), np.ones(2))
+        with pytest.raises(ValueError):
+            aligned_h_distance(g, PairFunction(bad, np.ones(2)), good)
+        with pytest.raises(ValueError):
+            aligned_h_distance(g, good, PairFunction(np.ones(2), bad))
 
 
 class TestSweep:
