@@ -10,12 +10,12 @@ edge-sum form.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .errors import DomainViolationError
-from .graph import WeightedGraph, as_domain
+from .graph import WeightedGraph
 
 if TYPE_CHECKING:  # circular at runtime only
     from .functional import DirichletProblem
@@ -85,13 +85,9 @@ def gradient_form_all(g: WeightedGraph, u: np.ndarray, v: np.ndarray) -> np.ndar
     return acc / (2.0 * g.mu)
 
 
-def integrate(g: WeightedGraph, f, over: Iterable[int] | None = None) -> float:
-    """Integral of f against the vertex measure, over all of V by default."""
-    f = as_vertex_function(g, f)
-    if over is None:
-        return weighted_sum(f, g.mu)
-    idx = sorted(as_domain(g, over))
-    return weighted_sum(f[idx], g.mu[idx])
+def integrate(g: WeightedGraph, f) -> float:
+    """Integral of f over V against the vertex measure."""
+    return weighted_sum(as_vertex_function(g, f), g.mu)
 
 
 def dirichlet_energy_sq(g: WeightedGraph, u: np.ndarray) -> float | np.ndarray:

@@ -127,7 +127,8 @@ def _cmd_dirichlet(args) -> int:
     alpha = args.alpha if args.alpha is not None else pf.alpha
     beta = args.beta if args.beta is not None else pf.beta
     try:
-        problem = DirichletProblem(pf.graph, pf.omega_a, pf.omega_b, alpha, beta)
+        problem = DirichletProblem(pf.graph, pf.potentials.omega_a, pf.potentials.omega_b,
+                                   alpha, beta)
         cfg = _solver_config(args)
     except ValueError as exc:
         return _usage_error(exc)
@@ -148,12 +149,14 @@ def _cmd_sweep(args) -> int:
         lambdas = decade_grid()
     alpha = args.alpha if args.alpha is not None else pf.alpha
     beta = args.beta if args.beta is not None else pf.beta
+    pots = pf.potentials
     try:
-        dirichlet = DirichletProblem(pf.graph, pf.omega_a, pf.omega_b, alpha, beta)
+        dirichlet = DirichletProblem(pf.graph, pots.omega_a, pots.omega_b, alpha, beta)
         cfg = SweepConfig(lambdas=lambdas, solver=_solver_config(args))
+        # The sweep builds, and so checks, every lambda-problem before any solve.
+        records = lambda_sweep(pots, dirichlet, cfg)
     except ValueError as exc:
         return _usage_error(exc)
-    records = lambda_sweep(pf.potentials, dirichlet, cfg)
     write_sweep(records, args.out if args.out else sys.stdout)
     bad = sum(1 for r in records if not r.converged)
     if bad:
@@ -172,6 +175,13 @@ def _cmd_check(args) -> int:
         rng = np.random.default_rng([args.seed, 101])
     except ValueError as exc:
         return _usage_error(f"--seed: {exc}")
+    lam = pf.lambdas[0] if pf.lambdas else 1.0
+    try:
+        problem = LambdaProblem(g, pf.potentials, lam, pf.alpha, pf.beta)
+        embedding_problems = [LambdaProblem(g, pf.potentials, t, pf.alpha, pf.beta)
+                              for t in (1e-2, 1.0, 1e2, 1e4)]
+    except ValueError as exc:
+        return _usage_error(exc)
     n = g.vertex_count
     failures = 0
 
@@ -188,8 +198,6 @@ def _cmd_check(args) -> int:
         worst = max(worst, abs(lhs - rhs) / max(scale, 1e-30))
     failures += _report("integration by parts", worst < 1e-12, f"max rel err {worst:.2e}")
 
-    lam = pf.lambdas[0] if pf.lambdas else 1.0
-    problem = LambdaProblem(g, pf.potentials, lam, pf.alpha, pf.beta)
     worst = 0.0
     h = 1e-5
     # Values away from 0, where |u|^alpha is not smooth for alpha < 2.
@@ -208,8 +216,7 @@ def _cmd_check(args) -> int:
 
     bound = 2.0 / np.sqrt(g.mu_min)
     violations = 0
-    for lam_test in (1e-2, 1.0, 1e2, 1e4):
-        plam = LambdaProblem(g, pf.potentials, lam_test, pf.alpha, pf.beta)
+    for plam in embedding_problems:
         for _ in range(50):
             w = rng.standard_normal((2, n))
             lhs = calculus.norm_Lq(g, w, np.inf)
@@ -229,11 +236,11 @@ def _report(name: str, ok: bool, detail: str) -> int:
 
 def _cmd_validate(args) -> int:
     pf = parse_problem_file(args.problem)
-    g = pf.graph
+    g, pots = pf.graph, pf.potentials
     print(f"valid: {g.vertex_count} vertices, {g.edge_count} edges, "
           f"mu_min {g.mu_min:g}, connected")
-    print(f"wells: |omega_a| {len(pf.omega_a)}, |omega_b| {len(pf.omega_b)}, "
-          f"overlap {len(pf.omega_a & pf.omega_b)}")
+    print(f"wells: |omega_a| {len(pots.omega_a)}, |omega_b| {len(pots.omega_b)}, "
+          f"overlap {len(pots.overlap)}")
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from .calculus import PairFunction, as_pair, norm_H_sq_of
-from .errors import BoundaryMismatchError, UnknownLabelError
+from .errors import BoundaryMismatchError, GraphValidationError, UnknownLabelError
 from .functional import DirichletProblem, LambdaProblem
 from .graph import PotentialField, WeightedGraph, boundary
 from .problem_io import ProblemFile, parse_problem, read_solution
@@ -58,18 +58,18 @@ def _g22_instance(pf: ProblemFile) -> tuple[WeightedGraph, PotentialField, Diric
     """The experiment instance of a parsed G22 file, once both wells and their
     vertex boundaries match the listings above; the first disagreement
     raises BoundaryMismatchError naming an offending vertex."""
-    g = pf.graph
+    g, pots = pf.graph, pf.potentials
     for what, ids, required in (
-            ("the a-well", pf.omega_a, G22_WELL_A),
-            ("boundary of the a-well", boundary(g, pf.omega_a), G22_BOUNDARY_A),
-            ("the b-well", pf.omega_b, G22_WELL_B),
-            ("boundary of the b-well", boundary(g, pf.omega_b), G22_BOUNDARY_B)):
+            ("the a-well", pots.omega_a, G22_WELL_A),
+            ("boundary of the a-well", boundary(g, pots.omega_a), G22_BOUNDARY_A),
+            ("the b-well", pots.omega_b, G22_WELL_B),
+            ("boundary of the b-well", boundary(g, pots.omega_b), G22_BOUNDARY_B)):
         got = {g.label_of(x) for x in ids}
         if got != required:
             off = min(got ^ required, key=lambda s: (len(s), s))
             raise BoundaryMismatchError(
                 f"{what} disagrees with the required listing at {off}", vertex=off)
-    return g, pf.potentials, DirichletProblem(g, pf.omega_a, pf.omega_b, pf.alpha, pf.beta)
+    return g, pots, DirichletProblem(g, pots.omega_a, pots.omega_b, pf.alpha, pf.beta)
 
 
 def build_g22() -> tuple[WeightedGraph, PotentialField, DirichletProblem]:
@@ -139,16 +139,21 @@ def lambda_sweep(potentials: PotentialField, d: DirichletProblem,
                  cfg: SweepConfig | None = None) -> list[SweepRecord]:
     """Solve the Dirichlet limit once, then every lambda, recording metrics.
 
-    Every lambda-problem takes d's graph and exponents with the given
-    potentials, so d is always its limit. All of them are built, and so
-    validated, before the first solve. Each lambda is seeded with the previous
-    solution and with the Dirichlet minimizer (an admissible competitor at
-    every lambda, which keeps the energy below the limit level); the seeded
-    runs compete against the usual cold restarts and the best energy wins.
+    d's wells must be the zero sets of the potentials, else
+    GraphValidationError: the sup-norms are taken off those zero sets, and the
+    lambda-problems converge to the Dirichlet problem on them. Every
+    lambda-problem takes d's graph and exponents with the given potentials, so
+    d is always its limit. All of them are built, and so validated, before the
+    first solve. Each lambda is seeded with the previous solution and with the
+    Dirichlet minimizer (an admissible competitor at every lambda, which keeps
+    the energy below the limit level); the seeded runs compete against the
+    usual cold restarts and the best energy wins.
     """
     cfg = cfg or SweepConfig()
     g = d.graph
     problems = [LambdaProblem(g, potentials, lam, d.alpha, d.beta) for lam in cfg.lambdas]
+    if (d.omega_a, d.omega_b) != (potentials.omega_a, potentials.omega_b):
+        raise GraphValidationError("the Dirichlet wells are not the zero sets of the potentials")
     outside_a = np.asarray(potentials.a > 0)
     outside_b = np.asarray(potentials.b > 0)
 

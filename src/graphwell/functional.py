@@ -94,8 +94,11 @@ class LambdaProblem(_Kernel):
             raise ValueError(f"lambda must be positive and finite, got {self.lam}")
         _check_exponents(self.alpha, self.beta)
         _store_floats(self, "lam", "alpha", "beta")
-        _freeze(self, coef=self.lam * np.array((pots.a, pots.b)) + 1.0,
-                mask=np.ones((2, self.graph.vertex_count), dtype=bool))
+        with np.errstate(over="ignore"):
+            coef = self.lam * np.array((pots.a, pots.b)) + 1.0
+        if not np.isfinite(coef).all():
+            raise ValueError(f"lambda {self.lam:g} overflows the mass coefficient lambda a + 1")
+        _freeze(self, coef=coef, mask=np.ones((2, self.graph.vertex_count), dtype=bool))
 
     @property
     def overlap(self) -> frozenset:

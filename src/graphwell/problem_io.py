@@ -1,10 +1,11 @@
 """Problem file parsing and CSV serialization.
 
-The problem format is line oriented and diff friendly: four sections headed
-by [vertices], [edges], [params], [domains], whitespace-separated fields,
-'#' starts a comment. Domains are optional; when absent the wells are the
-zero sets of the potentials. The CSVs write labels by csv quoting rules and
-floats to 17 digits, so reading one back gives every label and float exactly.
+The problem format is line oriented and diff friendly: three sections headed
+by [vertices], [edges], [params], whitespace-separated fields, '#' starts a
+comment. The wells are not declared: they are the zero sets of the potentials
+a and b, read from the PotentialField. The CSVs write labels by csv quoting
+rules and floats to 17 digits, so reading one back gives every label and float
+exactly.
 """
 
 from __future__ import annotations
@@ -17,24 +18,22 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ParseError
-from .functional import DirichletProblem
 from .graph import PotentialField, WeightedGraph, validate_graph
 from .solver import SolveResult
 
-_SECTIONS = ("vertices", "edges", "params", "domains")
+_SECTIONS = ("vertices", "edges", "params")
 
 
 @dataclass(frozen=True)
 class ProblemFile:
-    """Everything a problem file declares, fully validated."""
+    """Everything a problem file declares, fully validated. The wells are
+    potentials.omega_a and potentials.omega_b, the zero sets of a and b."""
 
     graph: WeightedGraph
     potentials: PotentialField
     alpha: float
     beta: float
     lambdas: tuple[float, ...]
-    omega_a: frozenset
-    omega_b: frozenset
 
 
 def _float(tok: str, line: int, what: str) -> float:
@@ -153,31 +152,10 @@ def parse_problem(text: str) -> ProblemFile:
             raise ParseError("lambda values must be strictly increasing", lineno)
         lambdas = tuple(lams)
 
-    domains: dict[str, frozenset] = {}
-    for lineno, toks in sections.get("domains", []):
-        key = toks[0]
-        if key not in ("omega_a", "omega_b"):
-            raise ParseError(f"unknown domain {key!r}", lineno)
-        if key in domains:
-            raise ParseError(f"duplicate domain {key!r}", lineno)
-        if len(toks) < 2:
-            raise ParseError(f"{key} needs at least one vertex", lineno)
-        members = set()
-        for lab in toks[1:]:
-            if lab not in ids:
-                raise ParseError(f"undeclared vertex {lab!r} in domain", lineno)
-            members.add(ids[lab])
-        domains[key] = frozenset(members)
-
     graph = WeightedGraph(len(labels), triples, measure=mu, labels=labels)
     validate_graph(graph)
-    potentials = PotentialField(avals, bvals)
-    omega_a = domains.get("omega_a", potentials.omega_a)
-    omega_b = domains.get("omega_b", potentials.omega_b)
-    # Validates the declared wells: nonempty and overlapping.
-    DirichletProblem(graph, omega_a, omega_b, alpha, beta)
-    return ProblemFile(graph=graph, potentials=potentials, alpha=alpha, beta=beta,
-                       lambdas=lambdas, omega_a=omega_a, omega_b=omega_b)
+    return ProblemFile(graph=graph, potentials=PotentialField(avals, bvals), alpha=alpha,
+                       beta=beta, lambdas=lambdas)
 
 
 def parse_problem_file(path: str | os.PathLike) -> ProblemFile:

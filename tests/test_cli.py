@@ -126,12 +126,13 @@ class TestErrorPaths:
         assert "validation error" in captured.err
 
     def test_disjoint_declared_wells_fail_validation(self, tmp_path, capsys):
+        # a vanishes only at p and b only at q: the wells are disjoint
         bad = tmp_path / "disjoint.graph"
-        bad.write_text(TINY + "[domains]\nomega_a p\nomega_b q\n", encoding="utf-8")
+        bad.write_text(TINY.replace("p 1 0 0", "p 1 0 1"), encoding="utf-8")
         rc = main(["validate", str(bad)])
         captured = capsys.readouterr()
         assert rc == EXIT_VALIDATION
-        assert "the wells do not overlap" in captured.err
+        assert "do not overlap" in captured.err
 
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["solve", str(tmp_path / "nope.graph")])
@@ -161,6 +162,25 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err.startswith("graphwell: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, flags", [
+        ("solve", ["--lambda", "1e308"]),
+        ("sweep", ["--lambdas", "1,1e308"]),
+        ("check", []),
+    ])
+    def test_overflowing_mass_coefficient_is_usage_error(self, tmp_path, capsys, command, flags):
+        # lambda a + 1 is inf at q; no solve may start from it, and numpy may
+        # not warn on the way (warnings are errors here).
+        path = tmp_path / "steep.graph"
+        path.write_text("[vertices]\np 1 0 0\nq 1 2 0\nr 1 0 0\n[edges]\np q 1\nq r 1\n"
+                        "[params]\nalpha 2\nbeta 2\nlambda 1e308\n", encoding="utf-8")
+        rc = main([command, str(path), *flags])
+        captured = capsys.readouterr()
+        assert rc == EXIT_PARSE
+        assert captured.out == ""
+        assert captured.err == ("graphwell: lambda 1e+308 overflows the mass coefficient "
+                                "lambda a + 1\n")
 
     @pytest.mark.parametrize("exponent", ["1.003", "1.0015"])
     def test_overflow_is_one_stderr_line(self, exponent):

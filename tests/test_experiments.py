@@ -229,6 +229,19 @@ class TestSweep:
             lambda_sweep(PotentialField([0.0, 0.0], [0.0, 1.0]), d)
         assert solves == []
 
+    @pytest.mark.parametrize("omega_a, omega_b", [({1}, {1, 2}), ({0, 1}, {1}), ({0, 1, 2}, {1, 2})])
+    def test_rejects_wells_other_than_the_zero_sets(self, monkeypatch, omega_a, omega_b):
+        # The sup-norms are taken off the zero sets, and the lambda-problems
+        # converge to the Dirichlet problem on them, not on d's wells.
+        pots, d = small_family()
+        other = DirichletProblem(d.graph, omega_a, omega_b, alpha=2.0, beta=2.0)
+        solves = []
+        monkeypatch.setattr("graphwell.experiments.solve_dirichlet",
+                            lambda *args: solves.append(args))
+        with pytest.raises(GraphValidationError, match="not the zero sets"):
+            lambda_sweep(pots, other, SweepConfig(lambdas=(1.0,)))
+        assert solves == []
+
     def test_lambda_problems_take_the_dirichlet_exponents(self):
         pots, d = small_family(alpha=3.0, beta=2.5)
         records = lambda_sweep(pots, d, SweepConfig(lambdas=(1.0,)))

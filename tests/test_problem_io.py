@@ -1,5 +1,7 @@
 import io
+import re
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,20 +55,16 @@ class TestParse:
         assert np.array_equal(pf.potentials.b, [0.0, 0.0])
         assert pf.alpha == 2.0 and pf.beta == 2.0
         assert pf.lambdas == (1.0, 10.0)
-        # wells inferred from the zero sets
-        assert pf.omega_a == frozenset({0})
-        assert pf.omega_b == frozenset({0, 1})
+        # the wells are the zero sets of the potentials
+        assert pf.potentials.omega_a == frozenset({0})
+        assert pf.potentials.omega_b == frozenset({0, 1})
 
-    def test_domains_override_inference(self):
-        text = MINIMAL + "[domains]\nomega_a p q\nomega_b p\n"
-        pf = parse_problem(text)
-        assert pf.omega_a == frozenset({0, 1})
-        assert pf.omega_b == frozenset({0})
-
-    def test_declared_wells_must_overlap(self):
-        text = MINIMAL + "[domains]\nomega_a p\nomega_b q\n"
-        with pytest.raises(GraphValidationError, match="the wells do not overlap"):
-            parse_problem(text)
+    def test_wells_cannot_be_declared(self):
+        # A declared well would have to restate a zero set, or the lambda
+        # problems would not converge to the Dirichlet problem on it.
+        with pytest.raises(ParseError, match=r"unknown section \[domains\]") as err:
+            parse_problem(MINIMAL + "[domains]\nomega_a p q\nomega_b p\n")
+        assert err.value.line == MINIMAL.count("\n") + 1
 
     def test_comments_and_blank_lines_ignored(self):
         noisy = MINIMAL.replace("[edges]", "\n   # noise\n[edges]  # trailing")
@@ -98,10 +96,6 @@ class TestParse:
         ("[vertices]\np 1 0 0\n[params]\nalpha 2\nbeta 2\nlambda 0\n", 6, "positive"),
         ("[vertices]\np 1 0 0\n[params]\nalpha 2\nbeta 2\nlambda 1 inf\n", 6, "infinite"),
         ("[vertices]\np 1 0 0\n[params]\nalpha 2\nbeta 2\nlambda 2 1\n", 6, "increasing"),
-        ("[vertices]\np 1 0 0\n[params]\nalpha 2\nbeta 2\n[domains]\nwells p\n", 7, "unknown domain"),
-        ("[vertices]\np 1 0 0\n[params]\nalpha 2\nbeta 2\n[domains]\nomega_a p\nomega_a p\n", 8, "duplicate domain"),
-        ("[vertices]\np 1 0 0\n[params]\nalpha 2\nbeta 2\n[domains]\nomega_a\n", 7, "at least one vertex"),
-        ("[vertices]\np 1 0 0\n[params]\nalpha 2\nbeta 2\n[domains]\nomega_a r\n", 7, "undeclared vertex"),
         ("", 1, "missing or empty"),
     ])
     def test_errors_name_their_line(self, text, lineno, fragment):
@@ -136,10 +130,21 @@ class TestPackagedInstance:
         g = pf.graph
         assert g.vertex_count == 22
         assert g.edge_count == 56
-        assert {g.label_of(x) for x in pf.omega_a} == G22_WELL_A
-        assert {g.label_of(x) for x in pf.omega_b} == G22_WELL_B
+        assert {g.label_of(x) for x in pf.potentials.omega_a} == G22_WELL_A
+        assert {g.label_of(x) for x in pf.potentials.omega_b} == G22_WELL_B
         assert pf.lambdas == decade_grid()
         assert pf.alpha == 2.0 and pf.beta == 2.0
+
+
+class TestReadme:
+    def test_problem_file_example_parses_to_the_stated_wells(self):
+        text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = text[text.index("## Problem files"):]
+        example = re.search(r"```\n(.*?)```", section, re.S).group(1)
+        stated = re.search(r"Here Omega_a = \{(.*?)\} and\s+Omega_b = \{(.*?)\}", section)
+        pf = parse_problem(example)
+        for well, listed in zip((pf.potentials.omega_a, pf.potentials.omega_b), stated.groups()):
+            assert {pf.graph.label_of(x) for x in well} == set(listed.split(", "))
 
 
 class TestSolutionRoundTrip:
