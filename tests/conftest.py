@@ -1,4 +1,6 @@
+import importlib.util
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,16 @@ from graphwell import (
     lambda_sweep,
     solve_dirichlet,
 )
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def load_workloads():
+    """perfbench/workloads.py, loaded by path: its instance builders."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_connected_graph(rng, n_min=3, n_max=30):

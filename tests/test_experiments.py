@@ -37,6 +37,7 @@ from graphwell.experiments import (
     TABLE1_REFERENCE,
     _g22_instance,
 )
+from tests.conftest import load_workloads
 
 G22_TEXT = resources.files("graphwell").joinpath("data/g22.graph").read_text(encoding="utf-8")
 
@@ -248,6 +249,21 @@ class TestSweep:
         want = solve_ground_state(LambdaProblem(d.graph, pots, 1.0, 3.0, 2.5),
                                   warm_starts=[solve_dirichlet(d).pair])
         assert records[0].energy == want.energy
+
+    def test_previous_solution_seed_keeps_a_lower_state_off_g22(self):
+        # On G22 the previous-solution seed never lowers an energy. Here
+        # (n = 28, alpha 1.785, beta 1.315) the sweep's lambda = 1 row, seeded
+        # through the chain from lambda = 1e-2, lies a factor of 20 below the
+        # solve seeded with the Dirichlet minimizer alone.
+        p = load_workloads().random_instance(np.random.default_rng([7, 10]))
+        pots = p.potentials
+        d = DirichletProblem(p.graph, pots.omega_a, pots.omega_b, p.alpha, p.beta)
+        row = lambda_sweep(pots, d, SweepConfig(lambdas=(1e-2, 0.1, 1.0)))[-1]
+        alone = solve_ground_state(LambdaProblem(p.graph, pots, 1.0, p.alpha, p.beta),
+                                   warm_starts=[solve_dirichlet(d).pair])
+        assert row.converged and alone.converged
+        assert row.energy == pytest.approx(2.58140222667, rel=1e-9)
+        assert alone.energy == pytest.approx(53.5362179685, rel=1e-9)
 
 
 class TestComparison:

@@ -21,8 +21,9 @@ from graphwell import (
     solve_ground_state,
     solver,
 )
+from graphwell.calculus import edge_laplacian
 from graphwell.functional import hessian_operator, nehari_diagnostics, nehari_scale, residual_of
-from tests.conftest import make_problem, random_connected_graph
+from tests.conftest import load_workloads, make_problem, random_connected_graph
 
 
 def k1_problem():
@@ -301,6 +302,19 @@ class TestLockstep:
             assert alone.restart_index == i
             assert_same_result(batch[i], alone)
 
+    def test_rows_past_the_exact_metric_switch_match_batches_of_one(self, g22):
+        # The cold restarts of G22 at lambda = 1e4 are still descending at the
+        # first progress check, so they finish in the exact H metric.
+        graph, pots, _d = g22
+        p = LambdaProblem(graph, pots, 1e4, 2.0, 2.0)
+        cfg = SolverConfig()
+        starts = cold_starts(p, 8)
+        batch = solver._run_descent(p, cfg, np.array(starts), range(8))
+        assert sum(r.iterations > solver._PROGRESS_WINDOW for r in batch) > 1
+        for i, start in enumerate(starts):
+            [alone] = solver._run_descent(p, cfg, np.array([start]), [i])
+            assert_same_result(batch[i], alone)
+
     def test_rows_that_leave_early_do_not_disturb_the_rest(self, g22):
         # A zero warm start has no Nehari projection and never enters the
         # batch, so it has no result; a converged warm start leaves at the
@@ -364,6 +378,54 @@ class TestLockstep:
         # The CLI formats these as Python floats.
         assert type(out.energy) is float
         assert type(out.residual_norm) is float
+
+
+class TestExactMetric:
+    # From the first progress check on, a small graph's descent takes the
+    # H-gradient A^-1 (mu res), with A = diag(wdeg) - W + diag(mu coef).
+    @pytest.mark.parametrize("lam", [1e-2, 1e9, None])
+    def test_linear_inverse_inverts_the_h_operator(self, g22, lam):
+        graph, pots, d = g22
+        p = d if lam is None else LambdaProblem(graph, pots, lam, 2.0, 2.0)
+        x = np.where(p.mask, np.random.default_rng(5).uniform(-1.0, 1.0, p.mask.shape), 0.0)
+        ax = graph.mu * p.coef * x - edge_laplacian(graph, x)
+        back = np.vecdot(solver._linear_inverse(p), ax[:, None, :])
+        assert not back[~p.mask].any()
+        assert np.abs(back - x).max() <= 1e-10 * np.abs(x).max()
+
+    def test_inverse_built_once_and_only_for_small_graphs_still_descending(self, g22,
+                                                                           monkeypatch):
+        graph, pots, _d = g22
+        built, heads = [], []
+        inverse, finish = solver._linear_inverse, solver._finish
+
+        def inverse_spy(p):
+            built.append(p)
+            return inverse(p)
+
+        def finish_spy(p, cfg, w, iters, index):
+            heads.append(iters.max())
+            return finish(p, cfg, w, iters, index)
+
+        monkeypatch.setattr(solver, "_linear_inverse", inverse_spy)
+        monkeypatch.setattr(solver, "_finish", finish_spy)
+        p = LambdaProblem(graph, pots, 1e4, 2.0, 2.0)
+        solve_ground_state(p)
+        assert built == [p]
+        # Restart 7 alone stops before the check, in the diagonal metric.
+        solver._run_descent(p, SolverConfig(), np.array(cold_starts(p, 8)[7:]), [7])
+        assert 1 < heads[-1] <= solver._PROGRESS_WINDOW and built == [p]
+        # Restart 7 at lambda = 1e-2 alone stops at the check itself.
+        q = LambdaProblem(graph, pots, 1e-2, 2.0, 2.0)
+        solver._run_descent(q, SolverConfig(), np.array(cold_starts(q, 8)[7:]), [7])
+        assert heads[-1] == solver._PROGRESS_WINDOW + 1 and built == [p]
+        # Both grids descend past the check, but have more vertices than the bound.
+        grid = load_workloads().grid_problem(50, 100.0, 2)
+        assert grid.graph.vertex_count > solver._EXACT_METRIC_MAX_N
+        for restarts in (1, 8):
+            solve_ground_state(grid, SolverConfig(restarts=restarts))
+            assert heads[-1] > solver._PROGRESS_WINDOW
+        assert built == [p]
 
 
 @pytest.mark.parametrize("flavour", ["dirichlet", "lambda"])
