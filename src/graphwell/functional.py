@@ -201,6 +201,25 @@ def _abs_power(u: np.ndarray, q: float) -> np.ndarray:
     return np.power(a, q, out=np.zeros_like(a), where=a > 0.0)
 
 
+def _hessian_terms(p: Problem, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of the Hessian at w that depend on w, from the coupling.
+
+    second, shaped like w, is alpha(alpha-1)/gamma |u|^(alpha-2) |v|^beta and
+    its v twin; the Hessian's diagonal subtracts mu times it. cross, with one
+    component axis of length 1, is mu alpha beta/gamma sign(u)|u|^(alpha-1)
+    sign(v)|v|^(beta-1), the u-v entry at each vertex, which both off-diagonal
+    blocks subtract. Where alpha or beta < 2, second is singular at a zero of
+    u or v; it is taken as 0 there.
+    """
+    u, v = w[..., 0, :], w[..., 1, :]
+    a, b, gam = p.alpha, p.beta, p.gamma
+    second = np.stack(((a * (a - 1.0) / gam) * _abs_power(u, a - 2.0) * np.abs(v) ** b,
+                       (b * (b - 1.0) / gam) * np.abs(u) ** a * _abs_power(v, b - 2.0)), axis=-2)
+    cross = (p.graph.mu * (a * b / gam) * signed_power(u, a - 1.0)
+             * signed_power(v, b - 1.0))[..., None, :]
+    return second, cross
+
+
 def hessian_operator(p: Problem, w: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The Hessian H at w, the Jacobian of mu*residual_of, as a function d -> H d.
 
@@ -208,20 +227,15 @@ def hessian_operator(p: Problem, w: np.ndarray) -> Callable[[np.ndarray], np.nda
     symmetric Hessian: the edge-weighted Laplacian, the diagonal
     mu*(coef - alpha(alpha-1)/gamma |u|^(alpha-2) |v|^beta) and its v twin, and
     one u-v coupling entry per vertex. The diagonal and the coupling entries
-    depend on w alone and are formed here, once; each application then costs
-    one edge scatter (edge_laplacian, mu times laplacian_all) and a few
-    elementwise operations, O(|E| + n). Rows off the masks are zero, like the
-    residual's. Where alpha or beta < 2 the diagonal term is singular at a
-    zero of u or v; it is taken as 0 there. For a batch w of k pairs, the
+    depend on w alone and are formed here, once, by _hessian_terms; each
+    application then costs one edge scatter (edge_laplacian, mu times
+    laplacian_all) and a few elementwise operations, O(|E| + n). Rows off the
+    masks are zero, like the residual's. For a batch w of k pairs, the
     function takes directions d of the same shape.
     """
-    u, v = w[..., 0, :], w[..., 1, :]
     g = p.graph
-    a, b, gam = p.alpha, p.beta, p.gamma
-    second = np.stack(((a * (a - 1.0) / gam) * _abs_power(u, a - 2.0) * np.abs(v) ** b,
-                       (b * (b - 1.0) / gam) * np.abs(u) ** a * _abs_power(v, b - 2.0)), axis=-2)
+    second, cross = _hessian_terms(p, w)
     diag = g.mu * (p.coef - second)
-    cross = (g.mu * (a * b / gam) * signed_power(u, a - 1.0) * signed_power(v, b - 1.0))[..., None, :]
 
     def apply(d: np.ndarray) -> np.ndarray:
         h = diag * d - edge_laplacian(g, d) - cross * d[..., ::-1, :]

@@ -51,5 +51,6 @@ def test_traced_solver_counters_are_live():
         tracer.uninstall()
     totals = tracer.totals()
     for name in ("solver.descent.iterations", "solver.armijo.trials",
-                 "solver.polish.residual_evals", "functional.residual_of.calls"):
+                 "solver.polish.residual_evals", "solver.polish.newton_steps",
+                 "solver.polish.linsolve.s", "functional.residual_of.calls"):
         assert totals.get(name, 0) > 0, name

@@ -379,6 +379,34 @@ class TestLockstep:
         assert type(out.energy) is float
         assert type(out.residual_norm) is float
 
+    @pytest.mark.parametrize("lam", [1e4, None])
+    def test_polished_rows_match_batches_of_one(self, g22, monkeypatch, lam):
+        # The rows that leave G22's descent above their tolerance, at
+        # lambda = 1e4 and in the Dirichlet problem, are polished by dense
+        # Newton steps; each row must get what it gets polished alone.
+        graph, pots, d = g22
+        p = d if lam is None else LambdaProblem(graph, pots, lam, 2.0, 2.0)
+        handed = []
+        polish = solver._newton_polish
+
+        def spy(p, w, grad_tol):
+            handed.append((w, grad_tol))
+            return polish(p, w, grad_tol)
+
+        monkeypatch.setattr(solver, "_newton_polish", spy)
+        solver._run_descent(p, SolverConfig(), np.array(cold_starts(p, 8)), range(8))
+        [(w, tol)] = handed
+        assert len(w) > 1
+
+        def no_minres(*_args):
+            raise AssertionError("a small graph's Newton step went to MINRES")
+
+        monkeypatch.setattr(solver, "_minres", no_minres)
+        batch = polish(p, w, tol)
+        assert not np.array_equal(batch, w)
+        for i in range(len(w)):
+            np.testing.assert_array_equal(batch[i], polish(p, w[i:i + 1], tol[i:i + 1])[0])
+
 
 class TestExactMetric:
     # From the first progress check on, a small graph's descent takes the
@@ -426,6 +454,81 @@ class TestExactMetric:
             solve_ground_state(grid, SolverConfig(restarts=restarts))
             assert heads[-1] > solver._PROGRESS_WINDOW
         assert built == [p]
+
+
+class TestDirectNewton:
+    # On graphs of at most _DIRECT_NEWTON_MAX_N vertices each Newton step
+    # assembles the rows' Hessians and solves them in one np.linalg.solve.
+    @staticmethod
+    def assert_matches_operator(p, w, rng):
+        m, _, n = w.shape
+        h = solver._dense_hessian(p, solver._linear_hessian(p), w)
+        assert h.shape == (m, 2 * n, 2 * n)
+        d = np.where(p.mask, rng.uniform(-1.0, 1.0, w.shape), 0.0)
+        hd = np.vecdot(h, d.reshape(m, 1, 2 * n))
+        ref = hessian_operator(p, w)(d).reshape(m, 2 * n)
+        assert np.abs(hd - ref).max() <= 1e-12 * np.abs(ref).max()
+        # Every unknown off the masks has the identity's row and column.
+        off = np.flatnonzero(~p.mask.ravel())
+        eye = np.eye(2 * n)
+        assert np.array_equal(h[:, off, :], np.broadcast_to(eye[off], (m, off.size, 2 * n)))
+        assert np.array_equal(h[:, :, off], np.broadcast_to(eye[:, off], (m, 2 * n, off.size)))
+
+    def test_dense_hessian_of_the_dirichlet_problem(self, g22):
+        d = g22[2]
+        assert not d.mask.all()
+        w = np.array(cold_starts(d, 4))
+        w = nehari_scale(d, w)[:, None, None] * w
+        self.assert_matches_operator(d, w, np.random.default_rng(4))
+
+    def test_dense_hessian_below_quadratic_exponents_at_zeros(self):
+        # With alpha, beta < 2 the coupling's second derivative is singular
+        # at a zero of u or v and taken as 0 there (functional._abs_power).
+        rng = np.random.default_rng(8)
+        p = load_workloads().random_instance(rng)
+        assert p.alpha < 2.0 and p.beta < 2.0
+        w = rng.uniform(-1.0, 2.0, (3, 2, p.graph.vertex_count))
+        w[rng.random(w.shape) < 0.3] = 0.0
+        assert (w[:, 0] == 0.0).any() and (w[:, 1] == 0.0).any()
+        self.assert_matches_operator(p, w, rng)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts the polish's dense solves and MINRES solves."""
+        calls = Counter()
+
+        def counted(name, fn):
+            def spy(*args):
+                calls[name] += 1
+                return fn(*args)
+            return spy
+
+        monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+        monkeypatch.setattr(solver, "_minres", counted("minres", solver._minres))
+        return calls
+
+    def test_small_graphs_solve_directly_and_large_graphs_use_minres(self, g22, calls):
+        assert solve_dirichlet(g22[2]).converged
+        assert calls["solve"] > 0 and calls["minres"] == 0
+        calls.clear()
+        grid = load_workloads().grid_problem(50, 100.0, 2)
+        assert grid.graph.vertex_count > solver._DIRECT_NEWTON_MAX_N
+        assert solve_ground_state(grid, SolverConfig(restarts=1)).converged
+        assert calls["solve"] == 0 and calls["minres"] > 0
+
+    def test_singular_dense_step_falls_back_to_minres(self, g22, calls, monkeypatch):
+        d = g22[2]
+        direct = solve_dirichlet(d)
+        assert calls["minres"] == 0
+
+        def singular(*_args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        out = solve_dirichlet(d)
+        assert calls["minres"] > 0
+        assert out.converged
+        assert abs(out.energy - direct.energy) <= 1e-12 * abs(direct.energy)
 
 
 @pytest.mark.parametrize("flavour", ["dirichlet", "lambda"])
