@@ -75,7 +75,7 @@ def _g22_instance(pf: ProblemFile) -> tuple[WeightedGraph, PotentialField, Diric
 def build_g22() -> tuple[WeightedGraph, PotentialField, DirichletProblem]:
     """The experiment instance, alpha = beta = 2, read from the packaged
     data/g22.graph and checked against the paper's well and boundary listings."""
-    text = resources.files("graphwell").joinpath("data/g22.graph").read_text(encoding="utf-8")
+    text = resources.files(__package__).joinpath("data/g22.graph").read_text(encoding="utf-8")
     return _g22_instance(parse_problem(text))
 
 
@@ -230,7 +230,7 @@ def g22_reference_values() -> dict[tuple[str, str], float]:
     optimality system (scripts/generate_g22_reference.py) and frozen as
     package data.
     """
-    path = resources.files("graphwell").joinpath("data/g22_dirichlet_reference.csv")
+    path = resources.files(__package__).joinpath("data/g22_dirichlet_reference.csv")
     with path.open("r", encoding="utf-8") as fh:
         values = read_solution(fh)
     out: dict[tuple[str, str], float] = {}

@@ -181,16 +181,34 @@ def energy_of(p: Problem, w: np.ndarray) -> float | np.ndarray:
     return _energy(p, norm_sq_of(p, w), coupling_integral(p, w))
 
 
-def residual_of(p: Problem, w: np.ndarray) -> np.ndarray:
-    """Strong-form residual, zero off the masks; its L2(dmu) pairing is the weak form."""
+def _coupling_gradient(p: Problem, w: np.ndarray) -> np.ndarray:
+    """The coupling's derivatives over gamma, alpha |u|^(alpha-2) u |v|^beta / gamma
+    and its v twin: the only term of the residual that mixes the components."""
     # Each component's exponent, as a column; one float when they agree,
     # which numpy's power takes by its faster path (alpha = beta = 2 squares).
     e = p.alpha if p.alpha == p.beta else np.array(((p.alpha,), (p.beta,)))
     aw = np.abs(w)
-    # The coupling's derivatives, alpha |u|^(alpha-2) u |v|^beta / gamma and
-    # its v twin: the only term that mixes the components.
-    dcoup = (e / p.gamma) * np.sign(w) * aw ** (e - 1.0) * (aw ** e)[..., ::-1, :]
-    return np.where(p.mask, p.coef * w - laplacian_all(p.graph, w) - dcoup, 0.0)
+    return (e / p.gamma) * np.sign(w) * aw ** (e - 1.0) * (aw ** e)[..., ::-1, :]
+
+
+def residual_of(p: Problem, w: np.ndarray) -> np.ndarray:
+    """Strong-form residual, zero off the masks; its L2(dmu) pairing is the weak form."""
+    return np.where(p.mask, p.coef * w - laplacian_all(p.graph, w) - _coupling_gradient(p, w),
+                    0.0)
+
+
+def _residual_magnitude(p: Problem, w: np.ndarray) -> np.ndarray:
+    """The termwise magnitude m of residual_of at w, zero off the masks:
+    |coef w| + (wdeg |w| + W |w|)/mu + |dC/gamma|, where W |w| sums
+    w_xy |w(y)| over the neighbours y of x. The rounding error of the residual
+    at a vertex is a small multiple of eps m there (Oettli & Prager's
+    componentwise backward error)."""
+    g = p.graph
+    aw = np.abs(w)
+    # edge_laplacian(|w|) = W|w| - wdeg|w|, so adding 2 wdeg|w| gives both terms.
+    neighbours = (edge_laplacian(g, aw) + 2.0 * g.wdeg * aw) / g.mu
+    return np.where(p.mask, np.abs(p.coef * w) + neighbours + np.abs(_coupling_gradient(p, w)),
+                    0.0)
 
 
 def _abs_power(u: np.ndarray, q: float) -> np.ndarray:
@@ -209,12 +227,16 @@ def _hessian_terms(p: Problem, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     component axis of length 1, is mu alpha beta/gamma sign(u)|u|^(alpha-1)
     sign(v)|v|^(beta-1), the u-v entry at each vertex, which both off-diagonal
     blocks subtract. Where alpha or beta < 2, second is singular at a zero of
-    u or v; it is taken as 0 there.
+    u or v; it is taken as 0 there. It is also 0 wherever the other factor,
+    |v|^beta or |u|^alpha, is 0, even where the singular factor of a
+    subnormal u or v overflows, which would make the product inf * 0 = nan.
     """
     u, v = w[..., 0, :], w[..., 1, :]
     a, b, gam = p.alpha, p.beta, p.gamma
-    second = np.stack(((a * (a - 1.0) / gam) * _abs_power(u, a - 2.0) * np.abs(v) ** b,
-                       (b * (b - 1.0) / gam) * np.abs(u) ** a * _abs_power(v, b - 2.0)), axis=-2)
+    ua, vb = np.abs(u) ** a, np.abs(v) ** b
+    second = np.stack((np.where(vb > 0.0, (a * (a - 1.0) / gam) * _abs_power(u, a - 2.0) * vb, 0.0),
+                       np.where(ua > 0.0, (b * (b - 1.0) / gam) * ua * _abs_power(v, b - 2.0), 0.0)),
+                      axis=-2)
     cross = (p.graph.mu * (a * b / gam) * signed_power(u, a - 1.0)
              * signed_power(v, b - 1.0))[..., None, :]
     return second, cross

@@ -19,19 +19,24 @@ That diagonal is diag(A)/mu, a Jacobi stand-in for the H-gradient
 A^-1 (mu r), where A = diag(wdeg) - W + diag(mu coef) is the operator of the
 H-norm: the Sobolev gradient of Neuberger (Sobolev Gradients and
 Differential Equations, LNM 1670, 1997). On graphs of at most
-_EXACT_METRIC_MAX_N vertices the descent takes the exact H-gradient from the
-first progress check on, through one n x n inverse of A per component and
+_EXACT_METRIC_MAX_N vertices the descent takes the exact H-gradient from loop
+head _EXACT_METRIC_HEAD on, through one n x n inverse of A per component and
 solve, built by _linear_inverse when some row is still descending there; a
-solve whose rows all stop earlier builds none. The bound sits below the
-measured crossover: on irregular random graphs the exact metric made default
-solves 1.5 to 1.6 times faster at n = 30 and 60 and 1.1 times at n = 120, but
-0.75 times as fast at n = 400 and 700, where the O(n^2) product per row and
-step costs more than the loop heads it saves; from 128 to 250 vertices the
-gain was small and unsteady (1.07 to 1.27 times, and 0.93 times at n = 250 on
-another draw). The switch waits for the check because the Jacobi steps
-before it choose each restart's basin: switching at the first loop head moved
-4 of 140 random-instance winners, 3 of them upward, and switching at the
-check moved none.
+solve whose rows all stop earlier builds none. The switch has its own head,
+not the first progress check at _PROGRESS_WINDOW: in the G22 sweep (the
+Dirichlet problem and lambda = 1 .. 1e7) every cold restart stops within 11
+loop heads of the switch, so a switch at 20 instead of 50 halves the descent
+steps of the sweep. The Jacobi steps
+before the switch choose each restart's basin, so every switch head moves a
+few winners of chaotic draws, up or down: against head 50, head 20 moved 17
+of 12000 winners (6000 draws of scripts/soak.py and 6000 random instances),
+8 down and 9 up, and heads 10, 30 and 40 moved winners of the same draws;
+switching at the first loop head moved 4 of 140 random-instance winners. The
+bound sits below the measured crossover: with the switch at head 20 on
+irregular random graphs, the exact metric made default solves 1.2 times
+faster at n = 60 and 120, but lifting the bound made them 1.3 times slower at
+n = 200 and 1.4 times at n = 300, where the O(n^2) product per row and step
+costs more than the loop heads it saves.
 
 Descent alone still crawls on symmetric instances, where the Hessian at the
 ground state can have an exactly flat direction (the energy grows only
@@ -63,10 +68,23 @@ residual has shrunk since one window earlier, but by less than the factor
 _PROGRESS_RATIO, so that a descent crawling through a basin stops long before
 it reaches the switch; a residual that grew is crossing a saddle plateau, and
 descent goes on. A restart leaves with the point of its last loop head,
-whichever rule stopped it; descent never resumes. The residual target of the
-restart, of its polish and of its certificate is grad_tol, raised to the
-rounding floor _ROUNDING * ||w||_H for solutions so large (exponents near 1)
-that grad_tol is below rounding.
+whichever rule stopped it. The stall rule pays on large graphs (without it,
+12 random 300-vertex solves took 1.6 times the CPU), but it can stop a
+restart in a basin where the polish then stagnates at a near-singular
+Hessian. So the starts of the restarts that end unconverged descend once
+more, as one batch, with the stall rule off; only they pay for it.
+
+The residual target of a restart, of its polish and of its certificate is
+grad_tol, raised to a rounding floor for solutions so large (exponents near
+1) that grad_tol is below rounding: the larger of _ROUNDING * ||w||_H and
+8 eps ||m||_mu, where m = |coef w| + (wdeg |w| + W |w|)/mu + |dC/gamma| is
+the termwise magnitude of the residual. The second term is the componentwise
+backward error of Oettli & Prager (Numer. Math. 6, 1964; Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., ch. 7). It matters where the terms
+of the residual cancel, at exponents near 1 or with weights skewed by 10^3:
+there the residual of a solution stagnates at up to 60 times 64 eps ||w||_H,
+yet at 0.01 to 0.4 times 8 eps ||m||_mu, and a u off by one part in 10^6
+still fails it by a factor of 10^5 or more.
 
 A restart that left above its target is polished once, in _finish, and keeps
 the re-projected polished point only when its residual is lower and its energy
@@ -116,6 +134,7 @@ from .functional import (
     _energy,
     _hessian_terms,
     _nehari_rows,
+    _residual_magnitude,
     coupling_integral,
     hessian_operator,
     nehari_scale,
@@ -133,6 +152,7 @@ _POLISH_SWITCH = 1e-4       # hand off to Newton at rnorm <= this * max(1, ||w||
 _PROGRESS_WINDOW = 50       # loop heads between two progress checks
 _PROGRESS_RATIO = 0.5       # stop when a window shrinks rnorm by less than this
 _EXACT_METRIC_MAX_N = 128   # largest graph whose descent switches to A's inverse
+_EXACT_METRIC_HEAD = 20     # the loop head at which it switches
 _DIRECT_NEWTON_MAX_N = 64   # largest graph whose Newton steps are dense solves
 # Residual norms below _ROUNDING * ||w||_H are rounding level: about 10 times
 # the floor measured on ground states with ||w||_H up to 6e21. The floor
@@ -175,10 +195,15 @@ class SolveResult:
     converged: bool
 
 
-def _tolerance(grad_tol: float, norm_sq: np.ndarray) -> np.ndarray:
-    """The residual target of each row: grad_tol, raised to the rounding
-    floor _ROUNDING * ||w||_H where ||w||_H is huge."""
-    return np.maximum(grad_tol, _ROUNDING * np.sqrt(norm_sq))
+def _tolerance(p: Problem, grad_tol: float, w: np.ndarray, norm_sq: np.ndarray) -> np.ndarray:
+    """The residual target of each row of the batch w: grad_tol, raised to the
+    rounding floor where the residual is huge. The floor is the larger of
+    _ROUNDING * ||w||_H and 8 eps ||m||_mu, m the termwise magnitude of the
+    residual (functional._residual_magnitude): where exponents near 1 or
+    weights skewed by 10^3 make the terms of the residual cancel, its rounding
+    is of order eps ||m||_mu, far above eps ||w||_H."""
+    termwise = 8 * np.finfo(np.float64).eps * _residual_norm(p, _residual_magnitude(p, w))
+    return np.maximum(np.maximum(grad_tol, _ROUNDING * np.sqrt(norm_sq)), termwise)
 
 
 def _diag_of(p: Problem) -> np.ndarray:
@@ -398,7 +423,7 @@ def _finish(p: Problem, cfg: SolverConfig, w: np.ndarray, iters: np.ndarray,
     """
     rnorm = _residual_norm(p, residual_of(p, w))
     norm_sq, coupling = norm_sq_of(p, w), coupling_integral(p, w)
-    tol = _tolerance(cfg.grad_tol, norm_sq)
+    tol = _tolerance(p, cfg.grad_tol, w, norm_sq)
     need = np.flatnonzero(rnorm > tol)
     if need.size:
         polished = _newton_polish(p, w[need], tol[need])
@@ -412,9 +437,11 @@ def _finish(p: Problem, cfg: SolverConfig, w: np.ndarray, iters: np.ndarray,
         slack = 4.0 * np.finfo(np.float64).eps * np.maximum(1.0, np.abs(energy))
         keep = (np.isfinite(cnorm) & (cnorm < rnorm[need])
                 & (_energy(p, cnorm_sq, ccoupling) <= energy + slack))
-        for old, new in ((w, cand), (rnorm, cnorm), (norm_sq, cnorm_sq), (coupling, ccoupling)):
+        ctol = _tolerance(p, cfg.grad_tol, cand, cnorm_sq)
+        for old, new in ((w, cand), (rnorm, cnorm), (norm_sq, cnorm_sq), (coupling, ccoupling),
+                         (tol, ctol)):
             old[need[keep]] = new[keep]
-    converged = ((rnorm <= _tolerance(cfg.grad_tol, norm_sq))
+    converged = ((rnorm <= tol)
                  & (np.abs(norm_sq - coupling) <= math.sqrt(cfg.grad_tol) * norm_sq)
                  & (norm_sq > 0.0) & (coupling > 0.0))
     out = []
@@ -428,7 +455,7 @@ def _finish(p: Problem, cfg: SolverConfig, w: np.ndarray, iters: np.ndarray,
 
 
 def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
-                 indices: Sequence[int]) -> list[SolveResult]:
+                 indices: Sequence[int], stall: bool = True) -> list[SolveResult]:
     """Descend from every start of one solve in lockstep.
 
     Row i of the (k, 2, n) batch starts is restart indices[i]; the starts
@@ -441,7 +468,8 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
     arithmetic is exactly that of a batch of one, so its result has the same
     bits as its start solved alone. A row that stops, by any rule, writes its
     point and iteration count once, at that loop head, into arrays indexed by
-    start, and leaves. _finish then polishes and certifies them all.
+    start, and leaves. _finish then polishes and certifies them all. With
+    stall false the stall rule is off, and a row stops only by the others.
     """
     t = nehari_scale(p, starts)
     entered = np.flatnonzero(np.isfinite(t))
@@ -474,15 +502,15 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
         norm_sq = norm_sq_of(p, w)
         stop = (k == _MAX_ITERS) | (rnorm <= np.maximum(
             cfg.grad_tol, _POLISH_SWITCH * np.maximum(1.0, np.sqrt(norm_sq))))
-        if k % _PROGRESS_WINDOW == 0:
+        if stall and k % _PROGRESS_WINDOW == 0:
             # Linear descent that has stalled in a basin stops, for the polish,
             # long before the residual reaches the switch above. A residual
             # that grew is crossing a plateau, not stalled.
             stop |= (rnorm > _PROGRESS_RATIO * window) & (rnorm <= window)
             window = rnorm
-            if (k == _PROGRESS_WINDOW and p.graph.vertex_count <= _EXACT_METRIC_MAX_N
-                    and not stop.all()):
-                inverse = _linear_inverse(p)
+        if (k == _EXACT_METRIC_HEAD and p.graph.vertex_count <= _EXACT_METRIC_MAX_N
+                and not stop.all()):
+            inverse = _linear_inverse(p)
         # The H-gradient, A^-1 (mu res), or its Jacobi stand-in res / diag,
         # where diag = diag(A) / mu; each row of vecdot is a dot of its own.
         if inverse is None:
@@ -534,10 +562,17 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
 def _solve(p: Problem, cfg: SolverConfig, warm_starts: Sequence[PairFunction]) -> SolveResult:
     starts = [np.where(p.mask, as_pair(p.graph, w0), 0.0) for w0 in warm_starts]
     starts += [_initial_pair(p, np.random.default_rng([cfg.rng_seed, i])) for i in range(cfg.restarts)]
+    starts = np.array(starts)
     # Overflow near gamma = 2 is caught below by the finite-energy test, and
     # the line search screens out the nonpositive norms and couplings.
     with np.errstate(all="ignore"):
-        results = _run_descent(p, cfg, np.array(starts), range(-len(warm_starts), cfg.restarts))
+        results = _run_descent(p, cfg, starts, range(-len(warm_starts), cfg.restarts))
+        # The starts of the restarts that end unconverged descend once more,
+        # as one batch, without the stall rule; only they pay for it. The
+        # results of both passes are candidates.
+        again = np.array([r.restart_index for r in results if not r.converged], dtype=int)
+        if again.size:
+            results += _run_descent(p, cfg, starts[again + len(warm_starts)], again, stall=False)
     candidates = [c for c in results if math.isfinite(c.energy)]
     if not candidates:
         raise EnergyOverflowError(

@@ -17,15 +17,24 @@ from graphwell import (
     solve_dirichlet,
 )
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_workloads():
     """perfbench/workloads.py, loaded by path: its instance builders."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+
+
+def load_soak():
+    """scripts/soak.py, loaded by path: the envelope soak and its draws."""
+    return _load("soak", ROOT / "scripts" / "soak.py")
 
 
 def random_connected_graph(rng, n_min=3, n_max=30):

@@ -1,9 +1,14 @@
+import importlib.util
 import math
+import shutil
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graphwell
 from graphwell import (
     BoundaryMismatchError,
     DirichletProblem,
@@ -71,6 +76,35 @@ class TestBuild:
         assert {G22_MIRROR[s] for s in G22_BOUNDARY_A} == G22_BOUNDARY_B
         # involution
         assert all(G22_MIRROR[G22_MIRROR[s]] == s for s in g.labels)
+
+    def test_package_data_found_under_a_second_package_name(self, g22, tmp_path):
+        # Two source trees load side by side in one process only under two
+        # package names, so each must read the data files of its own tree. The
+        # copy's reference CSV lacks its last vertex, so reading the installed
+        # tree's CSV instead shows.
+        root = tmp_path / "graphwell_second"
+        shutil.copytree(Path(graphwell.__file__).parent, root,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        csv_path = root / "data" / "g22_dirichlet_reference.csv"
+        lines = csv_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        csv_path.write_text("".join(lines[:-1]), encoding="utf-8")
+        spec = importlib.util.spec_from_file_location(
+            root.name, root / "__init__.py", submodule_search_locations=[str(root)])
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module
+        try:
+            spec.loader.exec_module(module)
+            g, _pots, d = module.build_g22()
+            reference = module.g22_reference_values()
+        finally:
+            for name in [m for m in sys.modules if m.partition(".")[0] == spec.name]:
+                del sys.modules[name]
+        assert len(reference) == len(graphwell.g22_reference_values()) - 2
+        graph, _pots, dirichlet = g22
+        assert type(g) is not type(graph)
+        assert g.labels == graph.labels
+        assert np.array_equal(g.edge_w, graph.edge_w)
+        assert d.omega_a == dirichlet.omega_a and d.omega_b == dirichlet.omega_b
 
     @pytest.mark.parametrize("old,new,vertex", [
         ("x7  x14  1\n", "", "x14"),                      # missing contact edge

@@ -23,7 +23,7 @@ from graphwell import (
 )
 from graphwell.calculus import edge_laplacian
 from graphwell.functional import hessian_operator, nehari_diagnostics, nehari_scale, residual_of
-from tests.conftest import load_workloads, make_problem, random_connected_graph
+from tests.conftest import load_soak, load_workloads, make_problem, random_connected_graph
 
 
 def k1_problem():
@@ -195,6 +195,12 @@ class TestGroundStates:
     # where the residual grows over a progress window; a stall rule that took
     # growth for a stall stopped them all there, unconverged.
     @example(seed=63039, alpha=3.59375, beta=2.0625, log_lam=-1.25)
+    # In these two draws the stall rule stops every restart in a basin where
+    # the polish then stagnates at a near-singular Hessian, unconverged; the
+    # restarts descend again without the stall rule and converge, to
+    # 2797.6032 and 872.7901.
+    @example(seed=1757922365, alpha=1.201171875, beta=1.201171875, log_lam=0.0)
+    @example(seed=1472039327, alpha=1.21935, beta=1.27486, log_lam=0.0)
     def test_converges_within_iteration_budget(self, seed, alpha, beta, log_lam):
         rng = np.random.default_rng(seed)
         g = random_connected_graph(rng, 3, 30)
@@ -218,6 +224,29 @@ class TestGroundStates:
             out = solve_ground_state(LambdaProblem(g, pots, lam, alpha, beta))
             assert out.converged, seed
             assert out.residual_norm <= max(1e-9, 64 * eps * math.sqrt(out.nehari.norm_sq)), seed
+
+    # Draws of scripts/soak.py (meta-seed 1) whose answers only the termwise
+    # rounding floor certifies: exponents near 1, energies 2e7 .. 1.4e59.
+    @pytest.mark.parametrize("index", [201, 523, 605, 831, 1571, 2341])
+    def test_termwise_rounding_floor_certifies_rounding_level_answers(self, index):
+        eps = np.finfo(np.float64).eps
+        p = load_soak().draw(1, index)
+        out = solve_ground_state(p)
+        w = np.array(out.pair)[None]
+
+        def certificate(w):
+            rnorm = solver._residual_norm(p, residual_of(p, w))[0]
+            norm_sq = functional.norm_sq_of(p, w)
+            return rnorm, solver._tolerance(p, 1e-9, w, norm_sq)[0], math.sqrt(norm_sq[0])
+
+        rnorm, tol, norm = certificate(w)
+        assert out.converged and rnorm == out.residual_norm
+        # Above grad_tol and the 64 eps ||w||_H floor, within 8 eps ||m||_mu.
+        assert max(1e-9, 64 * eps * norm) < rnorm <= tol
+        # The floor still rejects a u off by one part in a million.
+        w[:, 0] *= 1.0 + 1e-6
+        rnorm, tol, _norm = certificate(w)
+        assert rnorm > tol
 
     def test_newton_never_lands_on_a_higher_critical_point(self, monkeypatch):
         # Both wells are the ends of the path 0 - 1 - 2. At lambda = 100 each
@@ -304,13 +333,13 @@ class TestLockstep:
 
     def test_rows_past_the_exact_metric_switch_match_batches_of_one(self, g22):
         # The cold restarts of G22 at lambda = 1e4 are still descending at the
-        # first progress check, so they finish in the exact H metric.
+        # switch head, so they finish in the exact H metric.
         graph, pots, _d = g22
         p = LambdaProblem(graph, pots, 1e4, 2.0, 2.0)
         cfg = SolverConfig()
         starts = cold_starts(p, 8)
         batch = solver._run_descent(p, cfg, np.array(starts), range(8))
-        assert sum(r.iterations > solver._PROGRESS_WINDOW for r in batch) > 1
+        assert sum(r.iterations > solver._EXACT_METRIC_HEAD for r in batch) > 1
         for i, start in enumerate(starts):
             [alone] = solver._run_descent(p, cfg, np.array([start]), [i])
             assert_same_result(batch[i], alone)
@@ -409,7 +438,7 @@ class TestLockstep:
 
 
 class TestExactMetric:
-    # From the first progress check on, a small graph's descent takes the
+    # From loop head _EXACT_METRIC_HEAD on, a small graph's descent takes the
     # H-gradient A^-1 (mu res), with A = diag(wdeg) - W + diag(mu coef).
     @pytest.mark.parametrize("lam", [1e-2, 1e9, None])
     def test_linear_inverse_inverts_the_h_operator(self, g22, lam):
@@ -440,20 +469,45 @@ class TestExactMetric:
         p = LambdaProblem(graph, pots, 1e4, 2.0, 2.0)
         solve_ground_state(p)
         assert built == [p]
-        # Restart 7 alone stops before the check, in the diagonal metric.
-        solver._run_descent(p, SolverConfig(), np.array(cold_starts(p, 8)[7:]), [7])
-        assert 1 < heads[-1] <= solver._PROGRESS_WINDOW and built == [p]
-        # Restart 7 at lambda = 1e-2 alone stops at the check itself.
-        q = LambdaProblem(graph, pots, 1e-2, 2.0, 2.0)
-        solver._run_descent(q, SolverConfig(), np.array(cold_starts(q, 8)[7:]), [7])
-        assert heads[-1] == solver._PROGRESS_WINDOW + 1 and built == [p]
-        # Both grids descend past the check, but have more vertices than the bound.
-        grid = load_workloads().grid_problem(50, 100.0, 2)
+        # No cold restart of G22 stops before the switch head, so the witnesses
+        # are random instances. Restart 0 of the first stops before the
+        # switch, in the diagonal metric, alone.
+        workloads = load_workloads()
+        q = workloads.random_instance(np.random.default_rng([7, 2]))
+        solver._run_descent(q, SolverConfig(), np.array(cold_starts(q, 8)[:1]), [0])
+        assert 1 < heads[-1] <= solver._EXACT_METRIC_HEAD and built == [p]
+        # Restart 2 of the second alone stops at the switch head itself.
+        q = workloads.random_instance(np.random.default_rng([7, 8]))
+        solver._run_descent(q, SolverConfig(), np.array(cold_starts(q, 8)[2:3]), [2])
+        assert heads[-1] == solver._EXACT_METRIC_HEAD + 1 and built == [p]
+        # Both grids descend past the switch, but have more vertices than the bound.
+        grid = workloads.grid_problem(50, 100.0, 2)
         assert grid.graph.vertex_count > solver._EXACT_METRIC_MAX_N
         for restarts in (1, 8):
             solve_ground_state(grid, SolverConfig(restarts=restarts))
-            assert heads[-1] > solver._PROGRESS_WINDOW
+            assert heads[-1] > solver._EXACT_METRIC_HEAD
         assert built == [p]
+
+    def test_g22_builds_the_inverse_once_at_the_switch_head(self, g22, monkeypatch):
+        # Each loop head of the descent evaluates the residual once, so the
+        # residual evaluations before the build count the heads 0 .. 20.
+        graph, pots, _d = g22
+        evals, built = [], []
+        residual, inverse = solver.residual_of, solver._linear_inverse
+
+        def residual_spy(p, w):
+            evals.append(len(w))
+            return residual(p, w)
+
+        def inverse_spy(p):
+            built.append(len(evals))
+            return inverse(p)
+
+        monkeypatch.setattr(solver, "residual_of", residual_spy)
+        monkeypatch.setattr(solver, "_linear_inverse", inverse_spy)
+        out = solve_ground_state(LambdaProblem(graph, pots, 1e4, 2.0, 2.0))
+        assert out.converged and out.iterations > solver._EXACT_METRIC_HEAD
+        assert built == [solver._EXACT_METRIC_HEAD + 1]
 
 
 class TestDirectNewton:
@@ -491,6 +545,27 @@ class TestDirectNewton:
         w[rng.random(w.shape) < 0.3] = 0.0
         assert (w[:, 0] == 0.0).any() and (w[:, 1] == 0.0).any()
         self.assert_matches_operator(p, w, rng)
+
+    def test_hessian_terms_finite_at_subnormal_entries(self):
+        # At alpha = 1.01, |u|^(alpha - 2) of a subnormal u overflows. Where
+        # v is 0 the term is 0 all the same, not inf * 0 = nan.
+        p = make_problem(n=2, edges=[(0, 1, 1.0)], mu=[1.0, 1.0], a=[0.0, 0.0], b=[0.0, 0.0],
+                         lam=1.0, alpha=1.01, beta=1.01)
+        w = np.array([[[5e-324, 1.0], [0.0, 1.0]], [[0.0, 1.0], [5e-324, 1.0]]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            second, cross = functional._hessian_terms(p, w)
+        assert np.isfinite(second).all() and np.isfinite(cross).all()
+        assert second[0, 0, 0] == 0.0 and second[1, 1, 0] == 0.0
+
+    def test_polish_from_points_with_subnormal_entries(self):
+        # Draw 674 of meta-seed 1 of scripts/soak.py (alpha, beta near 1.02):
+        # every restart leaves the descent at a point with a subnormal entry
+        # where the other component's power is 0, and the nan Hessian that
+        # inf * 0 made there failed every polish.
+        p = load_soak().draw(1, 674)
+        with np.errstate(all="ignore"):
+            rows = solver._run_descent(p, SolverConfig(), np.array(cold_starts(p, 8)), range(8))
+        assert all(r.converged for r in rows)
 
     @pytest.fixture
     def calls(self, monkeypatch):
