@@ -143,7 +143,7 @@ def _cmd_sweep(args) -> int:
             lambdas = tuple(float(t) for t in args.lambdas.split(","))
         except ValueError:
             return _usage_error(f"bad --lambdas list: {args.lambdas!r}")
-    elif len(pf.lambdas) >= 2:
+    elif pf.lambdas:
         lambdas = pf.lambdas
     else:
         lambdas = decade_grid()

@@ -9,10 +9,11 @@ measure, mass coefficients coef (rows lam a + 1 and lam b + 1, or ones), masks
 mask of the unknowns (all true, or the wells; mask_a and mask_b are its rows),
 the exponents and the seed support `overlap`. From that data alone the kernel
 functions (coupling_integral, norm_sq_of, energy_of, residual_of,
-hessian_operator, nehari_scale) compute J(w) = (1/2) ||w||^2 -
+hessian_operator, hessian_matrix, nehari_scale) compute J(w) = (1/2) ||w||^2 -
 coupling(w)/(alpha+beta), its residual and the Hessian's action, zero off the
-masks. Mass, Laplacian, masking and reductions act on both components at once;
-only the coupling terms index a component. The kernels trust their input;
+masks, and the Hessian's matrix, the identity off the masks. Mass, Laplacian,
+masking and reductions act on both components at once; only the coupling
+terms index a component. The kernels trust their input;
 energy_J_*, grad_J_*, norm_H_*_sq and nehari_diagnostics validate the pair once
 and then call them. Given a batch, the kernels return one value or residual
 per pair; _nehari_rows is nehari_diagnostics for the norms and couplings of a
@@ -264,6 +265,38 @@ def hessian_operator(p: Problem, w: np.ndarray) -> Callable[[np.ndarray], np.nda
         return np.where(p.mask, h, 0.0)
 
     return apply
+
+
+def hessian_matrix(p: Problem, w: np.ndarray) -> np.ndarray:
+    """The matrix of hessian_operator(p, w) over the unknowns (u, v) laid end
+    to end: (2n, 2n) for a pair, (m, 2n, 2n) for a batch of m pairs, each from
+    its own pair alone. Each component's block is -W on its mask with the
+    diagonal wdeg + mu coef - mu second, summed in that order, and -cross
+    couples the blocks where both masks hold (_hessian_terms). Every unknown
+    off the masks gets the identity's row and column, so a solve is zero
+    there, as the residual is. At w = 0 the diagonal blocks are
+    A = diag(wdeg) - W + diag(mu coef) on the masks, the operator of the H-norm.
+    """
+    g = p.graph
+    n = g.vertex_count
+    batch = w.shape[:-2]
+    second, cross = _hessian_terms(p, w)
+    adjacency = np.zeros((n, n))
+    adjacency[g.edge_i, g.edge_j] = adjacency[g.edge_j, g.edge_i] = g.edge_w
+    linear = np.zeros((2 * n, 2 * n))
+    linear[:n, :n] = linear[n:, n:] = 0.0 - adjacency
+    on = p.mask.ravel()
+    h = np.empty((*batch, 2 * n, 2 * n))
+    h[...] = np.where(on[:, None] & on, linear, 0.0)
+    # Flattened, entry (k, k) of a matrix sits at k (2n + 1), (k, n + k) at
+    # n + k (2n + 1) and (n + k, k) at 2n^2 + k (2n + 1), for k < n in the last two.
+    flat = h.reshape(*batch, -1)
+    flat[..., ::2 * n + 1] = np.where(p.mask, g.wdeg + g.mu * p.coef - g.mu * second,
+                                      1.0).reshape(*batch, 2 * n)
+    coupled = np.where(p.mask.all(axis=0), cross[..., 0, :], 0.0)
+    flat[..., n:2 * n * n:2 * n + 1] -= coupled
+    flat[..., 2 * n * n::2 * n + 1] -= coupled
+    return h
 
 
 def nehari_scale(p: Problem, w) -> float | np.ndarray:

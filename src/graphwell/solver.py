@@ -88,30 +88,29 @@ still fails it by a factor of 10^5 or more.
 
 A restart that left above its target is polished once, in _finish, and keeps
 the re-projected polished point only when its residual is lower and its energy
-is not higher, up to rounding: Newton converges to the nearest critical point,
-which may lie above the level that descent has reached. The stopped rows and
-the candidates are evaluated once each, and the guard and the certificate read
-those norms and couplings. One residual norm, the mu-weighted ||r|| of the
-certificate, decides the descent stop, the stall test, the polish's damping
-and the keep-if-lower test.
+is not higher, up to the rounding of its terms ||w||^2/2 and C/gamma: Newton
+converges to the nearest critical point, which may lie above the level that
+descent has reached. The stopped rows and the candidates are evaluated once
+each, and the guard and the certificate read those norms and couplings. One
+residual norm, the mu-weighted ||r|| of the certificate, decides the descent
+stop, the stall test, the polish's damping and the keep-if-lower test.
 
 The polish's Jacobian is the analytic Hessian, whose terms that depend on the
-point each Newton step forms once, by functional._hessian_terms. On graphs of
-at most _DIRECT_NEWTON_MAX_N vertices the step assembles the Hessians of all
-rows still iterating as one (m, 2n, 2n) array, the linear part A of
-_linear_operator less those terms, with the identity on every unknown off the
-masks, and solves them in one batched np.linalg.solve; a step whose batch
-holds an exactly singular Hessian falls back to MINRES. Larger graphs apply
-the Hessian matrix-free, by functional.hessian_operator, in O(|E| + n) per
-row and product, and solve with it by MINRES, preconditioned with the descent
-diagonal above, for all rows of the batch in lockstep, a finished row frozen
-in place; no matrix is formed there, so memory stays O(k(|E| + n)) for k
-starts, where the dense step takes O(k n^2). The bound sits below the
-measured crossover: on irregular random graphs the dense step made default
-solves 1.27 times faster at n = 20, 1.14 times at n = 45 and 1.02 times at
-n = 64, but 0.99 times as fast at n = 75 and 0.73 times at n = 128, where
-the O(n^3) factorization per row and step costs more than the MINRES
-iterations it replaces.
+point each Newton step forms once. On graphs of at most _DIRECT_NEWTON_MAX_N
+vertices the step assembles the Hessians of all rows still iterating as one
+(m, 2n, 2n) array, by functional.hessian_matrix, with the identity on every
+unknown off the masks, and solves them in one batched np.linalg.solve; a step
+whose batch holds an exactly singular Hessian falls back to MINRES. Larger
+graphs apply the Hessian matrix-free, by functional.hessian_operator, in
+O(|E| + n) per row and product, and solve with it by MINRES, preconditioned
+with the descent diagonal above, for all rows of the batch in lockstep, a
+finished row frozen in place; no matrix is formed there, so memory stays
+O(k(|E| + n)) for k starts, where the dense step takes O(k n^2). The bound
+sits below the measured crossover: on irregular random graphs the dense step
+made default solves 1.27 times faster at n = 20, 1.14 times at n = 45 and
+1.02 times at n = 64, but 0.99 times as fast at n = 75 and 0.73 times at
+n = 128, where the O(n^3) factorization per row and step costs more than the
+MINRES iterations it replaces.
 """
 
 from __future__ import annotations
@@ -132,10 +131,10 @@ from .functional import (
     NehariDiagnostics,
     Problem,
     _energy,
-    _hessian_terms,
     _nehari_rows,
     _residual_magnitude,
     coupling_integral,
+    hessian_matrix,
     hessian_operator,
     nehari_scale,
     norm_sq_of,
@@ -210,55 +209,17 @@ def _diag_of(p: Problem) -> np.ndarray:
     return p.coef + p.graph.wdeg / p.graph.mu
 
 
-def _linear_operator(p: Problem) -> np.ndarray:
-    """A = diag(wdeg) - W + diag(mu coef), the operator of the H-norm, of each
-    component on the whole graph: (2, n, n)."""
-    g = p.graph
-    n = g.vertex_count
-    adjacency = np.zeros((n, n))
-    adjacency[g.edge_i, g.edge_j] = g.edge_w
-    adjacency += adjacency.T
-    return np.stack([np.diag(g.wdeg + g.mu * coef) for coef in p.coef]) - adjacency
-
-
 def _linear_inverse(p: Problem) -> np.ndarray:
-    """The inverse of A for each component on its mask and zero elsewhere:
-    (2, n, n). A is symmetric positive definite on each mask, since
-    mu coef > 0."""
-    a = _linear_operator(p)
-    inverse = np.zeros_like(a)
+    """The inverse of A, the diagonal blocks of hessian_matrix at w = 0, for
+    each component on its mask and zero elsewhere: (2, n, n). A is symmetric
+    positive definite on each mask, since mu coef > 0."""
+    n = p.graph.vertex_count
+    a = hessian_matrix(p, np.zeros((2, n))).reshape(2, n, 2, n)
+    inverse = np.zeros((2, n, n))
     for c, on in enumerate(p.mask):
         block = np.ix_(on, on)
-        inverse[c][block] = np.linalg.inv(a[c][block])
+        inverse[c][block] = np.linalg.inv(a[c, :, c][block])
     return inverse
-
-
-def _linear_hessian(p: Problem) -> np.ndarray:
-    """The part of every Hessian that does not depend on the point, as one
-    (2n, 2n) matrix over the unknowns (u, v) laid end to end: A of each
-    component as its diagonal block on the masks, and the identity on every
-    unknown off them."""
-    n = p.graph.vertex_count
-    h = np.zeros((2 * n, 2 * n))
-    h[:n, :n], h[n:, n:] = _linear_operator(p)
-    on = p.mask.ravel()
-    return np.where(on[:, None] & on, h, np.eye(2 * n))
-
-
-def _dense_hessian(p: Problem, linear: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The Hessians at the m rows of the batch w, as one (m, 2n, 2n) array:
-    the matrices of hessian_operator(p, w) on the masks, with the identity off
-    them. linear is _linear_hessian(p); the terms that depend on w come from
-    functional._hessian_terms, and each row is assembled from its own alone."""
-    m, _, n = w.shape
-    second, cross = _hessian_terms(p, w)
-    h = np.repeat(linear[None], m, axis=0)
-    on = np.flatnonzero(p.mask.ravel())
-    h[:, on, on] -= (p.graph.mu * second).reshape(m, -1)[:, on]
-    both = np.flatnonzero(p.mask.all(axis=0))
-    h[:, both, n + both] -= cross[:, 0, both]
-    h[:, n + both, both] -= cross[:, 0, both]
-    return h
 
 
 def _initial_pair(p: Problem, rng: np.random.Generator) -> np.ndarray:
@@ -345,14 +306,14 @@ def _newton_polish(p: Problem, w: np.ndarray, grad_tol: np.ndarray) -> np.ndarra
     Nehari point has negative curvature). Each step forms the Hessians of the
     rows still iterating once and solves H step = -f for all of them. On a
     graph of at most _DIRECT_NEWTON_MAX_N vertices that is one batched dense
-    solve of _dense_hessian, whose rows off the masks are the identity's, so
-    the step is zero there, as f is; if some row's H is exactly singular
-    (LinAlgError), that step is taken by MINRES instead. Otherwise it is one
-    lockstep MINRES on hessian_operator, preconditioned with the SPD diagonal
-    mu*(coef + wdeg/mu): O(|E| + n) time per row and product, and memory
-    overall. MINRES runs on full (2, n) pairs; the preconditioner inverse is
-    zero off the masks, so every Krylov vector, and with it the iterate, stays
-    exactly zero there.
+    solve of functional.hessian_matrix, whose rows off the masks are the
+    identity's, so the step is zero there, as f is; if some row's H is exactly
+    singular (LinAlgError), that step is taken by MINRES instead. Otherwise it
+    is one lockstep MINRES on hessian_operator, preconditioned with the SPD
+    diagonal mu*(coef + wdeg/mu): O(|E| + n) time per row and product, and
+    memory overall. MINRES runs on full (2, n) pairs; the preconditioner
+    inverse is zero off the masks, so every Krylov vector, and with it the
+    iterate, stays exactly zero there.
 
     Steps are damped by halving until the certificate's residual norm, the
     mu-weighted ||r||, strictly shrinks; the rows backtrack in lockstep, so
@@ -373,7 +334,7 @@ def _newton_polish(p: Problem, w: np.ndarray, grad_tol: np.ndarray) -> np.ndarra
         r = residual_of(p, z)
         return mu * r, _residual_norm(p, r)
 
-    linear = _linear_hessian(p) if p.graph.vertex_count <= _DIRECT_NEWTON_MAX_N else None
+    dense = p.graph.vertex_count <= _DIRECT_NEWTON_MAX_N
     minv = np.where(p.mask, 1.0 / (mu * _diag_of(p)), 0.0)
     w = w.copy()        # rows move in place; the caller's w is left as it was
     f, rnorm = stacked(w)
@@ -384,8 +345,8 @@ def _newton_polish(p: Problem, w: np.ndarray, grad_tol: np.ndarray) -> np.ndarra
         if not rows.size:
             break
         step = None
-        if linear is not None:
-            h = _dense_hessian(p, linear, w[rows])
+        if dense:
+            h = hessian_matrix(p, w[rows])
             rhs = -f[rows].reshape(rows.size, -1)
             try:
                 step = np.linalg.solve(h, rhs[..., None]).reshape(-1, *w.shape[1:])
@@ -433,8 +394,10 @@ def _finish(p: Problem, cfg: SolverConfig, w: np.ndarray, iters: np.ndarray,
         cand = nehari_scale(p, polished)[:, None, None] * polished
         cnorm = _residual_norm(p, residual_of(p, cand))
         cnorm_sq, ccoupling = norm_sq_of(p, cand), coupling_integral(p, cand)
-        energy = _energy(p, norm_sq[need], coupling[need])
-        slack = 4.0 * np.finfo(np.float64).eps * np.maximum(1.0, np.abs(energy))
+        n_sq, c = norm_sq[need], coupling[need]
+        energy = _energy(p, n_sq, c)
+        # E = N/2 - C/gamma cancels: rounding moves it by eps (N/2 + C/gamma).
+        slack = 4.0 * np.finfo(np.float64).eps * np.maximum(1.0, 0.5 * n_sq + c / p.gamma)
         keep = (np.isfinite(cnorm) & (cnorm < rnorm[need])
                 & (_energy(p, cnorm_sq, ccoupling) <= energy + slack))
         ctol = _tolerance(p, cfg.grad_tol, cand, cnorm_sq)

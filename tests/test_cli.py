@@ -227,11 +227,13 @@ class TestSweep:
         assert len(lines) == 3
         assert all(row.endswith("true") for row in lines[1:])
 
-    def test_file_grid_used(self, multi, capsys):
-        rc = main(["sweep", multi])
+    @pytest.mark.parametrize("fixture, rows", [("tiny", 1), ("multi", 2)])
+    def test_file_grid_used(self, fixture, rows, request, capsys):
+        # A file's lambda list, of one value or more, is the sweep's grid.
+        rc = main(["sweep", request.getfixturevalue(fixture)])
         captured = capsys.readouterr()
         assert rc == EXIT_OK
-        assert len(captured.out.splitlines()) == 3
+        assert len(captured.out.splitlines()) == 1 + rows
 
     def test_bad_list_rejected(self, tiny, capsys):
         assert main(["sweep", tiny, "--lambdas", "1,zz"]) == EXIT_PARSE

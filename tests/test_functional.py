@@ -27,14 +27,16 @@ from graphwell import (
     norm_H_Omega_sq,
 )
 from graphwell.functional import (
+    _hessian_terms,
     coupling_integral,
     energy_of,
+    hessian_matrix,
     hessian_operator,
     nehari_scale,
     norm_sq_of,
     residual_of,
 )
-from tests.conftest import random_connected_graph
+from tests.conftest import load_workloads, make_problem, random_connected_graph
 
 
 def single_vertex_problem(lam=1.0, alpha=2.0, beta=2.0, mu=1.0):
@@ -419,6 +421,9 @@ class TestHessian:
         fd = (stacked_residual(p, w + h * d) - stacked_residual(p, w - h * d)) / (2.0 * h)
         hd = hessian_operator(p, w)(d)
         assert np.linalg.norm(hd - fd) <= 1e-6 * np.linalg.norm(fd)
+        # The assembled matrix applies the same H.
+        md = hessian_matrix(p, w) @ d.ravel()
+        assert np.linalg.norm(md - hd.ravel()) <= 1e-12 * np.linalg.norm(hd)
 
     @settings(max_examples=100, deadline=None)
     @given(inst=hessian_instances())
@@ -450,6 +455,54 @@ class TestHessian:
         coef = p.coef[k][0]
         linear = float(np.dot(wts, d[k, 0] - d[k, nbr])) + g.mu[0] * coef * d[k, 0]
         assert out[0] == pytest.approx(linear, rel=1e-13, abs=1e-13)
+
+    def test_hessian_terms_finite_at_subnormal_entries(self):
+        # At alpha = 1.01, |u|^(alpha - 2) of a subnormal u overflows. Where
+        # v is 0 the term is 0 all the same, not inf * 0 = nan.
+        p = make_problem(n=2, edges=[(0, 1, 1.0)], mu=[1.0, 1.0], a=[0.0, 0.0], b=[0.0, 0.0],
+                         lam=1.0, alpha=1.01, beta=1.01)
+        w = np.array([[[5e-324, 1.0], [0.0, 1.0]], [[0.0, 1.0], [5e-324, 1.0]]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            second, cross = _hessian_terms(p, w)
+        assert np.isfinite(second).all() and np.isfinite(cross).all()
+        assert second[0, 0, 0] == 0.0 and second[1, 1, 0] == 0.0
+
+    # hessian_matrix assembles the H of hessian_operator for the dense Newton
+    # steps of small graphs, with the identity on the unknowns off the masks.
+    @staticmethod
+    def assert_matrix_matches_operator(p, w, rng):
+        m, _, n = w.shape
+        h = hessian_matrix(p, w)
+        assert h.shape == (m, 2 * n, 2 * n)
+        assert np.array_equal(h, h.swapaxes(-1, -2))
+        d = np.where(p.mask, rng.uniform(-1.0, 1.0, w.shape), 0.0)
+        hd = np.vecdot(h, d.reshape(m, 1, 2 * n))
+        ref = hessian_operator(p, w)(d).reshape(m, 2 * n)
+        assert np.abs(hd - ref).max() <= 1e-12 * np.abs(ref).max()
+        # Every unknown off the masks has the identity's row and column.
+        off = np.flatnonzero(~p.mask.ravel())
+        eye = np.eye(2 * n)
+        assert np.array_equal(h[:, off, :], np.broadcast_to(eye[off], (m, off.size, 2 * n)))
+        assert np.array_equal(h[:, :, off], np.broadcast_to(eye[:, off], (m, 2 * n, off.size)))
+
+    def test_matrix_of_the_dirichlet_problem(self, g22):
+        d = g22[2]
+        assert not d.mask.all()
+        rng = np.random.default_rng(4)
+        w = np.where(d.mask, rng.uniform(0.5, 1.5, (4, 2, d.graph.vertex_count)), 0.0)
+        w = nehari_scale(d, w)[:, None, None] * w
+        self.assert_matrix_matches_operator(d, w, rng)
+
+    def test_matrix_below_quadratic_exponents_at_zeros(self):
+        # With alpha, beta < 2 the coupling's second derivative is singular
+        # at a zero of u or v and taken as 0 there (functional._abs_power).
+        rng = np.random.default_rng(8)
+        p = load_workloads().random_instance(rng)
+        assert p.alpha < 2.0 and p.beta < 2.0
+        w = rng.uniform(-1.0, 2.0, (3, 2, p.graph.vertex_count))
+        w[rng.random(w.shape) < 0.3] = 0.0
+        assert (w[:, 0] == 0.0).any() and (w[:, 1] == 0.0).any()
+        self.assert_matrix_matches_operator(p, w, rng)
 
 
 @st.composite

@@ -291,6 +291,19 @@ class TestGroundStates:
         rows = solver._run_descent(d, SolverConfig(), np.array(cold_starts(d, 8)), range(8))
         assert [r.converged for r in rows] == [True] * 8
 
+    @pytest.mark.parametrize("draw", [180, 919])
+    def test_energy_guard_allows_the_rounding_of_the_energy_terms(self, draw):
+        # E = N/2 - C/gamma cancels, so re-projecting a polished point moves E
+        # by about eps (N/2 + C/gamma), already 3.5 eps |E| at gamma = 3.6.
+        # Draws 180 (n = 58, gamma = 2.97) and 919 (Dirichlet, n = 28,
+        # gamma = 3.58) of meta-seed 1 of scripts/soak.py each have a restart
+        # whose polish meets its target but raises E by more than
+        # 4 eps max(1, |E|); a slack of 4 eps max(1, N/2 + C/gamma) keeps it.
+        p = load_soak().draw(1, draw)
+        with np.errstate(all="ignore"):
+            rows = solver._run_descent(p, SolverConfig(), np.array(cold_starts(p, 8)), range(8))
+        assert all(r.converged for r in rows)
+
 
 def cold_starts(p, count, seed=0):
     return [solver._initial_pair(p, np.random.default_rng([seed, i])) for i in range(count)]
@@ -513,50 +526,6 @@ class TestExactMetric:
 class TestDirectNewton:
     # On graphs of at most _DIRECT_NEWTON_MAX_N vertices each Newton step
     # assembles the rows' Hessians and solves them in one np.linalg.solve.
-    @staticmethod
-    def assert_matches_operator(p, w, rng):
-        m, _, n = w.shape
-        h = solver._dense_hessian(p, solver._linear_hessian(p), w)
-        assert h.shape == (m, 2 * n, 2 * n)
-        d = np.where(p.mask, rng.uniform(-1.0, 1.0, w.shape), 0.0)
-        hd = np.vecdot(h, d.reshape(m, 1, 2 * n))
-        ref = hessian_operator(p, w)(d).reshape(m, 2 * n)
-        assert np.abs(hd - ref).max() <= 1e-12 * np.abs(ref).max()
-        # Every unknown off the masks has the identity's row and column.
-        off = np.flatnonzero(~p.mask.ravel())
-        eye = np.eye(2 * n)
-        assert np.array_equal(h[:, off, :], np.broadcast_to(eye[off], (m, off.size, 2 * n)))
-        assert np.array_equal(h[:, :, off], np.broadcast_to(eye[:, off], (m, 2 * n, off.size)))
-
-    def test_dense_hessian_of_the_dirichlet_problem(self, g22):
-        d = g22[2]
-        assert not d.mask.all()
-        w = np.array(cold_starts(d, 4))
-        w = nehari_scale(d, w)[:, None, None] * w
-        self.assert_matches_operator(d, w, np.random.default_rng(4))
-
-    def test_dense_hessian_below_quadratic_exponents_at_zeros(self):
-        # With alpha, beta < 2 the coupling's second derivative is singular
-        # at a zero of u or v and taken as 0 there (functional._abs_power).
-        rng = np.random.default_rng(8)
-        p = load_workloads().random_instance(rng)
-        assert p.alpha < 2.0 and p.beta < 2.0
-        w = rng.uniform(-1.0, 2.0, (3, 2, p.graph.vertex_count))
-        w[rng.random(w.shape) < 0.3] = 0.0
-        assert (w[:, 0] == 0.0).any() and (w[:, 1] == 0.0).any()
-        self.assert_matches_operator(p, w, rng)
-
-    def test_hessian_terms_finite_at_subnormal_entries(self):
-        # At alpha = 1.01, |u|^(alpha - 2) of a subnormal u overflows. Where
-        # v is 0 the term is 0 all the same, not inf * 0 = nan.
-        p = make_problem(n=2, edges=[(0, 1, 1.0)], mu=[1.0, 1.0], a=[0.0, 0.0], b=[0.0, 0.0],
-                         lam=1.0, alpha=1.01, beta=1.01)
-        w = np.array([[[5e-324, 1.0], [0.0, 1.0]], [[0.0, 1.0], [5e-324, 1.0]]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            second, cross = functional._hessian_terms(p, w)
-        assert np.isfinite(second).all() and np.isfinite(cross).all()
-        assert second[0, 0, 0] == 0.0 and second[1, 1, 0] == 0.0
-
     def test_polish_from_points_with_subnormal_entries(self):
         # Draw 674 of meta-seed 1 of scripts/soak.py (alpha, beta near 1.02):
         # every restart leaves the descent at a point with a subnormal entry
