@@ -31,9 +31,11 @@ EXIT_OVERFLOW = 6
 
 
 def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--seed", type=int, default=0, help="restart RNG seed (default 0)")
-    sp.add_argument("--restarts", type=int, default=None, help="number of random restarts")
-    sp.add_argument("--tol", type=float, default=None, help="residual tolerance")
+    sp.add_argument("--seed", type=int, default=SolverConfig.rng_seed,
+                    help=f"restart RNG seed (default {SolverConfig.rng_seed})")
+    sp.add_argument("--restarts", type=int, default=SolverConfig.restarts,
+                    help="number of random restarts")
+    sp.add_argument("--tol", type=float, default=SolverConfig.grad_tol, help="residual tolerance")
     sp.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
 
@@ -82,12 +84,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _solver_config(args) -> SolverConfig:
-    kwargs = {"rng_seed": args.seed}
-    if args.restarts is not None:
-        kwargs["restarts"] = args.restarts
-    if args.tol is not None:
-        kwargs["grad_tol"] = args.tol
-    return SolverConfig(**kwargs)
+    return SolverConfig(grad_tol=args.tol, restarts=args.restarts, rng_seed=args.seed)
+
+
+def _exponents(args, pf: ProblemFile) -> tuple[float, float]:
+    """alpha and beta: --alpha and --beta where given, else the file's."""
+    return (pf.alpha if args.alpha is None else args.alpha,
+            pf.beta if args.beta is None else args.beta)
 
 
 def _usage_error(message) -> int:
@@ -111,10 +114,8 @@ def _cmd_solve(args) -> int:
             lam = pf.lambdas[0]
         else:
             return _usage_error(f"--lambda required (file declares {len(pf.lambdas)} values)")
-    alpha = args.alpha if args.alpha is not None else pf.alpha
-    beta = args.beta if args.beta is not None else pf.beta
     try:
-        problem = LambdaProblem(pf.graph, pf.potentials, lam, alpha, beta)
+        problem = LambdaProblem(pf.graph, pf.potentials, lam, *_exponents(args, pf))
         cfg = _solver_config(args)
     except ValueError as exc:
         return _usage_error(exc)
@@ -124,11 +125,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_dirichlet(args) -> int:
     pf = parse_problem_file(args.problem)
-    alpha = args.alpha if args.alpha is not None else pf.alpha
-    beta = args.beta if args.beta is not None else pf.beta
     try:
         problem = DirichletProblem(pf.graph, pf.potentials.omega_a, pf.potentials.omega_b,
-                                   alpha, beta)
+                                   *_exponents(args, pf))
         cfg = _solver_config(args)
     except ValueError as exc:
         return _usage_error(exc)
@@ -147,11 +146,9 @@ def _cmd_sweep(args) -> int:
         lambdas = pf.lambdas
     else:
         lambdas = decade_grid()
-    alpha = args.alpha if args.alpha is not None else pf.alpha
-    beta = args.beta if args.beta is not None else pf.beta
     pots = pf.potentials
     try:
-        dirichlet = DirichletProblem(pf.graph, pots.omega_a, pots.omega_b, alpha, beta)
+        dirichlet = DirichletProblem(pf.graph, pots.omega_a, pots.omega_b, *_exponents(args, pf))
         cfg = SweepConfig(lambdas=lambdas, solver=_solver_config(args))
         # The sweep builds, and so checks, every lambda-problem before any solve.
         records = lambda_sweep(pots, dirichlet, cfg)

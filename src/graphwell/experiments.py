@@ -25,7 +25,7 @@ from .calculus import PairFunction, as_pair, norm_H_sq_of
 from .errors import BoundaryMismatchError, GraphValidationError, UnknownLabelError
 from .functional import DirichletProblem, LambdaProblem
 from .graph import PotentialField, WeightedGraph, boundary
-from .problem_io import ProblemFile, parse_problem, read_solution
+from .problem_io import ProblemFile, parse_problem_file, read_solution
 from .solver import SolveResult, SolverConfig, solve_dirichlet, solve_ground_state
 
 # The paper's listings: both wells and their vertex boundaries.
@@ -75,8 +75,7 @@ def _g22_instance(pf: ProblemFile) -> tuple[WeightedGraph, PotentialField, Diric
 def build_g22() -> tuple[WeightedGraph, PotentialField, DirichletProblem]:
     """The experiment instance, alpha = beta = 2, read from the packaged
     data/g22.graph and checked against the paper's well and boundary listings."""
-    text = resources.files(__package__).joinpath("data/g22.graph").read_text(encoding="utf-8")
-    return _g22_instance(parse_problem(text))
+    return _g22_instance(parse_problem_file(resources.files(__package__).joinpath("data/g22.graph")))
 
 
 def decade_grid(start_exp: float = 0.0, stop_exp: float = 7.0, per_decade: int = 1) -> tuple[float, ...]:
@@ -230,9 +229,7 @@ def g22_reference_values() -> dict[tuple[str, str], float]:
     optimality system (scripts/generate_g22_reference.py) and frozen as
     package data.
     """
-    path = resources.files(__package__).joinpath("data/g22_dirichlet_reference.csv")
-    with path.open("r", encoding="utf-8") as fh:
-        values = read_solution(fh)
+    values = read_solution(resources.files(__package__).joinpath("data/g22_dirichlet_reference.csv"))
     out: dict[tuple[str, str], float] = {}
     for label, (u, v) in values.items():
         out[(label, "u")] = u

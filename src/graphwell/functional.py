@@ -13,9 +13,10 @@ hessian_operator, hessian_matrix, nehari_scale) compute J(w) = (1/2) ||w||^2 -
 coupling(w)/(alpha+beta), its residual and the Hessian's action, zero off the
 masks, and the Hessian's matrix, the identity off the masks. Mass, Laplacian,
 masking and reductions act on both components at once; only the coupling
-terms index a component. The kernels trust their input;
-energy_J_*, grad_J_*, norm_H_*_sq and nehari_diagnostics validate the pair once
-and then call them. Given a batch, the kernels return one value or residual
+terms index a component. The kernels trust their input; energy_J_lambda,
+grad_J_lambda, norm_H_lambda_sq (bound also as the _Omega names) and
+nehari_diagnostics validate the pair once, by the problem's check_pair, and
+then call them. Given a batch, the kernels return one value or residual
 per pair; _nehari_rows is nehari_diagnostics for the norms and couplings of a
 trusted batch, the form in which the solver certifies its results.
 
@@ -314,37 +315,26 @@ def nehari_scale(p: Problem, w) -> float | np.ndarray:
     return t if t.ndim else float(t)
 
 
-def norm_H_lambda_sq(p: LambdaProblem, w) -> float:
-    """Squared H_lambda norm: gradient terms plus (lambda a + 1), (lambda b + 1) mass."""
-    return norm_sq_of(p, as_pair(p.graph, w))
+def norm_H_lambda_sq(p: Problem, w) -> float:
+    """Squared H norm of a pair: the all-edge gradient sum plus coef-weighted
+    mass. As norm_H_Omega_sq, on a DirichletProblem, the mass is unit and the
+    pair must vanish off the wells, so this equals the gradient form summed
+    over the closed wells plus the mass over the open wells."""
+    return norm_sq_of(p, p.check_pair(w))
 
 
-def norm_H_Omega_sq(d: DirichletProblem, w) -> float:
-    """Squared H_Omega norm of an admissible pair, else DomainViolationError.
-
-    It is the all-edge gradient sum plus unit mass. An admissible pair vanishes
-    off the wells, so this equals the gradient form summed over the closed
-    wells plus the mass over the open wells.
-    """
-    return norm_sq_of(d, check_admissible(d, w))
+def energy_J_lambda(p: Problem, w) -> float:
+    return energy_of(p, p.check_pair(w))
 
 
-def energy_J_lambda(p: LambdaProblem, w) -> float:
-    return energy_of(p, as_pair(p.graph, w))
+def grad_J_lambda(p: Problem, w) -> PairFunction:
+    """Strong-form residual of system (1), or as grad_J_Omega of system (2), zero
+    off the wells; its L2(dmu) pairing is the weak form."""
+    return PairFunction(*residual_of(p, p.check_pair(w)))
 
 
-def grad_J_lambda(p: LambdaProblem, w) -> PairFunction:
-    """Strong-form residual of system (1); its L2(dmu) pairing is the weak form."""
-    return PairFunction(*residual_of(p, as_pair(p.graph, w)))
-
-
-def energy_J_Omega(d: DirichletProblem, w) -> float:
-    return energy_of(d, check_admissible(d, w))
-
-
-def grad_J_Omega(d: DirichletProblem, w) -> PairFunction:
-    """Residual of system (2) on interior vertices, pinned to 0 elsewhere."""
-    return PairFunction(*residual_of(d, check_admissible(d, w)))
+# J_Omega is J_lambda on the Dirichlet kernel, whose check_pair requires admissible pairs.
+norm_H_Omega_sq, energy_J_Omega, grad_J_Omega = norm_H_lambda_sq, energy_J_lambda, grad_J_lambda
 
 
 def _nehari_rows(p: Problem, norm_sq: np.ndarray, coupling: np.ndarray) -> list[NehariDiagnostics]:

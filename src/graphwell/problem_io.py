@@ -10,11 +10,11 @@ exactly.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import math
 import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable
 
 from .errors import ParseError
@@ -158,52 +158,59 @@ def parse_problem(text: str) -> ProblemFile:
                        beta=beta, lambdas=lambdas)
 
 
-def parse_problem_file(path: str | os.PathLike) -> ProblemFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_problem(fh.read())
+def _read_text(path) -> str:
+    """The text of a file, given a path or a package resource: UTF-8, with or
+    without a byte-order mark. A byte that is not UTF-8 raises ParseError with
+    its line."""
+    data = (path if hasattr(path, "read_bytes") else Path(path)).read_bytes()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object is data less its byte-order mark; lines count as in parse_problem.
+        before = exc.object[:exc.start].decode("utf-8")
+        raise ParseError(f"byte {exc.object[exc.start]:#04x} is not UTF-8",
+                         len((before + "?").splitlines())) from None
+
+
+def parse_problem_file(path) -> ProblemFile:
+    return parse_problem(_read_text(path))
 
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _sink(sink):
-    """A context giving the stream to write to: a path is opened (and closed
-    on exit), a caller's stream is used as it is and left open."""
+def _write_csv(sink, header: tuple[str, ...], rows: Iterable) -> None:
+    """The header and the rows, one CSV line each, to a path (opened and
+    closed here) or to a caller's stream (left open)."""
     if isinstance(sink, (str, os.PathLike)):
-        return open(sink, "w", encoding="utf-8", newline="\n")
-    return contextlib.nullcontext(sink)
+        with open(sink, "w", encoding="utf-8", newline="\n") as fh:
+            return _write_csv(fh, header, rows)
+    out = csv.writer(sink, lineterminator="\n")
+    out.writerow(header)
+    out.writerows(rows)
 
 
 def write_solution(graph: WeightedGraph, result: SolveResult, sink) -> None:
     """CSV rows vertex,u,v in declaration order, 17 significant digits."""
-    with _sink(sink) as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(("vertex", "u", "v"))
-        out.writerows((lab, _fmt(u), _fmt(v)) for lab, u, v in zip(graph.labels, *result.pair))
+    _write_csv(sink, ("vertex", "u", "v"),
+               ((lab, _fmt(u), _fmt(v)) for lab, u, v in zip(graph.labels, *result.pair)))
 
 
 def write_sweep(records: Iterable, sink) -> None:
     """One CSV row per lambda with the sweep metrics; header always present."""
-    with _sink(sink) as fh:
-        fh.write("lambda,energy,sup_u_outside,sup_v_outside,h_distance,residual_norm,converged\n")
-        for r in records:
-            fh.write(",".join([
-                _fmt(r.lam), _fmt(r.energy), _fmt(r.sup_u_outside), _fmt(r.sup_v_outside),
-                _fmt(r.h_distance), _fmt(r.residual_norm),
-                "true" if r.converged else "false",
-            ]) + "\n")
+    _write_csv(sink, ("lambda", "energy", "sup_u_outside", "sup_v_outside", "h_distance",
+                      "residual_norm", "converged"),
+               ((_fmt(r.lam), _fmt(r.energy), _fmt(r.sup_u_outside), _fmt(r.sup_v_outside),
+                 _fmt(r.h_distance), _fmt(r.residual_norm), "true" if r.converged else "false")
+                for r in records))
 
 
 def read_solution(source) -> dict[str, tuple[float, float]]:
-    """Inverse of write_solution: label -> (u, v). A header other than
-    vertex,u,v, a row without three fields, a value that is not a finite
-    number and a repeated vertex label raise ParseError with the line."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source.read()
+    """Inverse of write_solution: label -> (u, v), from a stream or a file. A
+    header other than vertex,u,v, a row without three fields, a value that is
+    not a finite number and a repeated vertex label raise ParseError with the line."""
+    text = source.read() if hasattr(source, "read") else _read_text(source)
     rows = csv.reader(text.splitlines())
     header = next(rows, [])
     if header != ["vertex", "u", "v"]:

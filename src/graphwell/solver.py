@@ -23,20 +23,12 @@ _EXACT_METRIC_MAX_N vertices the descent takes the exact H-gradient from loop
 head _EXACT_METRIC_HEAD on, through one n x n inverse of A per component and
 solve, built by _linear_inverse when some row is still descending there; a
 solve whose rows all stop earlier builds none. The switch has its own head,
-not the first progress check at _PROGRESS_WINDOW: in the G22 sweep (the
-Dirichlet problem and lambda = 1 .. 1e7) every cold restart stops within 11
-loop heads of the switch, so a switch at 20 instead of 50 halves the descent
-steps of the sweep. The Jacobi steps
-before the switch choose each restart's basin, so every switch head moves a
-few winners of chaotic draws, up or down: against head 50, head 20 moved 17
-of 12000 winners (6000 draws of scripts/soak.py and 6000 random instances),
-8 down and 9 up, and heads 10, 30 and 40 moved winners of the same draws;
-switching at the first loop head moved 4 of 140 random-instance winners. The
-bound sits below the measured crossover: with the switch at head 20 on
-irregular random graphs, the exact metric made default solves 1.2 times
-faster at n = 60 and 120, but lifting the bound made them 1.3 times slower at
-n = 200 and 1.4 times at n = 300, where the O(n^2) product per row and step
-costs more than the loop heads it saves.
+before the first progress check at _PROGRESS_WINDOW, because the cold
+restarts of the G22 sweep stop a few loop heads after it. The Jacobi steps
+before the switch choose each restart's basin, so the switch head moves a few
+winners of chaotic draws, up or down. The bound sits below the measured
+crossover, above which the O(n^2) product per row and step costs more than
+the loop heads it saves; README.md gives the measurements.
 
 Descent alone still crawls on symmetric instances, where the Hessian at the
 ground state can have an exactly flat direction (the energy grows only
@@ -106,11 +98,9 @@ O(|E| + n) per row and product, and solve with it by MINRES, preconditioned
 with the descent diagonal above, for all rows of the batch in lockstep, a
 finished row frozen in place; no matrix is formed there, so memory stays
 O(k(|E| + n)) for k starts, where the dense step takes O(k n^2). The bound
-sits below the measured crossover: on irregular random graphs the dense step
-made default solves 1.27 times faster at n = 20, 1.14 times at n = 45 and
-1.02 times at n = 64, but 0.99 times as fast at n = 75 and 0.73 times at
-n = 128, where the O(n^3) factorization per row and step costs more than the
-MINRES iterations it replaces.
+sits below the measured crossover (README.md), above which the O(n^3)
+factorization per row and step costs more than the MINRES iterations it
+replaces.
 """
 
 from __future__ import annotations

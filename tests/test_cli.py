@@ -134,6 +134,25 @@ class TestErrorPaths:
         assert rc == EXIT_VALIDATION
         assert "do not overlap" in captured.err
 
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_byte_order_mark_runs_like_its_plain_twin(self, tiny, tmp_path, capsys, command):
+        marked = tmp_path / "marked.graph"
+        marked.write_text(TINY, encoding="utf-8-sig")
+        assert main([command, tiny]) == EXIT_OK
+        plain = capsys.readouterr()
+        assert main([command, str(marked)]) == EXIT_OK
+        assert capsys.readouterr() == plain
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_non_utf8_byte_is_a_parse_error(self, tmp_path, capsys, command):
+        # 'q\xe9' is Latin-1 for 'qé', on line 3 of TINY.
+        bad = tmp_path / "latin1.graph"
+        bad.write_bytes(TINY.encode().replace(b"q 2", b"q\xe9 2"))
+        rc = main([command, str(bad)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_PARSE
+        assert captured.err == "graphwell: parse error: line 3: byte 0xe9 is not UTF-8\n"
+
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["solve", str(tmp_path / "nope.graph")])
         captured = capsys.readouterr()
@@ -234,6 +253,15 @@ class TestSweep:
         captured = capsys.readouterr()
         assert rc == EXIT_OK
         assert len(captured.out.splitlines()) == 1 + rows
+
+    def test_default_grid_without_file_lambdas(self, tmp_path, capsys):
+        # No lambda line and no --lambdas: the decades 1 .. 1e7.
+        path = tmp_path / "nolambda.graph"
+        path.write_text(TINY.replace("lambda 2\n", ""), encoding="utf-8")
+        rc = main(["sweep", str(path)])
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert rc == EXIT_OK
+        assert [float(r["lambda"]) for r in rows] == [10.0 ** k for k in range(8)]
 
     def test_bad_list_rejected(self, tiny, capsys):
         assert main(["sweep", tiny, "--lambdas", "1,zz"]) == EXIT_PARSE

@@ -141,8 +141,11 @@ class TestEnergyAndCoupling:
         inside = (np.array([2.0, 0.0, 0.0]), np.array([3.0, 0.0, 0.0]))
         assert nehari_diagnostics(d, inside).coupling == pytest.approx(36.0, abs=1e-12)
 
+    # The _Omega names are bound to the _lambda functions, whose __name__
+    # pytest would take for the ids.
     @pytest.mark.parametrize("public", [
-        energy_J_Omega, grad_J_Omega, norm_H_Omega_sq, nehari_diagnostics])
+        energy_J_Omega, grad_J_Omega, norm_H_Omega_sq, nehari_diagnostics],
+        ids=["energy_J_Omega", "grad_J_Omega", "norm_H_Omega_sq", "nehari_diagnostics"])
     def test_omega_boundary_rejects_exterior(self, public):
         g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         d = DirichletProblem(g, frozenset({0, 1}), frozenset({1}), alpha=2.0, beta=2.0)

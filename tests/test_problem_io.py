@@ -247,3 +247,46 @@ class TestProblemRoundTrip:
         path.write_text(MINIMAL, encoding="utf-8")
         pf = parse_problem_file(path)
         assert pf.graph.labels == ("p", "q")
+
+
+class TestEncoding:
+    # Every file is read as UTF-8, with or without a byte-order mark; a byte
+    # that is not UTF-8 is a ParseError that names its line.
+    def test_byte_order_mark_parses_like_its_plain_twin(self, tmp_path):
+        plain, marked = tmp_path / "plain.graph", tmp_path / "marked.graph"
+        plain.write_text(MINIMAL, encoding="utf-8")
+        marked.write_text(MINIMAL, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        a, b = parse_problem_file(plain), parse_problem_file(marked)
+        assert a.graph.labels == b.graph.labels == ("p", "q")
+        assert np.array_equal(a.graph.mu, b.graph.mu)
+        assert np.array_equal(a.graph.edge_w, b.graph.edge_w)
+        assert (a.alpha, a.beta, a.lambdas) == (b.alpha, b.beta, b.lambdas)
+        assert a.potentials.omega_a == b.potentials.omega_a
+        assert a.potentials.omega_b == b.potentials.omega_b
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, newline, encoding):
+        # 'q\xe9' is Latin-1 for 'qé', on line 4 of MINIMAL.
+        data = MINIMAL.replace("\n", newline).encode(encoding).replace(b"q 2", b"q\xe9 2")
+        path = tmp_path / "latin1.graph"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="byte 0xe9 is not UTF-8") as exc:
+            parse_problem_file(path)
+        assert exc.value.line == 4
+
+    def test_solution_with_byte_order_mark_reads_like_its_plain_twin(self, tmp_path):
+        text = "vertex,u,v\np,1.25,-3.5\nq,0,2\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert read_solution(marked) == read_solution(plain) == {"p": (1.25, -3.5),
+                                                                 "q": (0.0, 2.0)}
+
+    def test_solution_with_non_utf8_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"vertex,u,v\np,1,2\nq\xe9,3,4\n")
+        with pytest.raises(ParseError, match="byte 0xe9 is not UTF-8") as exc:
+            read_solution(path)
+        assert exc.value.line == 3

@@ -574,6 +574,39 @@ class TestDirectNewton:
         assert out.converged
         assert abs(out.energy - direct.energy) <= 1e-12 * abs(direct.energy)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_graphs_between_the_bounds_descend_exactly_and_polish_by_minres(self, seed, calls,
+                                                                            monkeypatch):
+        # A graph with _DIRECT_NEWTON_MAX_N < n <= _EXACT_METRIC_MAX_N takes the
+        # exact H metric in its descent and MINRES in its polish. Odd seeds pose
+        # the Dirichlet problem on the wells.
+        inverse = solver._linear_inverse
+
+        def inverse_spy(p):
+            calls["inverse"] += 1
+            return inverse(p)
+
+        monkeypatch.setattr(solver, "_linear_inverse", inverse_spy)
+        rng = np.random.default_rng([seed, 65])
+        g = random_connected_graph(rng, solver._DIRECT_NEWTON_MAX_N + 1,
+                                   solver._EXACT_METRIC_MAX_N)
+        pots = two_wells(rng, g.vertex_count)
+        alpha, beta = (float(x) for x in rng.uniform(1.2, 4.0, 2))
+        if seed % 2:
+            p = DirichletProblem(g, pots.omega_a, pots.omega_b, alpha, beta)
+            out = solve_dirichlet(p)
+        else:
+            p = LambdaProblem(g, pots, 10.0 ** rng.uniform(-2.0, 9.0), alpha, beta)
+            out = solve_ground_state(p)
+        assert out.converged
+        assert calls["inverse"] == 1 and calls["minres"] > 0 and calls["solve"] == 0
+        cfg = SolverConfig()
+        starts = cold_starts(p, 8)
+        batch = solver._run_descent(p, cfg, np.array(starts), range(8))
+        for i, start in enumerate(starts):
+            [alone] = solver._run_descent(p, cfg, np.array([start]), [i])
+            assert_same_result(batch[i], alone)
+
 
 @pytest.mark.parametrize("flavour", ["dirichlet", "lambda"])
 def test_numpy_scalar_parameters_give_python_floats(flavour):
