@@ -26,7 +26,8 @@ from .errors import BoundaryMismatchError, GraphValidationError, UnknownLabelErr
 from .functional import DirichletProblem, LambdaProblem
 from .graph import PotentialField, WeightedGraph, boundary
 from .problem_io import ProblemFile, parse_problem_file, read_solution
-from .solver import SolveResult, SolverConfig, solve_dirichlet, solve_ground_state
+from .solver import (SolveResult, SolverConfig, _seeded_restarts, solve_dirichlet,
+                     solve_ground_state)
 
 # The paper's listings: both wells and their vertex boundaries.
 G22_WELL_A = frozenset(f"x{i}" for i in range(1, 10))
@@ -147,6 +148,15 @@ def lambda_sweep(potentials: PotentialField, d: DirichletProblem,
     Dirichlet minimizer (an admissible competitor at every lambda, which keeps
     the energy below the limit level); the seeded runs compete against the
     usual cold restarts and the best energy wins.
+
+    The cold restarts take nothing from the previous lambda, so after the
+    Dirichlet solve those of every lambda descend first, as the rows of one
+    lockstep batch on graphs of at most solver._EXACT_METRIC_MAX_N vertices,
+    one batch per lambda above. solve_ground_state is then called once per
+    lambda with that lambda's finished restarts and descends only the warm
+    starts. A row's arithmetic does not depend on the rows beside it, so every
+    record has the bits of the lambda-solve that descends all its starts
+    itself.
     """
     cfg = cfg or SweepConfig()
     g = d.graph
@@ -158,11 +168,12 @@ def lambda_sweep(potentials: PotentialField, d: DirichletProblem,
 
     dres = solve_dirichlet(d, cfg.solver)
     ref = dres.pair
+    restarts = _seeded_restarts(problems, cfg.solver)
 
     records: list[SweepRecord] = []
     seeds = [ref]
-    for problem in problems:
-        res = solve_ground_state(problem, cfg.solver, warm_starts=seeds)
+    for problem, own in zip(problems, restarts):
+        res = solve_ground_state(problem, cfg.solver, warm_starts=seeds, _restarts=own)
         u, v = res.pair
         sup_u = float(np.max(np.abs(u[outside_a]))) if outside_a.any() else 0.0
         sup_v = float(np.max(np.abs(v[outside_b]))) if outside_b.any() else 0.0

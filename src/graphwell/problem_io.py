@@ -22,6 +22,7 @@ from .graph import PotentialField, WeightedGraph, validate_graph
 from .solver import SolveResult
 
 _SECTIONS = ("vertices", "edges", "params")
+_BOM = "\ufeff"     # the byte-order mark, which both parsers drop once at the start
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,9 @@ def _float(tok: str, line: int, what: str) -> float:
 
 
 def parse_problem(text: str) -> ProblemFile:
-    """Parse and validate a problem file; every error names its line."""
+    """Parse and validate a problem file, less one leading byte-order mark;
+    every error names its line."""
+    text = text.removeprefix(_BOM)
     sections: dict[str, list[tuple[int, list[str]]]] = {}
     current: str | None = None
     nlines = 1
@@ -159,14 +162,14 @@ def parse_problem(text: str) -> ProblemFile:
 
 
 def _read_text(path) -> str:
-    """The text of a file, given a path or a package resource: UTF-8, with or
-    without a byte-order mark. A byte that is not UTF-8 raises ParseError with
-    its line."""
+    """The text of a file, given a path or a package resource: UTF-8, a
+    byte-order mark kept for the parser to drop. A byte that is not UTF-8
+    raises ParseError with its line."""
     data = (path if hasattr(path, "read_bytes") else Path(path)).read_bytes()
     try:
-        return data.decode("utf-8-sig")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # exc.object is data less its byte-order mark; lines count as in parse_problem.
+        # Lines count as in parse_problem; a byte-order mark breaks no line.
         before = exc.object[:exc.start].decode("utf-8")
         raise ParseError(f"byte {exc.object[exc.start]:#04x} is not UTF-8",
                          len((before + "?").splitlines())) from None
@@ -207,11 +210,12 @@ def write_sweep(records: Iterable, sink) -> None:
 
 
 def read_solution(source) -> dict[str, tuple[float, float]]:
-    """Inverse of write_solution: label -> (u, v), from a stream or a file. A
-    header other than vertex,u,v, a row without three fields, a value that is
-    not a finite number and a repeated vertex label raise ParseError with the line."""
+    """Inverse of write_solution: label -> (u, v), from a stream or a file,
+    less one leading byte-order mark. A header other than vertex,u,v, a row
+    without three fields, a value that is not a finite number and a repeated
+    vertex label raise ParseError with the line."""
     text = source.read() if hasattr(source, "read") else _read_text(source)
-    rows = csv.reader(text.splitlines())
+    rows = csv.reader(text.removeprefix(_BOM).splitlines())
     header = next(rows, [])
     if header != ["vertex", "u", "v"]:
         raise ParseError(f"solution header must be 'vertex,u,v', got {','.join(header)!r}", 1)

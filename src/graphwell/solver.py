@@ -45,10 +45,25 @@ numpy's per-call cost once for all of them. A row leaves the batch when it
 stops, and the rows that stop above their residual target are polished
 together, as one batch of the same arrays, after the loop. Every vertex sum,
 in the kernels, in the exact H-gradient below and in MINRES, is np.vecdot,
-which sums each row as the BLAS dot of that row alone, and the batched dense
-Newton solve below factors each row's matrix alone; so a row's arithmetic is
-exactly that of a batch of one, and each restart's result has the same bits
-as its start solved alone.
+which sums each row as the BLAS dot of that row alone, the Laplacian scatters
+each row's edges in the order of a row alone, and the batched dense Newton
+solve below factors each row's matrix alone; so a row's arithmetic is exactly
+that of a batch of one, and each restart's result has the same bits as its
+start solved alone. One exception: a dense Newton step whose batch holds an
+exactly singular Hessian is taken by MINRES for every row of that step.
+
+A lambda sweep batches across problems too. Its seeded restarts take nothing
+from the previous lambda, so lambda_sweep descends those of all its
+lambda-problems, which differ in coef alone, as the rows of one batch
+(_seeded_restarts), and each row carries its own problem's coef, shaped
+(k, 2, n) and subset with the rows; A's inverse is built once per problem and
+gathered per row. Each lambda's solve then descends only its warm starts,
+which hold the previous solution, and picks its winner from both sets in the
+order of a solve of all its starts at once. By the row independence above,
+every record is the one each lambda-solve gives alone, bit for bit. Only
+graphs of at most _EXACT_METRIC_MAX_N vertices batch their lambdas: on a
+50 x 50 grid one batch of 64 rows took 2.5 times as long as eight batches of
+8 (README.md).
 
 A restart stops at a loop head once its residual reaches
 max(grad_tol, _POLISH_SWITCH * max(1, ||w||)). Every iterate is an exact
@@ -105,11 +120,12 @@ replaces.
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -199,10 +215,33 @@ def _diag_of(p: Problem) -> np.ndarray:
     return p.coef + p.graph.wdeg / p.graph.mu
 
 
+def _with_coef(p: Problem, coef: np.ndarray) -> Problem:
+    """p with the mass coefficients coef: (2, n), or (k, 2, n) for the k rows
+    of a batch whose problems differ from p in coef alone. The kernels
+    broadcast coef against the rows, so row i is priced with coef[i]."""
+    q = copy.copy(p)
+    object.__setattr__(q, "coef", coef)
+    return q
+
+
+def _take(p: Problem, rows) -> Problem:
+    """The problem of the given rows of a batch: p itself when its coef is
+    shared by every row, else p with those rows of its coef."""
+    return p if p.coef.ndim == 2 else _with_coef(p, p.coef[rows])
+
+
 def _linear_inverse(p: Problem) -> np.ndarray:
     """The inverse of A, the diagonal blocks of hessian_matrix at w = 0, for
     each component on its mask and zero elsewhere: (2, n, n). A is symmetric
-    positive definite on each mask, since mu coef > 0."""
+    positive definite on each mask, since mu coef > 0. For a coef with a row
+    axis, one inverse per row, (k, 2, n, n): the rows of one problem are
+    adjacent in a batch, and each run of equal coef is inverted once."""
+    if p.coef.ndim == 3:
+        coef = p.coef
+        head = np.ones(len(coef), dtype=bool)
+        head[1:] = (coef[1:] != coef[:-1]).any(axis=(1, 2))
+        inverses = np.array([_linear_inverse(_with_coef(p, c)) for c in coef[head]])
+        return inverses[np.cumsum(head) - 1]
     n = p.graph.vertex_count
     a = hessian_matrix(p, np.zeros((2, n))).reshape(2, n, 2, n)
     inverse = np.zeros((2, n, n))
@@ -320,30 +359,32 @@ def _newton_polish(p: Problem, w: np.ndarray, grad_tol: np.ndarray) -> np.ndarra
     """
     mu = p.graph.mu
 
-    def stacked(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        r = residual_of(p, z)
+    def stacked(rows: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        r = residual_of(_take(p, rows), z)
         return mu * r, _residual_norm(p, r)
 
     dense = p.graph.vertex_count <= _DIRECT_NEWTON_MAX_N
-    minv = np.where(p.mask, 1.0 / (mu * _diag_of(p)), 0.0)
+    minv = np.where(p.mask, 1.0 / (mu * _diag_of(p)), 0.0)    # one row per row of w, or shared
     w = w.copy()        # rows move in place; the caller's w is left as it was
-    f, rnorm = stacked(w)
+    f, rnorm = stacked(np.arange(len(w)), w)
     live = np.ones(len(w), dtype=bool)
     for _ in range(_POLISH_MAX_ITERS):
         live &= np.isfinite(rnorm) & (rnorm > 0.5 * grad_tol)
         rows = np.flatnonzero(live)
         if not rows.size:
             break
+        q = _take(p, rows)
         step = None
         if dense:
-            h = hessian_matrix(p, w[rows])
+            h = hessian_matrix(q, w[rows])
             rhs = -f[rows].reshape(rows.size, -1)
             try:
                 step = np.linalg.solve(h, rhs[..., None]).reshape(-1, *w.shape[1:])
             except np.linalg.LinAlgError:
                 pass        # some row's H is exactly singular: MINRES takes this step
         if step is None:
-            step = _minres(hessian_operator(p, w[rows]), -f[rows], minv)
+            step = _minres(hessian_operator(q, w[rows]), -f[rows],
+                           minv if minv.ndim == 2 else minv[rows])
         finite = np.isfinite(step).all(axis=(-2, -1))
         live[rows[~finite]] = False
         rows, step = rows[finite], step[finite]
@@ -351,7 +392,7 @@ def _newton_polish(p: Problem, w: np.ndarray, grad_tol: np.ndarray) -> np.ndarra
             if not rows.size:
                 break
             trial = w[rows] + 0.5**r * step
-            ft, rt = stacked(trial)
+            ft, rt = stacked(rows, trial)
             better = rt < rnorm[rows]
             took = rows[better]
             w[took], f[took], rnorm[took] = trial[better], ft[better], rt[better]
@@ -377,20 +418,21 @@ def _finish(p: Problem, cfg: SolverConfig, w: np.ndarray, iters: np.ndarray,
     tol = _tolerance(p, cfg.grad_tol, w, norm_sq)
     need = np.flatnonzero(rnorm > tol)
     if need.size:
-        polished = _newton_polish(p, w[need], tol[need])
+        q = _take(p, need)
+        polished = _newton_polish(q, w[need], tol[need])
         # Re-project to exact manifold points; at a polished critical point
         # the scale is 1 up to rounding. A row without a projection gets the
         # scale nan, so it fails the test below.
-        cand = nehari_scale(p, polished)[:, None, None] * polished
-        cnorm = _residual_norm(p, residual_of(p, cand))
-        cnorm_sq, ccoupling = norm_sq_of(p, cand), coupling_integral(p, cand)
+        cand = nehari_scale(q, polished)[:, None, None] * polished
+        cnorm = _residual_norm(p, residual_of(q, cand))
+        cnorm_sq, ccoupling = norm_sq_of(q, cand), coupling_integral(q, cand)
         n_sq, c = norm_sq[need], coupling[need]
         energy = _energy(p, n_sq, c)
         # E = N/2 - C/gamma cancels: rounding moves it by eps (N/2 + C/gamma).
         slack = 4.0 * np.finfo(np.float64).eps * np.maximum(1.0, 0.5 * n_sq + c / p.gamma)
         keep = (np.isfinite(cnorm) & (cnorm < rnorm[need])
                 & (_energy(p, cnorm_sq, ccoupling) <= energy + slack))
-        ctol = _tolerance(p, cfg.grad_tol, cand, cnorm_sq)
+        ctol = _tolerance(q, cfg.grad_tol, cand, cnorm_sq)
         for old, new in ((w, cand), (rnorm, cnorm), (norm_sq, cnorm_sq), (coupling, ccoupling),
                          (tol, ctol)):
             old[need[keep]] = new[keep]
@@ -407,40 +449,48 @@ def _finish(p: Problem, cfg: SolverConfig, w: np.ndarray, iters: np.ndarray,
     return out
 
 
+def _no_projection(p: Problem, overflowed: bool) -> Exception:
+    """The error of a solve none of whose starts has a Nehari projection."""
+    if overflowed:
+        return EnergyOverflowError(
+            f"the Nehari projection of every start overflowed (alpha {p.alpha}, beta {p.beta})")
+    return DegeneratePairError(
+        "coupling degenerated to zero in every restart; no Nehari projection exists")
+
+
 def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
                  indices: Sequence[int], stall: bool = True) -> list[SolveResult]:
     """Descend from every start of one solve in lockstep.
 
-    Row i of the (k, 2, n) batch starts is restart indices[i]; the starts
-    must vanish off the masks. Only starts with a finite Nehari projection
-    enter, and the result has one entry for each, in start order. If none
-    enters, EnergyOverflowError is raised when a projection overflowed, else
-    DegeneratePairError. The starts that entered descend as the rows of one
-    batch, whose state is arrays indexed by batch row: the kernels, the stop
-    rules and each Armijo round act on all rows at once, and a row's
-    arithmetic is exactly that of a batch of one, so its result has the same
-    bits as its start solved alone. A row that stops, by any rule, writes its
-    point and iteration count once, at that loop head, into arrays indexed by
-    start, and leaves. _finish then polishes and certifies them all. With
-    stall false the stall rule is off, and a row stops only by the others.
+    Row i of the (k, 2, n) batch starts is restart indices[i]; the starts must
+    vanish off the masks. p's coef is shared by every row, or is (k, 2, n),
+    one per start, with rows and coef subset together (_take). Only starts
+    with a finite Nehari projection enter, and the result has one entry for
+    each, in start order. If none enters, EnergyOverflowError is raised when a
+    projection overflowed, else DegeneratePairError. The starts that entered
+    descend as the rows of one batch, whose state is arrays indexed by batch
+    row: the kernels, the stop rules and each Armijo round act on all rows at
+    once, and a row's arithmetic is exactly that of a batch of one, so its
+    result has the same bits as its start solved alone. A row that stops, by
+    any rule, writes its point and iteration count once, at that loop head,
+    into arrays indexed by start, and leaves. _finish then polishes and
+    certifies them all. With stall false the stall rule is off, and a row
+    stops only by the others.
     """
     t = nehari_scale(p, starts)
     entered = np.flatnonzero(np.isfinite(t))
     if not entered.size:
-        if np.isinf(t).any():
-            raise EnergyOverflowError(
-                f"the Nehari projection of every start overflowed (alpha {p.alpha}, beta {p.beta})")
-        raise DegeneratePairError(
-            "coupling degenerated to zero in every restart; no Nehari projection exists")
+        raise _no_projection(p, np.isinf(t).any())
     # From here on a start is one of those that entered, numbered in order.
     w = t[entered, None, None] * starts[entered]
     index = np.asarray(indices)[entered]
+    p = _take(p, entered)
     rows = np.arange(entered.size)      # batch row -> start
 
     exponent = 1.0 / (p.gamma - 2.0)
     level = 0.5 - 1.0 / p.gamma      # J = level * ||w||^2 on the manifold
     mu = p.graph.mu
-    diag = _diag_of(p)
+    q, diag = p, _diag_of(p)    # the problem and the descent diagonal of the batch rows
     inverse = None      # A's inverse, once the exact metric takes over
     eps = np.finfo(np.float64).eps
 
@@ -450,9 +500,9 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
     iters = np.empty(rows.size, dtype=int)
 
     for k in range(_MAX_ITERS + 1):
-        res = residual_of(p, w)
+        res = residual_of(q, w)
         rnorm = _residual_norm(p, res)
-        norm_sq = norm_sq_of(p, w)
+        norm_sq = norm_sq_of(q, w)
         stop = (k == _MAX_ITERS) | (rnorm <= np.maximum(
             cfg.grad_tol, _POLISH_SWITCH * np.maximum(1.0, np.sqrt(norm_sq))))
         if stall and k % _PROGRESS_WINDOW == 0:
@@ -463,7 +513,7 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
             window = rnorm
         if (k == _EXACT_METRIC_HEAD and p.graph.vertex_count <= _EXACT_METRIC_MAX_N
                 and not stop.all()):
-            inverse = _linear_inverse(p)
+            inverse = _linear_inverse(q)
         # The H-gradient, A^-1 (mu res), or its Jacobi stand-in res / diag,
         # where diag = diag(A) / mu; each row of vecdot is a dot of its own.
         if inverse is None:
@@ -486,8 +536,8 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
         searching = ~stop
         while searching.any():
             trial = w - steps[:, None, None] * direction
-            norm_t = norm_sq_of(p, trial)
-            scale = (norm_t / coupling_integral(p, trial)) ** exponent
+            norm_t = norm_sq_of(q, trial)
+            scale = (norm_t / coupling_integral(q, trial)) ** exponent
             searching &= ~(level * scale**2 * norm_t
                            <= baseline - _ARMIJO_C * steps * slope + slack)
             step *= _BACKTRACK
@@ -507,25 +557,105 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
                 break
             keep = ~stop
             rows, window, scale, trial = rows[keep], window[keep], scale[keep], trial[keep]
+            if p.coef.ndim == 3:    # rows of several problems: their data leaves with them
+                q, diag = _take(q, keep), diag[keep]
+                inverse = None if inverse is None else inverse[keep]
         w = scale[:, None, None] * trial
 
     return _finish(p, cfg, w_end, iters, index)
 
 
-def _solve(p: Problem, cfg: SolverConfig, warm_starts: Sequence[PairFunction]) -> SolveResult:
+class _Descent(NamedTuple):
+    """The starts of one problem after _descend: the results of those with a
+    Nehari projection, in start order, then those of their re-descents, and
+    whether the projection of some start overflowed."""
+
+    first: list[SolveResult]
+    again: list[SolveResult]
+    overflowed: bool
+
+
+def _cold_starts(p: Problem, cfg: SolverConfig) -> list[np.ndarray]:
+    return [_initial_pair(p, np.random.default_rng([cfg.rng_seed, i])) for i in range(cfg.restarts)]
+
+
+def _descend(problems: Sequence[Problem], cfg: SolverConfig, starts: Sequence[np.ndarray],
+             indices: Sequence[Sequence[int]]) -> list[_Descent]:
+    """Descend the starts of every problem as the rows of one lockstep batch.
+
+    starts[j], (k_j, 2, n), are the starts of problems[j] and indices[j] their
+    restart indices. The problems may differ in coef alone; with more than
+    one, each row carries its own problem's coef. Only starts with a finite
+    Nehari projection enter. The starts of the restarts that end unconverged
+    descend once more, again as one batch, without the stall rule; only they
+    pay for it. Since a row's arithmetic is that of a batch of one, every
+    result has the bits it gets in a batch of its problem's starts alone.
+    """
+    owner = np.repeat(np.arange(len(problems)), [len(x) for x in starts])
+    p = problems[0]
+    if len(problems) > 1:
+        p = _with_coef(p, np.array([q.coef for q in problems])[owner])
+    starts = np.concatenate(starts)
+    index = np.concatenate([np.asarray(i, dtype=int) for i in indices])
+    # _run_descent's entry test, taken here too: it maps each result to its
+    # problem and tells each problem's error apart.
+    t = nehari_scale(p, starts)
+    out = [_Descent([], [], bool(np.isinf(t[owner == j]).any())) for j in range(len(problems))]
+    entered = np.isfinite(t)
+    if entered.any():
+        p, starts, index, owner = _take(p, entered), starts[entered], index[entered], owner[entered]
+        first = _run_descent(p, cfg, starts, index)
+        again = np.flatnonzero([not r.converged for r in first])
+        for j, r in zip(owner.tolist(), first):
+            out[j].first.append(r)
+        if again.size:
+            redo = _run_descent(_take(p, again), cfg, starts[again], index[again], stall=False)
+            for j, r in zip(owner[again].tolist(), redo):
+                out[j].again.append(r)
+    return out
+
+
+def _seeded_restarts(problems: Sequence[LambdaProblem], cfg: SolverConfig) -> list[_Descent]:
+    """The seeded restarts of each of a sweep's lambda-problems, descended for
+    solve_ground_state's _restarts. The problems must differ in coef alone.
+    On graphs of at most _EXACT_METRIC_MAX_N vertices the restarts of all of
+    them are the rows of one batch, which pays numpy's per-call cost once for
+    all lambdas; on larger graphs each batch holds one problem, since from
+    some n between 400 and 900 one batch takes longer than several
+    (README.md)."""
+    size = len(problems) if problems[0].graph.vertex_count <= _EXACT_METRIC_MAX_N else 1
+    # The starts depend on the graph and the wells alone, so every problem has the same.
+    starts = np.array(_cold_starts(problems[0], cfg))
+    out = []
+    with np.errstate(all="ignore"):
+        for i in range(0, len(problems), size):
+            group = problems[i:i + size]
+            out += _descend(group, cfg, [starts] * len(group), [range(cfg.restarts)] * len(group))
+    return out
+
+
+def _solve(p: Problem, cfg: SolverConfig, warm_starts: Sequence[PairFunction],
+           restarts: _Descent | None = None) -> SolveResult:
+    """The best result over the warm starts and the seeded restarts; restarts,
+    when given, are the seeded restarts already descended (_seeded_restarts),
+    and only the warm starts descend here."""
     starts = [np.where(p.mask, as_pair(p.graph, w0), 0.0) for w0 in warm_starts]
-    starts += [_initial_pair(p, np.random.default_rng([cfg.rng_seed, i])) for i in range(cfg.restarts)]
-    starts = np.array(starts)
+    indices = list(range(-len(starts), 0))
+    if restarts is None:
+        starts += _cold_starts(p, cfg)
+        indices += range(cfg.restarts)
     # Overflow near gamma = 2 is caught below by the finite-energy test, and
     # the line search screens out the nonpositive norms and couplings.
     with np.errstate(all="ignore"):
-        results = _run_descent(p, cfg, starts, range(-len(warm_starts), cfg.restarts))
-        # The starts of the restarts that end unconverged descend once more,
-        # as one batch, without the stall rule; only they pay for it. The
-        # results of both passes are candidates.
-        again = np.array([r.restart_index for r in results if not r.converged], dtype=int)
-        if again.size:
-            results += _run_descent(p, cfg, starts[again + len(warm_starts)], again, stall=False)
+        runs = _descend([p], cfg, [np.array(starts)], [indices]) if starts else []
+    if restarts is not None:
+        runs.append(restarts)
+    # Warm starts come first, and each first pass ahead of every re-descent,
+    # so that an energy tie goes to the first pass of the lowest index.
+    results = [r for run in runs for r in run.first]
+    if not results:
+        raise _no_projection(p, any(run.overflowed for run in runs))
+    results += [r for run in runs for r in run.again]
     candidates = [c for c in results if math.isfinite(c.energy)]
     if not candidates:
         raise EnergyOverflowError(
@@ -537,16 +667,19 @@ def _solve(p: Problem, cfg: SolverConfig, warm_starts: Sequence[PairFunction]) -
 
 
 def solve_ground_state(p: LambdaProblem, cfg: SolverConfig | None = None,
-                       warm_starts: Sequence[PairFunction] = ()) -> SolveResult:
+                       warm_starts: Sequence[PairFunction] = (), *,
+                       _restarts: _Descent | None = None) -> SolveResult:
     """Lowest-energy Nehari minimizer of the lambda-problem over all restarts.
 
     Unconverged runs are reported through the converged flag, never raised.
     Extra deterministic starting pairs (warm starts) may be supplied; they are
-    run before the seeded random restarts and win energy ties.
+    run before the seeded random restarts and win energy ties. _restarts is
+    private to lambda_sweep: p's seeded restarts, already descended with cfg
+    by _seeded_restarts.
     """
     if not isinstance(p, LambdaProblem):
         raise TypeError(f"expected LambdaProblem, got {type(p).__name__}")
-    return _solve(p, cfg or SolverConfig(), warm_starts)
+    return _solve(p, cfg or SolverConfig(), warm_starts, _restarts)
 
 
 def solve_dirichlet(d: DirichletProblem, cfg: SolverConfig | None = None,

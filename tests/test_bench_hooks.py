@@ -4,9 +4,12 @@ or renames one of those names, or stops calling it from the solver loops."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-from graphwell import build_g22, experiments, solver
+import numpy as np
+
+from graphwell import SweepConfig, build_g22, experiments, solver
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -54,3 +57,48 @@ def test_traced_solver_counters_are_live():
                  "solver.polish.residual_evals", "solver.polish.newton_steps",
                  "solver.polish.linsolve.s", "functional.residual_of.calls"):
         assert totals.get(name, 0) > 0, name
+
+
+def test_sweep_counters_see_one_solve_per_lambda(monkeypatch):
+    # warm_won_ratio and solver.solve.calls read the solve_ground_state calls
+    # made from lambda_sweep's own frame. The sweep descends every lambda's
+    # seeded restarts in one batch before them, so each call must still be
+    # made once per lambda and return that lambda's answer: the one the
+    # per-lambda chain, each solve descending its own restarts, returns.
+    _g, pots, d = build_g22()
+    cfg = SweepConfig()
+    spans = load_spans()
+    tracer = spans.Tracer(spans.SpanRecorder())
+    tracer.install()
+    try:
+        experiments.lambda_sweep(pots, d, cfg)
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+
+    solve = experiments.solve_ground_state
+    seen, chain = [], []
+
+    def spy(p, *args, **kwargs):
+        out = solve(p, *args, **kwargs)
+        seen.append((sys._getframe(1).f_code.co_name, p.lam, out))
+        return out
+
+    def alone(p, cfg, warm_starts, _restarts):
+        out = solve(p, cfg, warm_starts=warm_starts)
+        chain.append(out)
+        return out
+
+    monkeypatch.setattr(experiments, "solve_ground_state", spy)
+    experiments.lambda_sweep(pots, d, cfg)
+    monkeypatch.setattr(experiments, "solve_ground_state", alone)
+    experiments.lambda_sweep(pots, d, cfg)
+    assert [(caller, lam) for caller, lam, _out in seen] == [("lambda_sweep", lam)
+                                                             for lam in cfg.lambdas]
+    for (_caller, _lam, out), want in zip(seen, chain, strict=True):
+        assert out.energy == want.energy
+        assert out.restart_index == want.restart_index
+        assert np.array_equal(out.pair, want.pair)
+    assert totals["solver.solve.calls"] == totals["experiments.lambda_solves"] == len(cfg.lambdas)
+    assert totals.get("experiments.warm_won", 0) == sum(out.restart_index < 0
+                                                        for _c, _l, out in seen)

@@ -33,6 +33,8 @@ from graphwell import (
     solve_dirichlet,
     solve_ground_state,
 )
+from graphwell import experiments, solver
+from graphwell.errors import DegeneratePairError, EnergyOverflowError
 from graphwell.experiments import (
     G22_BOUNDARY_A,
     G22_BOUNDARY_B,
@@ -298,6 +300,188 @@ class TestSweep:
         assert row.converged and alone.converged
         assert row.energy == pytest.approx(2.58140222667, rel=1e-9)
         assert alone.energy == pytest.approx(53.5362179685, rel=1e-9)
+
+
+def chain_sweep(monkeypatch, pots, d, cfg):
+    """lambda_sweep with each lambda-solve descending its seeded restarts
+    itself, in one batch with its warm starts: the per-lambda chain."""
+    def alone(p, cfg, warm_starts, _restarts):
+        return solve_ground_state(p, cfg, warm_starts=warm_starts)
+
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "solve_ground_state", alone)
+        return lambda_sweep(pots, d, cfg)
+
+
+def instance_sweep(key):
+    """A random_instance's potentials and its Dirichlet problem."""
+    p = load_workloads().random_instance(np.random.default_rng(key))
+    pots = p.potentials
+    return pots, DirichletProblem(p.graph, pots.omega_a, pots.omega_b, p.alpha, p.beta)
+
+
+class TestSeededBatch:
+    # lambda_sweep descends the seeded restarts of all its lambdas as one
+    # batch, then solves each lambda from its warm starts alone, handing over
+    # its finished restarts. A row's bits do not depend on its batch, so the
+    # records are those of the per-lambda chain, field for field.
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_g22_records_equal_the_per_lambda_chain(self, g22, monkeypatch, seed):
+        _graph, pots, d = g22
+        cfg = SweepConfig(solver=SolverConfig(rng_seed=seed))
+        assert lambda_sweep(pots, d, cfg) == chain_sweep(monkeypatch, pots, d, cfg)
+
+    @pytest.mark.parametrize("side", [None, 9], ids=["g22", "grid81"])
+    def test_batched_restarts_match_each_lambda_alone(self, g22, side):
+        # Warm starts win nearly every record, so the records alone hardly
+        # see the restarts. Every restart of the batch of all lambdas must
+        # have the bits it gets in a batch of its own lambda. G22 polishes by
+        # dense steps, the 81-vertex grid by MINRES; both take the exact
+        # metric from a per-row inverse.
+        if side is None:
+            graph, pots, _d = g22
+        else:
+            grid = load_workloads().grid_problem(side, 1.0, 2)
+            graph, pots = grid.graph, grid.potentials
+        cfg = SolverConfig()
+        problems = [LambdaProblem(graph, pots, lam, 2.0, 2.0) for lam in decade_grid()]
+        batched = solver._seeded_restarts(problems, cfg)
+        starts = np.array(solver._cold_starts(problems[0], cfg))
+        past = 0
+        for q, got in zip(problems, batched, strict=True):
+            with np.errstate(all="ignore"):
+                [alone] = solver._descend([q], cfg, [starts], [range(cfg.restarts)])
+            assert got.overflowed == alone.overflowed
+            assert len(got.first) == cfg.restarts
+            for a, b in zip(got.first + got.again, alone.first + alone.again, strict=True):
+                assert (a.restart_index, a.converged, a.iterations, a.energy) == (
+                    b.restart_index, b.converged, b.iterations, b.energy)
+                assert np.array_equal(a.pair, b.pair)
+                past += a.iterations > solver._EXACT_METRIC_HEAD + 1
+        assert past > 1
+
+    # [7, 10] is the instance whose previous solution wins at lambda = 1;
+    # at [7, 3] a seeded restart wins at lambda = 1e-2 and 1.
+    @pytest.mark.parametrize("key", [[7, 10], [7, 2], [7, 3], [7, 15]])
+    def test_instance_records_equal_the_per_lambda_chain(self, monkeypatch, key):
+        pots, d = instance_sweep(key)
+        cfg = SweepConfig(lambdas=decade_grid(-2.0, 2.0))
+        records = lambda_sweep(pots, d, cfg)
+        assert all(r.converged for r in records)
+        assert records == chain_sweep(monkeypatch, pots, d, cfg)
+
+    def test_records_between_the_bounds_equal_the_per_lambda_chain(self, monkeypatch):
+        # n = 81 batches its lambdas, takes the exact metric from a per-row
+        # inverse, and polishes by MINRES with a per-row preconditioner.
+        grid = load_workloads().grid_problem(9, 1.0, 2)
+        assert solver._DIRECT_NEWTON_MAX_N < grid.graph.vertex_count <= solver._EXACT_METRIC_MAX_N
+        pots = grid.potentials
+        d = DirichletProblem(grid.graph, pots.omega_a, pots.omega_b, 2.0, 2.0)
+        cfg = SweepConfig(lambdas=decade_grid(0.0, 4.0))
+        records = lambda_sweep(pots, d, cfg)
+        assert all(r.converged for r in records)
+        assert records == chain_sweep(monkeypatch, pots, d, cfg)
+
+    def test_small_graphs_batch_every_lambda_and_large_graphs_one(self, g22, monkeypatch):
+        calls = []
+        descent = solver._run_descent
+
+        def spy(p, cfg, starts, indices, stall=True):
+            calls.append((len(starts), p.coef.ndim, len({c.tobytes() for c in p.coef})))
+            return descent(p, cfg, starts, indices, stall)
+
+        monkeypatch.setattr(solver, "_run_descent", spy)
+        _graph, pots, d = g22
+        lambda_sweep(pots, d)
+        # One row per restart and lambda, each row with its own lambda's coef.
+        assert (8 * 8, 3, 8) in calls
+        assert solver._EXACT_METRIC_MAX_N >= d.graph.vertex_count
+        calls.clear()
+        grid = load_workloads().grid_problem(50, 100.0, 2)
+        pots = grid.potentials
+        d = DirichletProblem(grid.graph, pots.omega_a, pots.omega_b, 2.0, 2.0)
+        assert d.graph.vertex_count > solver._EXACT_METRIC_MAX_N
+        lambda_sweep(pots, d, SweepConfig(lambdas=(1.0, 100.0), solver=SolverConfig(restarts=2)))
+        # The Dirichlet solve, then each lambda's restarts and its warm starts
+        # in batches of their own, each with one coef for all its rows.
+        assert all(ndim == 2 for _rows, ndim, _coefs in calls)
+        assert [rows for rows, _ndim, _coefs in calls] == [2, 2, 2, 1, 2]
+
+    def test_a_warm_start_alone_still_wins(self, monkeypatch):
+        # With zero seeded starts no restart has a projection, so each lambda
+        # is solved from its warm starts alone, as by the per-lambda chain.
+        pots, d = small_family()
+        ref = solve_dirichlet(d)
+        monkeypatch.setattr(experiments, "solve_dirichlet", lambda d, cfg: ref)
+        monkeypatch.setattr(solver, "_initial_pair",
+                            lambda p, rng: np.zeros((2, p.graph.vertex_count)))
+        won = []
+        solve = experiments.solve_ground_state
+
+        def spy(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            won.append(out.restart_index)
+            return out
+
+        monkeypatch.setattr(experiments, "solve_ground_state", spy)
+        cfg = SweepConfig(lambdas=(1.0, 10.0, 100.0))
+        records = lambda_sweep(pots, d, cfg)
+        assert len(won) == 3 and all(i < 0 for i in won)
+        assert all(r.converged for r in records)
+        monkeypatch.setattr(experiments, "solve_ground_state", solve)
+        assert records == chain_sweep(monkeypatch, pots, d, cfg)
+
+    @pytest.mark.parametrize("alpha, error, message", [
+        (2.0, DegeneratePairError, "no Nehari projection exists"),
+        (1.001, EnergyOverflowError, "the Nehari projection of every start overflowed")])
+    def test_no_projectable_start_raises_per_problem(self, monkeypatch, alpha, error, message):
+        # A start has no projection where its coupling vanishes (zero) or its
+        # Nehari scale overflows (gamma near 2, a start far off the manifold).
+        pots, d = small_family(alpha, alpha)
+        p = LambdaProblem(d.graph, pots, 10.0, alpha, alpha)
+        n = d.graph.vertex_count
+        start = np.zeros((2, n)) if error is DegeneratePairError else np.full((2, n), 1e-30)
+        monkeypatch.setattr(solver, "_initial_pair", lambda p, rng: start.copy())
+        warm = [PairFunction(*start)]
+        cfg = SolverConfig(restarts=2)
+        [own] = solver._seeded_restarts([p], cfg)
+        with pytest.raises(error, match=message):
+            solve_ground_state(p, cfg, warm_starts=warm)
+        with pytest.raises(error, match=message):
+            solve_ground_state(p, cfg, warm_starts=warm, _restarts=own)
+
+    def test_first_pass_stays_ahead_of_its_re_descent(self, monkeypatch):
+        # Without descent steps or polish no restart converges, so every one
+        # descends again, to the same point and energy: the first pass and
+        # the re-descent of each restart tie, and the first pass must win.
+        monkeypatch.setattr(solver, "_MAX_ITERS", 0)
+        monkeypatch.setattr(solver, "_newton_polish", lambda p, w, tol: w)
+        passes = {True: [], False: []}
+        descent = solver._run_descent
+
+        def spy(p, cfg, starts, indices, stall=True):
+            out = descent(p, cfg, starts, indices, stall)
+            passes[stall] += out
+            return out
+
+        monkeypatch.setattr(solver, "_run_descent", spy)
+        won = []
+        solve = experiments.solve_ground_state
+
+        def solve_spy(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            won.append(out)
+            return out
+
+        monkeypatch.setattr(experiments, "solve_ground_state", solve_spy)
+        pots, d = small_family()
+        cfg = SweepConfig(lambdas=(1.0, 10.0), solver=SolverConfig(restarts=3))
+        records = lambda_sweep(pots, d, cfg)
+        assert any(r.restart_index >= 0 for r in passes[False])
+        assert not any(r.converged for r in won)
+        assert all(any(w is r for r in passes[True]) for w in won)
+        monkeypatch.setattr(experiments, "solve_ground_state", solve)
+        assert records == chain_sweep(monkeypatch, pots, d, cfg)
 
 
 class TestComparison:

@@ -284,6 +284,23 @@ class TestEncoding:
         assert read_solution(marked) == read_solution(plain) == {"p": (1.25, -3.5),
                                                                  "q": (0.0, 2.0)}
 
+    def test_text_and_stream_drop_one_byte_order_mark(self):
+        # A caller who opens a BOM file with encoding="utf-8" passes the mark on.
+        a, b = parse_problem(MINIMAL), parse_problem("\ufeff" + MINIMAL)
+        assert a.graph.labels == b.graph.labels == ("p", "q")
+        assert np.array_equal(a.graph.mu, b.graph.mu)
+        assert np.array_equal(a.graph.edge_w, b.graph.edge_w)
+        assert (a.alpha, a.beta, a.lambdas) == (b.alpha, b.beta, b.lambdas)
+        assert a.potentials.omega_a == b.potentials.omega_a
+        text = "vertex,u,v\np,1.25,-3.5\nq,0,2\n"
+        assert (read_solution(io.StringIO("\ufeff" + text)) == read_solution(io.StringIO(text))
+                == {"p": (1.25, -3.5), "q": (0.0, 2.0)})
+        # One mark only: a second is content.
+        with pytest.raises(ParseError, match="content before any section header"):
+            parse_problem("\ufeff\ufeff" + MINIMAL)
+        with pytest.raises(ParseError, match="solution header must be 'vertex,u,v'"):
+            read_solution(io.StringIO("\ufeff\ufeff" + text))
+
     def test_solution_with_non_utf8_byte_names_its_line(self, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"vertex,u,v\np,1,2\nq\xe9,3,4\n")
