@@ -149,14 +149,14 @@ def lambda_sweep(potentials: PotentialField, d: DirichletProblem,
     the energy below the limit level); the seeded runs compete against the
     usual cold restarts and the best energy wins.
 
-    The cold restarts take nothing from the previous lambda, so after the
-    Dirichlet solve those of every lambda descend first, as the rows of one
-    lockstep batch on graphs of at most solver._EXACT_METRIC_MAX_N vertices,
-    one batch per lambda above. solve_ground_state is then called once per
-    lambda with that lambda's finished restarts and descends only the warm
-    starts. A row's arithmetic does not depend on the rows beside it, so every
-    record has the bits of the lambda-solve that descends all its starts
-    itself.
+    The cold restarts and the Dirichlet warm start take nothing from the
+    previous lambda, so after the Dirichlet solve those of every lambda
+    descend first, as the rows of one lockstep batch on graphs of at most
+    solver._EXACT_METRIC_MAX_N vertices, one batch per lambda above.
+    solve_ground_state is then called once per lambda with that lambda's
+    finished rows and descends only the previous solution. A row's arithmetic
+    does not depend on the rows beside it, so every record has the bits of
+    the lambda-solve that descends all its starts itself.
     """
     cfg = cfg or SweepConfig()
     g = d.graph
@@ -168,7 +168,7 @@ def lambda_sweep(potentials: PotentialField, d: DirichletProblem,
 
     dres = solve_dirichlet(d, cfg.solver)
     ref = dres.pair
-    restarts = _seeded_restarts(problems, cfg.solver)
+    restarts = _seeded_restarts(problems, cfg.solver, ref)
 
     records: list[SweepRecord] = []
     seeds = [ref]

@@ -52,18 +52,18 @@ that of a batch of one, and each restart's result has the same bits as its
 start solved alone. One exception: a dense Newton step whose batch holds an
 exactly singular Hessian is taken by MINRES for every row of that step.
 
-A lambda sweep batches across problems too. Its seeded restarts take nothing
-from the previous lambda, so lambda_sweep descends those of all its
-lambda-problems, which differ in coef alone, as the rows of one batch
-(_seeded_restarts), and each row carries its own problem's coef, shaped
-(k, 2, n) and subset with the rows; A's inverse is built once per problem and
-gathered per row. Each lambda's solve then descends only its warm starts,
-which hold the previous solution, and picks its winner from both sets in the
-order of a solve of all its starts at once. By the row independence above,
-every record is the one each lambda-solve gives alone, bit for bit. Only
-graphs of at most _EXACT_METRIC_MAX_N vertices batch their lambdas: on a
-50 x 50 grid one batch of 64 rows took 2.5 times as long as eight batches of
-8 (README.md).
+A lambda sweep batches across problems too. Its seeded restarts and its warm
+start at the Dirichlet minimizer take nothing from the previous lambda, so
+lambda_sweep descends those of all its lambda-problems, which differ in coef
+alone, as the rows of one batch (_seeded_restarts), and each row carries its
+own problem's coef, shaped (k, 2, n) and subset with the rows; A's inverse is
+built once per problem and gathered per row. Each lambda's solve then
+descends only its other warm start, the previous solution, and picks its
+winner from both sets in the order of a solve of all its starts at once. By
+the row independence above, every record is the one each lambda-solve gives
+alone, bit for bit. Only graphs of at most _EXACT_METRIC_MAX_N vertices batch
+their lambdas: on a 50 x 50 grid one batch of 64 rows took 2.5 times as long
+as eight batches of 8 (README.md).
 
 A restart stops at a loop head once its residual reaches
 max(grad_tol, _POLISH_SWITCH * max(1, ||w||)). Every iterate is an exact
@@ -125,7 +125,7 @@ import logging
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -449,8 +449,12 @@ def _finish(p: Problem, cfg: SolverConfig, w: np.ndarray, iters: np.ndarray,
     return out
 
 
-def _no_projection(p: Problem, overflowed: bool) -> Exception:
-    """The error of a solve none of whose starts has a Nehari projection."""
+def _no_projection(p: Problem, cfg: SolverConfig, warm: list[np.ndarray]) -> Exception:
+    """The error of a solve none of whose starts, the warm starts warm and the
+    seeded restarts, has a Nehari projection: EnergyOverflowError when the
+    projection of some start overflowed, else DegeneratePairError."""
+    with np.errstate(all="ignore"):
+        overflowed = np.isinf(nehari_scale(p, np.array(warm + _cold_starts(p, cfg)))).any()
     if overflowed:
         return EnergyOverflowError(
             f"the Nehari projection of every start overflowed (alpha {p.alpha}, beta {p.beta})")
@@ -459,28 +463,28 @@ def _no_projection(p: Problem, overflowed: bool) -> Exception:
 
 
 def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
-                 indices: Sequence[int], stall: bool = True) -> list[SolveResult]:
+                 indices: Sequence[int], stall: bool = True) -> list[SolveResult | None]:
     """Descend from every start of one solve in lockstep.
 
     Row i of the (k, 2, n) batch starts is restart indices[i]; the starts must
     vanish off the masks. p's coef is shared by every row, or is (k, 2, n),
-    one per start, with rows and coef subset together (_take). Only starts
-    with a finite Nehari projection enter, and the result has one entry for
-    each, in start order. If none enters, EnergyOverflowError is raised when a
-    projection overflowed, else DegeneratePairError. The starts that entered
-    descend as the rows of one batch, whose state is arrays indexed by batch
-    row: the kernels, the stop rules and each Armijo round act on all rows at
-    once, and a row's arithmetic is exactly that of a batch of one, so its
-    result has the same bits as its start solved alone. A row that stops, by
-    any rule, writes its point and iteration count once, at that loop head,
-    into arrays indexed by start, and leaves. _finish then polishes and
-    certifies them all. With stall false the stall rule is off, and a row
-    stops only by the others.
+    one per start, with rows and coef subset together (_take). The result has
+    one entry per start, in start order: None for a start without a finite
+    Nehari projection, which does not enter. The starts that entered descend
+    as the rows of one batch, whose state is arrays indexed by batch row: the
+    kernels, the stop rules and each Armijo round act on all rows at once,
+    and a row's arithmetic is exactly that of a batch of one, so its result
+    has the same bits as its start solved alone. A row that stops, by any
+    rule, writes its point and iteration count once, at that loop head, into
+    arrays indexed by start, and leaves. _finish then polishes and certifies
+    them all. With stall false the stall rule is off, and a row stops only by
+    the others.
     """
     t = nehari_scale(p, starts)
     entered = np.flatnonzero(np.isfinite(t))
+    out: list[SolveResult | None] = [None] * len(starts)
     if not entered.size:
-        raise _no_projection(p, np.isinf(t).any())
+        return out
     # From here on a start is one of those that entered, numbered in order.
     w = t[entered, None, None] * starts[entered]
     index = np.asarray(indices)[entered]
@@ -562,17 +566,9 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
                 inverse = None if inverse is None else inverse[keep]
         w = scale[:, None, None] * trial
 
-    return _finish(p, cfg, w_end, iters, index)
-
-
-class _Descent(NamedTuple):
-    """The starts of one problem after _descend: the results of those with a
-    Nehari projection, in start order, then those of their re-descents, and
-    whether the projection of some start overflowed."""
-
-    first: list[SolveResult]
-    again: list[SolveResult]
-    overflowed: bool
+    for i, r in zip(entered.tolist(), _finish(p, cfg, w_end, iters, index)):
+        out[i] = r
+    return out
 
 
 def _cold_starts(p: Problem, cfg: SolverConfig) -> list[np.ndarray]:
@@ -580,16 +576,18 @@ def _cold_starts(p: Problem, cfg: SolverConfig) -> list[np.ndarray]:
 
 
 def _descend(problems: Sequence[Problem], cfg: SolverConfig, starts: Sequence[np.ndarray],
-             indices: Sequence[Sequence[int]]) -> list[_Descent]:
+             indices: Sequence[Sequence[int]]) -> list[list[SolveResult]]:
     """Descend the starts of every problem as the rows of one lockstep batch.
 
     starts[j], (k_j, 2, n), are the starts of problems[j] and indices[j] their
     restart indices. The problems may differ in coef alone; with more than
-    one, each row carries its own problem's coef. Only starts with a finite
-    Nehari projection enter. The starts of the restarts that end unconverged
-    descend once more, again as one batch, without the stall rule; only they
-    pay for it. Since a row's arithmetic is that of a batch of one, every
-    result has the bits it gets in a batch of its problem's starts alone.
+    one, each row carries its own problem's coef. Each problem gets one list:
+    the results of its starts with a finite Nehari projection, in start order,
+    then those of their re-descents. The starts of the restarts that end
+    unconverged descend once more, again as one batch, without the stall
+    rule; only they pay for it. Since a row's arithmetic is that of a batch of
+    one, every result has the bits it gets in a batch of its problem's starts
+    alone.
     """
     owner = np.repeat(np.arange(len(problems)), [len(x) for x in starts])
     p = problems[0]
@@ -597,65 +595,62 @@ def _descend(problems: Sequence[Problem], cfg: SolverConfig, starts: Sequence[np
         p = _with_coef(p, np.array([q.coef for q in problems])[owner])
     starts = np.concatenate(starts)
     index = np.concatenate([np.asarray(i, dtype=int) for i in indices])
-    # _run_descent's entry test, taken here too: it maps each result to its
-    # problem and tells each problem's error apart.
-    t = nehari_scale(p, starts)
-    out = [_Descent([], [], bool(np.isinf(t[owner == j]).any())) for j in range(len(problems))]
-    entered = np.isfinite(t)
-    if entered.any():
-        p, starts, index, owner = _take(p, entered), starts[entered], index[entered], owner[entered]
-        first = _run_descent(p, cfg, starts, index)
-        again = np.flatnonzero([not r.converged for r in first])
-        for j, r in zip(owner.tolist(), first):
-            out[j].first.append(r)
-        if again.size:
-            redo = _run_descent(_take(p, again), cfg, starts[again], index[again], stall=False)
-            for j, r in zip(owner[again].tolist(), redo):
-                out[j].again.append(r)
+    first = _run_descent(p, cfg, starts, index)
+    out = [[] for _ in problems]
+    for j, r in zip(owner.tolist(), first):
+        if r is not None:
+            out[j].append(r)
+    again = np.flatnonzero([r is not None and not r.converged for r in first])
+    if again.size:
+        # These starts projected in the first pass, so each has a result here.
+        redo = _run_descent(_take(p, again), cfg, starts[again], index[again], stall=False)
+        for j, r in zip(owner[again].tolist(), redo):
+            out[j].append(r)
     return out
 
 
-def _seeded_restarts(problems: Sequence[LambdaProblem], cfg: SolverConfig) -> list[_Descent]:
-    """The seeded restarts of each of a sweep's lambda-problems, descended for
-    solve_ground_state's _restarts. The problems must differ in coef alone.
-    On graphs of at most _EXACT_METRIC_MAX_N vertices the restarts of all of
-    them are the rows of one batch, which pays numpy's per-call cost once for
-    all lambdas; on larger graphs each batch holds one problem, since from
-    some n between 400 and 900 one batch takes longer than several
-    (README.md)."""
-    size = len(problems) if problems[0].graph.vertex_count <= _EXACT_METRIC_MAX_N else 1
-    # The starts depend on the graph and the wells alone, so every problem has the same.
-    starts = np.array(_cold_starts(problems[0], cfg))
+def _seeded_restarts(problems: Sequence[LambdaProblem], cfg: SolverConfig,
+                     ref: PairFunction) -> list[list[SolveResult]]:
+    """The warm start ref, as restart -1, and the seeded restarts of each of a
+    sweep's lambda-problems, descended for solve_ground_state's _restarts.
+    The problems must differ in coef alone. On graphs of at most
+    _EXACT_METRIC_MAX_N vertices the starts of all of them are the rows of
+    one batch, which pays numpy's per-call cost once for all lambdas; on
+    larger graphs each batch holds one problem, since from some n between 400
+    and 900 one batch takes longer than several (README.md)."""
+    p = problems[0]
+    size = len(problems) if p.graph.vertex_count <= _EXACT_METRIC_MAX_N else 1
+    # The starts take nothing from lambda, so every problem has the same.
+    starts = np.array([np.where(p.mask, as_pair(p.graph, ref), 0.0), *_cold_starts(p, cfg)])
+    indices = range(-1, cfg.restarts)
     out = []
     with np.errstate(all="ignore"):
         for i in range(0, len(problems), size):
             group = problems[i:i + size]
-            out += _descend(group, cfg, [starts] * len(group), [range(cfg.restarts)] * len(group))
+            out += _descend(group, cfg, [starts] * len(group), [indices] * len(group))
     return out
 
 
 def _solve(p: Problem, cfg: SolverConfig, warm_starts: Sequence[PairFunction],
-           restarts: _Descent | None = None) -> SolveResult:
+           restarts: list[SolveResult] | None = None) -> SolveResult:
     """The best result over the warm starts and the seeded restarts; restarts,
-    when given, are the seeded restarts already descended (_seeded_restarts),
-    and only the warm starts descend here."""
-    starts = [np.where(p.mask, as_pair(p.graph, w0), 0.0) for w0 in warm_starts]
-    indices = list(range(-len(starts), 0))
+    when given, are the last warm start and the seeded restarts already
+    descended (_seeded_restarts), and only the other warm starts descend
+    here."""
+    warm = [np.where(p.mask, as_pair(p.graph, w0), 0.0) for w0 in warm_starts]
     if restarts is None:
-        starts += _cold_starts(p, cfg)
-        indices += range(cfg.restarts)
+        starts, indices = warm + _cold_starts(p, cfg), range(-len(warm), cfg.restarts)
+    else:
+        starts, indices = warm[:-1], range(-len(warm), -1)
     # Overflow near gamma = 2 is caught below by the finite-energy test, and
     # the line search screens out the nonpositive norms and couplings.
     with np.errstate(all="ignore"):
-        runs = _descend([p], cfg, [np.array(starts)], [indices]) if starts else []
-    if restarts is not None:
-        runs.append(restarts)
-    # Warm starts come first, and each first pass ahead of every re-descent,
-    # so that an energy tie goes to the first pass of the lowest index.
-    results = [r for run in runs for r in run.first]
+        [results] = _descend([p], cfg, [np.array(starts)], [indices]) if starts else [[]]
+    # Each list holds its first passes ahead of their re-descents, so that an
+    # energy tie goes to the first pass of the lowest index.
+    results += restarts or []
     if not results:
-        raise _no_projection(p, any(run.overflowed for run in runs))
-    results += [r for run in runs for r in run.again]
+        raise _no_projection(p, cfg, warm)
     candidates = [c for c in results if math.isfinite(c.energy)]
     if not candidates:
         raise EnergyOverflowError(
@@ -668,14 +663,15 @@ def _solve(p: Problem, cfg: SolverConfig, warm_starts: Sequence[PairFunction],
 
 def solve_ground_state(p: LambdaProblem, cfg: SolverConfig | None = None,
                        warm_starts: Sequence[PairFunction] = (), *,
-                       _restarts: _Descent | None = None) -> SolveResult:
+                       _restarts: list[SolveResult] | None = None) -> SolveResult:
     """Lowest-energy Nehari minimizer of the lambda-problem over all restarts.
 
     Unconverged runs are reported through the converged flag, never raised.
     Extra deterministic starting pairs (warm starts) may be supplied; they are
     run before the seeded random restarts and win energy ties. _restarts is
-    private to lambda_sweep: p's seeded restarts, already descended with cfg
-    by _seeded_restarts.
+    private to lambda_sweep: the results of p's last warm start and its
+    seeded restarts, already descended with cfg by _seeded_restarts; only the
+    other warm starts descend here.
     """
     if not isinstance(p, LambdaProblem):
         raise TypeError(f"expected LambdaProblem, got {type(p).__name__}")

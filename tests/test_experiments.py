@@ -321,10 +321,11 @@ def instance_sweep(key):
 
 
 class TestSeededBatch:
-    # lambda_sweep descends the seeded restarts of all its lambdas as one
-    # batch, then solves each lambda from its warm starts alone, handing over
-    # its finished restarts. A row's bits do not depend on its batch, so the
-    # records are those of the per-lambda chain, field for field.
+    # lambda_sweep descends the seeded restarts and the Dirichlet warm start
+    # of all its lambdas as one batch, then solves each lambda from its
+    # previous solution alone, handing over its finished rows. A row's bits
+    # do not depend on its batch, so the records are those of the per-lambda
+    # chain, field for field.
     @pytest.mark.parametrize("seed", [1, 7])
     def test_g22_records_equal_the_per_lambda_chain(self, g22, monkeypatch, seed):
         _graph, pots, d = g22
@@ -334,10 +335,11 @@ class TestSeededBatch:
     @pytest.mark.parametrize("side", [None, 9], ids=["g22", "grid81"])
     def test_batched_restarts_match_each_lambda_alone(self, g22, side):
         # Warm starts win nearly every record, so the records alone hardly
-        # see the restarts. Every restart of the batch of all lambdas must
-        # have the bits it gets in a batch of its own lambda. G22 polishes by
-        # dense steps, the 81-vertex grid by MINRES; both take the exact
-        # metric from a per-row inverse.
+        # see the restarts. Every row of the batch of all lambdas, the
+        # Dirichlet warm start ref and the seeded restarts, must have the
+        # bits it gets in a batch of its own lambda. G22 polishes by dense
+        # steps, the 81-vertex grid by MINRES; both take the exact metric
+        # from a per-row inverse.
         if side is None:
             graph, pots, _d = g22
         else:
@@ -345,15 +347,15 @@ class TestSeededBatch:
             graph, pots = grid.graph, grid.potentials
         cfg = SolverConfig()
         problems = [LambdaProblem(graph, pots, lam, 2.0, 2.0) for lam in decade_grid()]
-        batched = solver._seeded_restarts(problems, cfg)
-        starts = np.array(solver._cold_starts(problems[0], cfg))
+        ref = solve_dirichlet(DirichletProblem(graph, pots.omega_a, pots.omega_b, 2.0, 2.0)).pair
+        batched = solver._seeded_restarts(problems, cfg, ref)
+        starts = np.array([np.array(ref), *solver._cold_starts(problems[0], cfg)])
         past = 0
         for q, got in zip(problems, batched, strict=True):
             with np.errstate(all="ignore"):
-                [alone] = solver._descend([q], cfg, [starts], [range(cfg.restarts)])
-            assert got.overflowed == alone.overflowed
-            assert len(got.first) == cfg.restarts
-            for a, b in zip(got.first + got.again, alone.first + alone.again, strict=True):
+                [alone] = solver._descend([q], cfg, [starts], [range(-1, cfg.restarts)])
+            assert [r.restart_index for r in got[:cfg.restarts + 1]] == list(range(-1, cfg.restarts))
+            for a, b in zip(got, alone, strict=True):
                 assert (a.restart_index, a.converged, a.iterations, a.energy) == (
                     b.restart_index, b.converged, b.iterations, b.energy)
                 assert np.array_equal(a.pair, b.pair)
@@ -393,8 +395,9 @@ class TestSeededBatch:
         monkeypatch.setattr(solver, "_run_descent", spy)
         _graph, pots, d = g22
         lambda_sweep(pots, d)
-        # One row per restart and lambda, each row with its own lambda's coef.
-        assert (8 * 8, 3, 8) in calls
+        # One row per lambda for ref and for each restart, each row with its
+        # own lambda's coef.
+        assert (8 * 9, 3, 8) in calls
         assert solver._EXACT_METRIC_MAX_N >= d.graph.vertex_count
         calls.clear()
         grid = load_workloads().grid_problem(50, 100.0, 2)
@@ -402,10 +405,11 @@ class TestSeededBatch:
         d = DirichletProblem(grid.graph, pots.omega_a, pots.omega_b, 2.0, 2.0)
         assert d.graph.vertex_count > solver._EXACT_METRIC_MAX_N
         lambda_sweep(pots, d, SweepConfig(lambdas=(1.0, 100.0), solver=SolverConfig(restarts=2)))
-        # The Dirichlet solve, then each lambda's restarts and its warm starts
-        # in batches of their own, each with one coef for all its rows.
+        # The Dirichlet solve, then each lambda's ref and restarts in a batch
+        # of their own, each with one coef for all its rows; then the second
+        # lambda's previous solution. The first lambda has no other warm start.
         assert all(ndim == 2 for _rows, ndim, _coefs in calls)
-        assert [rows for rows, _ndim, _coefs in calls] == [2, 2, 2, 1, 2]
+        assert [rows for rows, _ndim, _coefs in calls] == [2, 3, 3, 1]
 
     def test_a_warm_start_alone_still_wins(self, monkeypatch):
         # With zero seeded starts no restart has a projection, so each lambda
@@ -437,18 +441,43 @@ class TestSeededBatch:
     def test_no_projectable_start_raises_per_problem(self, monkeypatch, alpha, error, message):
         # A start has no projection where its coupling vanishes (zero) or its
         # Nehari scale overflows (gamma near 2, a start far off the manifold).
+        # One overflow among the starts makes the error an overflow, also
+        # when the warm start is zero and descends with the restarts.
         pots, d = small_family(alpha, alpha)
         p = LambdaProblem(d.graph, pots, 10.0, alpha, alpha)
         n = d.graph.vertex_count
         start = np.zeros((2, n)) if error is DegeneratePairError else np.full((2, n), 1e-30)
         monkeypatch.setattr(solver, "_initial_pair", lambda p, rng: start.copy())
-        warm = [PairFunction(*start)]
         cfg = SolverConfig(restarts=2)
-        [own] = solver._seeded_restarts([p], cfg)
-        with pytest.raises(error, match=message):
-            solve_ground_state(p, cfg, warm_starts=warm)
-        with pytest.raises(error, match=message):
-            solve_ground_state(p, cfg, warm_starts=warm, _restarts=own)
+        warms = [start] if error is DegeneratePairError else [start, np.zeros((2, n))]
+        for warm in warms:
+            warm = [PairFunction(*warm)]
+            [own] = solver._seeded_restarts([p], cfg, warm[-1])
+            assert own == []
+            with pytest.raises(error, match=message):
+                solve_ground_state(p, cfg, warm_starts=warm)
+            with pytest.raises(error, match=message):
+                solve_ground_state(p, cfg, warm_starts=warm, _restarts=own)
+
+    def test_each_start_is_projected_once_per_pass(self, g22, monkeypatch):
+        # _run_descent projects the starts of each pass, and _finish the
+        # polished rows; nothing else projects on the way to an answer. The
+        # sweep descends ref once, with the restarts, not once per lambda.
+        callers = []
+        scale = solver.nehari_scale
+
+        def spy(p, w):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return scale(p, w)
+
+        monkeypatch.setattr(solver, "nehari_scale", spy)
+        graph, pots, d = g22
+        lambda_sweep(pots, d)
+        assert set(callers) <= {"_run_descent", "_finish"}
+        assert len(callers) <= 18
+        callers.clear()
+        assert solve_ground_state(LambdaProblem(graph, pots, 100.0, 2.0, 2.0)).converged
+        assert callers and set(callers) <= {"_run_descent", "_finish"}
 
     def test_first_pass_stays_ahead_of_its_re_descent(self, monkeypatch):
         # Without descent steps or polish no restart converges, so every one

@@ -359,7 +359,7 @@ class TestLockstep:
 
     def test_rows_that_leave_early_do_not_disturb_the_rest(self, g22):
         # A zero warm start has no Nehari projection and never enters the
-        # batch, so it has no result; a converged warm start leaves at the
+        # batch, so its result is None; a converged warm start leaves at the
         # first loop head.
         graph, pots, _d = g22
         p = LambdaProblem(graph, pots, 100.0, 2.0, 2.0)
@@ -369,9 +369,10 @@ class TestLockstep:
         cold = cold_starts(p, 8)
         alone = solver._run_descent(p, cfg, np.array(cold), range(8))
         mixed = solver._run_descent(p, cfg, np.array([zero, ground, *cold]), range(-2, 8))
-        assert [m.restart_index for m in mixed] == list(range(-1, 8))
-        assert mixed[0].converged and mixed[0].iterations == 1
-        for a, m in zip(alone, mixed[1:]):
+        assert mixed[0] is None
+        assert [m.restart_index for m in mixed[1:]] == list(range(-1, 8))
+        assert mixed[1].converged and mixed[1].iterations == 1
+        for a, m in zip(alone, mixed[2:], strict=True):
             assert_same_result(m, a)
 
     def test_a_rejected_polish_leaves_the_other_rows_alone(self, monkeypatch):
@@ -698,11 +699,18 @@ class TestCertificate:
         assert m > 1
         assert during == [{"norm_sq_of": 3, "coupling_integral": 3}]
 
-    def test_starts_without_a_projection_raise_at_entry(self, g22):
-        _graph, _pots, d = g22
+    def test_starts_without_a_projection_raise_at_entry(self, g22, monkeypatch):
+        # _run_descent gives such starts no result; the solve raises.
+        graph, pots, d = g22
         zero = np.zeros((2, 2, d.graph.vertex_count))
+        assert solver._run_descent(d, SolverConfig(), zero, [0, 1]) == [None, None]
+        monkeypatch.setattr(solver, "_initial_pair", lambda p, rng: np.zeros_like(zero[0]))
+        cfg = SolverConfig(restarts=2)
         with pytest.raises(DegeneratePairError, match="no Nehari projection exists"):
-            solver._run_descent(d, SolverConfig(), zero, [0, 1])
+            solve_dirichlet(d, cfg)
+        with pytest.raises(DegeneratePairError, match="no Nehari projection exists"):
+            solve_ground_state(LambdaProblem(graph, pots, 10.0, 2.0, 2.0), cfg,
+                               warm_starts=[PairFunction(*zero[0])])
 
     @pytest.mark.parametrize("flavour", ["dirichlet", "lambda"])
     def test_batched_certificate_matches_nehari_diagnostics(self, g22, flavour):
