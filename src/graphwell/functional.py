@@ -13,12 +13,14 @@ hessian_operator, hessian_matrix, nehari_scale) compute J(w) = (1/2) ||w||^2 -
 coupling(w)/(alpha+beta), its residual and the Hessian's action, zero off the
 masks, and the Hessian's matrix, the identity off the masks. Mass, Laplacian,
 masking and reductions act on both components at once; only the coupling
-terms index a component. The kernels trust their input; energy_J_lambda,
-grad_J_lambda, norm_H_lambda_sq (bound also as the _Omega names) and
-nehari_diagnostics validate the pair once, by the problem's check_pair, and
-then call them. Given a batch, the kernels return one value or residual
-per pair; _nehari_rows is nehari_diagnostics for the norms and couplings of a
-trusted batch, the form in which the solver certifies its results.
+terms index a component. The kernels broadcast coef against the pairs: a
+problem's is (2, n), and the solver gives every batch (k, 2, n), one row per
+pair. The kernels trust their input; energy_J_lambda, grad_J_lambda,
+norm_H_lambda_sq (bound also as the _Omega names) and nehari_diagnostics
+validate the pair once, by the problem's check_pair, and then call them.
+Given a batch, the kernels return one value or residual per pair;
+_nehari_rows is nehari_diagnostics for the norms and couplings of a trusted
+batch, the form in which the solver certifies its results.
 
 The masked-kernel identity: on admissible pairs (u = 0 off Omega_a, v = 0 off
 Omega_b, with the wells the zero sets of a and b) the lam a, lam b terms drop

@@ -21,7 +21,7 @@ H-norm: the Sobolev gradient of Neuberger (Sobolev Gradients and
 Differential Equations, LNM 1670, 1997). On graphs of at most
 _EXACT_METRIC_MAX_N vertices the descent takes the exact H-gradient from loop
 head _EXACT_METRIC_HEAD on, through one n x n inverse of A per component and
-solve, built by _linear_inverse when some row is still descending there; a
+problem, built by _linear_inverse when some row is still descending there; a
 solve whose rows all stop earlier builds none. The switch has its own head,
 before the first progress check at _PROGRESS_WINDOW, because the cold
 restarts of the G22 sweep stop a few loop heads after it. The Jacobi steps
@@ -41,29 +41,31 @@ stalling.
 Pairs are the package's (2, n) arrays. The starts of one solve (warm starts,
 then the seeded restarts) with a Nehari projection descend in lockstep as the
 rows of one (k, 2, n) batch, so each loop head and line-search round pays
-numpy's per-call cost once for all of them. A row leaves the batch when it
-stops, and the rows that stop above their residual target are polished
-together, as one batch of the same arrays, after the loop. Every vertex sum,
-in the kernels, in the exact H-gradient below and in MINRES, is np.vecdot,
-which sums each row as the BLAS dot of that row alone, the Laplacian scatters
-each row's edges in the order of a row alone, and the batched dense Newton
-solve below factors each row's matrix alone; so a row's arithmetic is exactly
-that of a batch of one, and each restart's result has the same bits as its
-start solved alone. One exception: a dense Newton step whose batch holds an
-exactly singular Hessian is taken by MINRES for every row of that step.
+numpy's per-call cost once for all of them. The batch's problem has coef
+(k, 2, n) too, one row per row, which _run_descent broadcasts from a shared
+coef at its entry and which is subset with the rows (_take). A row leaves the
+batch when it stops, and the rows that stop above their residual target are
+polished together, as one batch of the same arrays, after the loop. Every
+vertex sum, in the kernels, in the exact H-gradient below and in MINRES, is
+np.vecdot, which sums each row as the BLAS dot of that row alone, the
+Laplacian scatters each row's edges in the order of a row alone, and the
+batched inversion of A and dense Newton solve below treat each row's matrix
+alone; so a row's arithmetic is exactly that of a batch of one, and each
+restart's result has the same bits as its start solved alone. One exception: a
+dense Newton step whose batch holds an exactly singular Hessian is taken by
+MINRES for every row of it.
 
 A lambda sweep batches across problems too. Its seeded restarts and its warm
 start at the Dirichlet minimizer take nothing from the previous lambda, so
 lambda_sweep descends those of all its lambda-problems, which differ in coef
-alone, as the rows of one batch (_seeded_restarts), and each row carries its
-own problem's coef, shaped (k, 2, n) and subset with the rows; A's inverse is
-built once per problem and gathered per row. Each lambda's solve then
-descends only its other warm start, the previous solution, and picks its
-winner from both sets in the order of a solve of all its starts at once. By
-the row independence above, every record is the one each lambda-solve gives
-alone, bit for bit. Only graphs of at most _EXACT_METRIC_MAX_N vertices batch
-their lambdas: on a 50 x 50 grid one batch of 64 rows took 2.5 times as long
-as eight batches of 8 (README.md).
+alone, as the rows of one batch (_seeded_restarts), each row with its own
+problem's coef; A is inverted once per problem, in one batched inversion, and
+gathered per row. Each lambda's solve then descends only its other warm start,
+the previous solution, and picks its winner from both sets in the order of a
+solve of all its starts at once. By the row independence above, every record
+is the one each lambda-solve gives alone, bit for bit. Only graphs of at most
+_EXACT_METRIC_MAX_N vertices batch their lambdas: on a 50 x 50 grid one batch
+of 64 rows took 2.5 times as long as eight batches of 8 (README.md).
 
 A restart stops at a loop head once its residual reaches
 max(grad_tol, _POLISH_SWITCH * max(1, ||w||)). Every iterate is an exact
@@ -120,7 +122,6 @@ replaces.
 
 from __future__ import annotations
 
-import copy
 import logging
 import math
 import operator
@@ -216,39 +217,36 @@ def _diag_of(p: Problem) -> np.ndarray:
 
 
 def _with_coef(p: Problem, coef: np.ndarray) -> Problem:
-    """p with the mass coefficients coef: (2, n), or (k, 2, n) for the k rows
-    of a batch whose problems differ from p in coef alone. The kernels
-    broadcast coef against the rows, so row i is priced with coef[i]."""
-    q = copy.copy(p)
-    object.__setattr__(q, "coef", coef)
+    """p with the mass coefficients coef, (k, 2, n), of the k rows of a batch
+    whose problems differ from p in coef alone. The kernels broadcast coef
+    against the rows, so row i is priced with coef[i]."""
+    q = object.__new__(type(p))     # the shallow copy of copy.copy, at a quarter of its cost
+    q.__dict__.update(vars(p), coef=coef)
     return q
 
 
 def _take(p: Problem, rows) -> Problem:
-    """The problem of the given rows of a batch: p itself when its coef is
-    shared by every row, else p with those rows of its coef."""
-    return p if p.coef.ndim == 2 else _with_coef(p, p.coef[rows])
+    """The problem of the given rows of a batch: p with those rows of its coef."""
+    return _with_coef(p, p.coef[rows])
 
 
 def _linear_inverse(p: Problem) -> np.ndarray:
     """The inverse of A, the diagonal blocks of hessian_matrix at w = 0, for
-    each component on its mask and zero elsewhere: (2, n, n). A is symmetric
-    positive definite on each mask, since mu coef > 0. For a coef with a row
-    axis, one inverse per row, (k, 2, n, n): the rows of one problem are
-    adjacent in a batch, and each run of equal coef is inverted once."""
-    if p.coef.ndim == 3:
-        coef = p.coef
-        head = np.ones(len(coef), dtype=bool)
-        head[1:] = (coef[1:] != coef[:-1]).any(axis=(1, 2))
-        inverses = np.array([_linear_inverse(_with_coef(p, c)) for c in coef[head]])
-        return inverses[np.cumsum(head) - 1]
-    n = p.graph.vertex_count
-    a = hessian_matrix(p, np.zeros((2, n))).reshape(2, n, 2, n)
-    inverse = np.zeros((2, n, n))
+    each row of p's coef and each component on its mask, zero elsewhere:
+    (k, 2, n, n). A is symmetric positive definite on each mask, since
+    mu coef > 0. The rows of one problem are adjacent in a batch, so each run
+    of equal coef is inverted once, in one batched np.linalg.inv per
+    component, which inverts each matrix as it inverts it alone."""
+    coef = p.coef
+    head = np.ones(len(coef), dtype=bool)
+    head[1:] = (coef[1:] != coef[:-1]).any(axis=(1, 2))
+    k, n = int(head.sum()), p.graph.vertex_count
+    a = hessian_matrix(_take(p, head), np.zeros((k, 2, n))).reshape(k, 2, n, 2, n)
+    inverse = np.zeros((k, 2, n, n))
     for c, on in enumerate(p.mask):
-        block = np.ix_(on, on)
-        inverse[c][block] = np.linalg.inv(a[c, :, c][block])
-    return inverse
+        block = (slice(None), *np.ix_(on, on))
+        inverse[:, c][block] = np.linalg.inv(a[:, c, :, c][block])
+    return inverse[np.cumsum(head) - 1]
 
 
 def _initial_pair(p: Problem, rng: np.random.Generator) -> np.ndarray:
@@ -364,7 +362,7 @@ def _newton_polish(p: Problem, w: np.ndarray, grad_tol: np.ndarray) -> np.ndarra
         return mu * r, _residual_norm(p, r)
 
     dense = p.graph.vertex_count <= _DIRECT_NEWTON_MAX_N
-    minv = np.where(p.mask, 1.0 / (mu * _diag_of(p)), 0.0)    # one row per row of w, or shared
+    minv = np.where(p.mask, 1.0 / (mu * _diag_of(p)), 0.0)    # one row per row of w
     w = w.copy()        # rows move in place; the caller's w is left as it was
     f, rnorm = stacked(np.arange(len(w)), w)
     live = np.ones(len(w), dtype=bool)
@@ -383,8 +381,7 @@ def _newton_polish(p: Problem, w: np.ndarray, grad_tol: np.ndarray) -> np.ndarra
             except np.linalg.LinAlgError:
                 pass        # some row's H is exactly singular: MINRES takes this step
         if step is None:
-            step = _minres(hessian_operator(q, w[rows]), -f[rows],
-                           minv if minv.ndim == 2 else minv[rows])
+            step = _minres(hessian_operator(q, w[rows]), -f[rows], minv[rows])
         finite = np.isfinite(step).all(axis=(-2, -1))
         live[rows[~finite]] = False
         rows, step = rows[finite], step[finite]
@@ -467,18 +464,19 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
     """Descend from every start of one solve in lockstep.
 
     Row i of the (k, 2, n) batch starts is restart indices[i]; the starts must
-    vanish off the masks. p's coef is shared by every row, or is (k, 2, n),
-    one per start, with rows and coef subset together (_take). The result has
-    one entry per start, in start order: None for a start without a finite
-    Nehari projection, which does not enter. The starts that entered descend
-    as the rows of one batch, whose state is arrays indexed by batch row: the
-    kernels, the stop rules and each Armijo round act on all rows at once,
-    and a row's arithmetic is exactly that of a batch of one, so its result
-    has the same bits as its start solved alone. A row that stops, by any
-    rule, writes its point and iteration count once, at that loop head, into
-    arrays indexed by start, and leaves. _finish then polishes and certifies
-    them all. With stall false the stall rule is off, and a row stops only by
-    the others.
+    vanish off the masks. p's coef is (2, n), shared by every start, or
+    (k, 2, n), one per start. The result has one entry per start, in start
+    order: None for a start without a finite Nehari projection, which does
+    not enter. The starts that entered descend as the rows of one batch,
+    whose state is arrays indexed by batch row; each takes its row of coef
+    here, broadcast from a shared coef, and rows and coef are subset
+    together (_take) from there on. The kernels, the stop rules and
+    each Armijo round act on all rows at once, and a row's arithmetic is
+    exactly that of a batch of one, so its result has the same bits as its
+    start solved alone. A row that stops, by any rule, writes its point and
+    iteration count once, at that loop head, into arrays indexed by start,
+    and leaves. _finish then polishes and certifies them all. With stall
+    false the stall rule is off, and a row stops only by the others.
     """
     t = nehari_scale(p, starts)
     entered = np.flatnonzero(np.isfinite(t))
@@ -488,7 +486,7 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
     # From here on a start is one of those that entered, numbered in order.
     w = t[entered, None, None] * starts[entered]
     index = np.asarray(indices)[entered]
-    p = _take(p, entered)
+    p = _with_coef(p, np.broadcast_to(p.coef, starts.shape)[entered])
     rows = np.arange(entered.size)      # batch row -> start
 
     exponent = 1.0 / (p.gamma - 2.0)
@@ -561,9 +559,8 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
                 break
             keep = ~stop
             rows, window, scale, trial = rows[keep], window[keep], scale[keep], trial[keep]
-            if p.coef.ndim == 3:    # rows of several problems: their data leaves with them
-                q, diag = _take(q, keep), diag[keep]
-                inverse = None if inverse is None else inverse[keep]
+            q, diag = _take(q, keep), diag[keep]
+            inverse = None if inverse is None else inverse[keep]
         w = scale[:, None, None] * trial
 
     for i, r in zip(entered.tolist(), _finish(p, cfg, w_end, iters, index)):
@@ -580,31 +577,29 @@ def _descend(problems: Sequence[Problem], cfg: SolverConfig, starts: Sequence[np
     """Descend the starts of every problem as the rows of one lockstep batch.
 
     starts[j], (k_j, 2, n), are the starts of problems[j] and indices[j] their
-    restart indices. The problems may differ in coef alone; with more than
-    one, each row carries its own problem's coef. Each problem gets one list:
-    the results of its starts with a finite Nehari projection, in start order,
-    then those of their re-descents. The starts of the restarts that end
-    unconverged descend once more, again as one batch, without the stall
-    rule; only they pay for it. Since a row's arithmetic is that of a batch of
-    one, every result has the bits it gets in a batch of its problem's starts
-    alone.
+    restart indices. The problems may differ in coef alone, and each row
+    carries its own problem's coef. Each problem gets one list: the results
+    of its starts with a finite Nehari projection, in start order, then those
+    of their re-descents. The starts of the restarts that end unconverged
+    descend once more, again as one batch, without the stall rule; only they
+    pay for it. Since a row's arithmetic is that of a batch of one, every
+    result has the bits it gets in a batch of its problem's starts alone.
     """
     owner = np.repeat(np.arange(len(problems)), [len(x) for x in starts])
-    p = problems[0]
-    if len(problems) > 1:
-        p = _with_coef(p, np.array([q.coef for q in problems])[owner])
+    p = _with_coef(problems[0], np.array([q.coef for q in problems])[owner])
     starts = np.concatenate(starts)
     index = np.concatenate([np.asarray(i, dtype=int) for i in indices])
-    first = _run_descent(p, cfg, starts, index)
-    out = [[] for _ in problems]
-    for j, r in zip(owner.tolist(), first):
-        if r is not None:
-            out[j].append(r)
-    again = np.flatnonzero([r is not None and not r.converged for r in first])
-    if again.size:
+    # Overflow near gamma = 2 is caught by _solve's finite-energy test, and
+    # the line search screens out the nonpositive norms and couplings.
+    with np.errstate(all="ignore"):
+        first = _run_descent(p, cfg, starts, index)
+        again = np.flatnonzero([r is not None and not r.converged for r in first])
         # These starts projected in the first pass, so each has a result here.
-        redo = _run_descent(_take(p, again), cfg, starts[again], index[again], stall=False)
-        for j, r in zip(owner[again].tolist(), redo):
+        redo = (_run_descent(_take(p, again), cfg, starts[again], index[again], stall=False)
+                if again.size else [])
+    out = [[] for _ in problems]
+    for j, r in zip([*owner.tolist(), *owner[again].tolist()], first + redo):
+        if r is not None:
             out[j].append(r)
     return out
 
@@ -624,10 +619,9 @@ def _seeded_restarts(problems: Sequence[LambdaProblem], cfg: SolverConfig,
     starts = np.array([np.where(p.mask, as_pair(p.graph, ref), 0.0), *_cold_starts(p, cfg)])
     indices = range(-1, cfg.restarts)
     out = []
-    with np.errstate(all="ignore"):
-        for i in range(0, len(problems), size):
-            group = problems[i:i + size]
-            out += _descend(group, cfg, [starts] * len(group), [indices] * len(group))
+    for i in range(0, len(problems), size):
+        group = problems[i:i + size]
+        out += _descend(group, cfg, [starts] * len(group), [indices] * len(group))
     return out
 
 
@@ -642,10 +636,7 @@ def _solve(p: Problem, cfg: SolverConfig, warm_starts: Sequence[PairFunction],
         starts, indices = warm + _cold_starts(p, cfg), range(-len(warm), cfg.restarts)
     else:
         starts, indices = warm[:-1], range(-len(warm), -1)
-    # Overflow near gamma = 2 is caught below by the finite-energy test, and
-    # the line search screens out the nonpositive norms and couplings.
-    with np.errstate(all="ignore"):
-        [results] = _descend([p], cfg, [np.array(starts)], [indices]) if starts else [[]]
+    [results] = _descend([p], cfg, [np.array(starts)], [indices]) if starts else [[]]
     # Each list holds its first passes ahead of their re-descents, so that an
     # energy tie goes to the first pass of the lowest index.
     results += restarts or []

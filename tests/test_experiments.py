@@ -406,9 +406,10 @@ class TestSeededBatch:
         assert d.graph.vertex_count > solver._EXACT_METRIC_MAX_N
         lambda_sweep(pots, d, SweepConfig(lambdas=(1.0, 100.0), solver=SolverConfig(restarts=2)))
         # The Dirichlet solve, then each lambda's ref and restarts in a batch
-        # of their own, each with one coef for all its rows; then the second
-        # lambda's previous solution. The first lambda has no other warm start.
-        assert all(ndim == 2 for _rows, ndim, _coefs in calls)
+        # of their own, each with one distinct coef for all its rows; then the
+        # second lambda's previous solution. The first lambda has no other
+        # warm start.
+        assert all(coefs == 1 for _rows, _ndim, coefs in calls)
         assert [rows for rows, _ndim, _coefs in calls] == [2, 3, 3, 1]
 
     def test_a_warm_start_alone_still_wins(self, monkeypatch):

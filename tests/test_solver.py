@@ -17,6 +17,7 @@ from graphwell import (
     SolverConfig,
     WeightedGraph,
     functional,
+    lambda_sweep,
     solve_dirichlet,
     solve_ground_state,
     solver,
@@ -375,6 +376,44 @@ class TestLockstep:
         for a, m in zip(alone, mixed[2:], strict=True):
             assert_same_result(m, a)
 
+    def test_every_batch_carries_one_coef_row_per_row(self, g22, monkeypatch):
+        # From _run_descent's entry on, a batch's problem has coef (k, 2, n),
+        # one row per row of the batch, whether its rows share one problem or
+        # come from a sweep's several. A's inverse is built for the rows still
+        # descending at the switch head: those that the same pass hands to
+        # _finish with more than _EXACT_METRIC_HEAD iterations.
+        graph, pots, d = g22
+        n = graph.vertex_count
+        shapes, pending, checked = [], [], []
+        finish, polish, inverse = solver._finish, solver._newton_polish, solver._linear_inverse
+
+        def finish_spy(p, cfg, w, iters, index):
+            shapes.append((p.coef.shape, (len(w), 2, n)))
+            if pending:
+                checked.append((pending.pop(), int((iters > solver._EXACT_METRIC_HEAD).sum())))
+            return finish(p, cfg, w, iters, index)
+
+        def polish_spy(p, w, grad_tol):
+            shapes.append((p.coef.shape, (len(w), 2, n)))
+            return polish(p, w, grad_tol)
+
+        def inverse_spy(p):
+            assert not pending
+            pending.append(len(p.coef))
+            shapes.append((p.coef.shape, (len(p.coef), 2, n)))
+            return inverse(p)
+
+        monkeypatch.setattr(solver, "_finish", finish_spy)
+        monkeypatch.setattr(solver, "_newton_polish", polish_spy)
+        monkeypatch.setattr(solver, "_linear_inverse", inverse_spy)
+        for run in (lambda: solve_ground_state(LambdaProblem(graph, pots, 1e4, 2.0, 2.0)),
+                    lambda: solve_dirichlet(d), lambda: lambda_sweep(pots, d)):
+            shapes.clear()
+            checked.clear()
+            run()
+            assert shapes and all(got == want for got, want in shapes)
+            assert checked and all(built == rows for built, rows in checked)
+
     def test_a_rejected_polish_leaves_the_other_rows_alone(self, monkeypatch):
         # The path instance of test_newton_never_lands_on_a_higher_critical_point:
         # every polish is made to return the higher critical point on vertex 2.
@@ -426,7 +465,8 @@ class TestLockstep:
     def test_polished_rows_match_batches_of_one(self, g22, monkeypatch, lam):
         # The rows that leave G22's descent above their tolerance, at
         # lambda = 1e4 and in the Dirichlet problem, are polished by dense
-        # Newton steps; each row must get what it gets polished alone.
+        # Newton steps; each row, with its own row of coef, must get what it
+        # gets polished alone.
         graph, pots, d = g22
         p = d if lam is None else LambdaProblem(graph, pots, lam, 2.0, 2.0)
         handed = []
@@ -445,10 +485,12 @@ class TestLockstep:
             raise AssertionError("a small graph's Newton step went to MINRES")
 
         monkeypatch.setattr(solver, "_minres", no_minres)
-        batch = polish(p, w, tol)
+        q = solver._with_coef(p, np.broadcast_to(p.coef, w.shape))
+        batch = polish(q, w, tol)
         assert not np.array_equal(batch, w)
         for i in range(len(w)):
-            np.testing.assert_array_equal(batch[i], polish(p, w[i:i + 1], tol[i:i + 1])[0])
+            alone = polish(solver._take(q, [i]), w[i:i + 1], tol[i:i + 1])
+            np.testing.assert_array_equal(batch[i], alone[0])
 
 
 class TestExactMetric:
@@ -456,13 +498,45 @@ class TestExactMetric:
     # H-gradient A^-1 (mu res), with A = diag(wdeg) - W + diag(mu coef).
     @pytest.mark.parametrize("lam", [1e-2, 1e9, None])
     def test_linear_inverse_inverts_the_h_operator(self, g22, lam):
+        # A batch of three rows of one problem gets one inverse per row.
         graph, pots, d = g22
         p = d if lam is None else LambdaProblem(graph, pots, lam, 2.0, 2.0)
-        x = np.where(p.mask, np.random.default_rng(5).uniform(-1.0, 1.0, p.mask.shape), 0.0)
+        shape = (3, *p.mask.shape)
+        q = solver._with_coef(p, np.broadcast_to(p.coef, shape))
+        x = np.where(p.mask, np.random.default_rng(5).uniform(-1.0, 1.0, shape), 0.0)
         ax = graph.mu * p.coef * x - edge_laplacian(graph, x)
-        back = np.vecdot(solver._linear_inverse(p), ax[:, None, :])
-        assert not back[~p.mask].any()
+        inverse = solver._linear_inverse(q)
+        assert inverse.shape == (*shape, graph.vertex_count)
+        back = np.vecdot(inverse, ax[..., None, :])
+        assert not back[:, ~p.mask].any()
         assert np.abs(back - x).max() <= 1e-10 * np.abs(x).max()
+
+    def test_linear_inverse_inverts_runs_of_rows_once_each(self, g22, monkeypatch):
+        # Rows of G22 at three lambdas, in runs of 2, 3 and 1, then a run of
+        # 2 from a second problem at the last lambda, whose equal coef joins
+        # it to the run before: each row gets the inverse of its own A, with
+        # the bits of its problem's inverse built alone.
+        graph, pots, _d = g22
+        problems = [LambdaProblem(graph, pots, lam, 2.0, 2.0) for lam in (1e-2, 1.0, 1e9, 1e9)]
+        owner = np.repeat(np.arange(4), [2, 3, 1, 2])
+        batch = solver._with_coef(problems[0], np.array([p.coef for p in problems])[owner])
+        n = graph.vertex_count
+        inverted = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda m: inverted.append(len(m)) or inv(m))
+        inverse = solver._linear_inverse(batch)
+        monkeypatch.undo()
+        assert inverted == [3, 3]       # one batched inversion per component
+        assert inverse.shape == (len(owner), 2, n, n)
+        for row, j in zip(inverse, owner):
+            p = problems[j]
+            a = functional.hessian_matrix(p, np.zeros((2, n))).reshape(2, n, 2, n)
+            for c, on in enumerate(p.mask):
+                block = np.ix_(on, on)
+                product = row[c][block] @ a[c, :, c][block]
+                assert np.abs(product - np.eye(on.sum())).max() <= 1e-12
+            alone = solver._linear_inverse(solver._with_coef(p, p.coef[None]))
+            assert np.array_equal(row, alone[0])
 
     def test_inverse_built_once_and_only_for_small_graphs_still_descending(self, g22,
                                                                            monkeypatch):
@@ -470,9 +544,9 @@ class TestExactMetric:
         built, heads = [], []
         inverse, finish = solver._linear_inverse, solver._finish
 
-        def inverse_spy(p):
-            built.append(p)
-            return inverse(p)
+        def inverse_spy(q):
+            built.append((q.graph, q.lam, bool((q.coef == p.coef).all())))
+            return inverse(q)
 
         def finish_spy(p, cfg, w, iters, index):
             heads.append(iters.max())
@@ -482,25 +556,26 @@ class TestExactMetric:
         monkeypatch.setattr(solver, "_finish", finish_spy)
         p = LambdaProblem(graph, pots, 1e4, 2.0, 2.0)
         solve_ground_state(p)
-        assert built == [p]
+        once = [(graph, 1e4, True)]
+        assert built == once
         # No cold restart of G22 stops before the switch head, so the witnesses
         # are random instances. Restart 0 of the first stops before the
         # switch, in the diagonal metric, alone.
         workloads = load_workloads()
         q = workloads.random_instance(np.random.default_rng([7, 2]))
         solver._run_descent(q, SolverConfig(), np.array(cold_starts(q, 8)[:1]), [0])
-        assert 1 < heads[-1] <= solver._EXACT_METRIC_HEAD and built == [p]
+        assert 1 < heads[-1] <= solver._EXACT_METRIC_HEAD and built == once
         # Restart 2 of the second alone stops at the switch head itself.
         q = workloads.random_instance(np.random.default_rng([7, 8]))
         solver._run_descent(q, SolverConfig(), np.array(cold_starts(q, 8)[2:3]), [2])
-        assert heads[-1] == solver._EXACT_METRIC_HEAD + 1 and built == [p]
+        assert heads[-1] == solver._EXACT_METRIC_HEAD + 1 and built == once
         # Both grids descend past the switch, but have more vertices than the bound.
         grid = workloads.grid_problem(50, 100.0, 2)
         assert grid.graph.vertex_count > solver._EXACT_METRIC_MAX_N
         for restarts in (1, 8):
             solve_ground_state(grid, SolverConfig(restarts=restarts))
             assert heads[-1] > solver._EXACT_METRIC_HEAD
-        assert built == [p]
+        assert built == once
 
     def test_g22_builds_the_inverse_once_at_the_switch_head(self, g22, monkeypatch):
         # Each loop head of the descent evaluates the residual once, so the
