@@ -9,11 +9,9 @@ the potential scaling grows.
 from .calculus import (
     PairFunction,
     check_admissible,
-    dirichlet_energy_sq,
     gradient_form_all,
     integrate,
     laplacian_all,
-    norm_H_sq,
     norm_Lq,
 )
 from .errors import (
@@ -27,7 +25,6 @@ from .errors import (
     UnknownLabelError,
 )
 from .experiments import (
-    G22_MIRROR,
     TABLE1_REFERENCE,
     ComparisonReport,
     ReferenceDiff,
@@ -49,9 +46,7 @@ from .functional import (
     energy_J_Omega,
     grad_J_lambda,
     grad_J_Omega,
-    nehari_diagnostics,
     norm_H_lambda_sq,
-    norm_H_Omega_sq,
 )
 from .graph import (
     PotentialField,

@@ -1,10 +1,10 @@
-"""Discrete calculus on weighted graphs: Laplacian, gradient form, norms.
+"""Discrete calculus on weighted graphs: Laplacian, gradient form, L^q norms.
 
 Convention used throughout: integrating the gradient form over V turns into a
 sum over unordered edges, sum_x mu(x) Gamma(u,v)(x) = sum_{xy in E} w_xy du dv,
 because each edge is seen from both endpoints and the 1/2 cancels the double
-count. The operators are assembled by edge scatter and the norms use the
-edge-sum form.
+count. The operators are assembled by edge scatter. The H norms use the
+edge-sum form; their one kernel is functional.norm_sq_of.
 """
 
 from __future__ import annotations
@@ -88,23 +88,6 @@ def gradient_form_all(g: WeightedGraph, u: np.ndarray, v: np.ndarray) -> np.ndar
 def integrate(g: WeightedGraph, f) -> float:
     """Integral of f over V against the vertex measure."""
     return weighted_sum(as_vertex_function(g, f), g.mu)
-
-
-def dirichlet_energy_sq(g: WeightedGraph, u: np.ndarray) -> float | np.ndarray:
-    """sum over edges of w (du)^2, which equals the integral of |grad u|^2."""
-    du = u.take(g.edge_j, axis=-1) - u.take(g.edge_i, axis=-1)
-    return weighted_sum(du * du, g.edge_w)
-
-
-def norm_H_sq(g: WeightedGraph, w) -> float:
-    """Squared H norm: unit-coefficient mass, same gradient terms."""
-    return float(norm_H_sq_of(g, as_pair(g, w)))
-
-
-def norm_H_sq_of(g: WeightedGraph, w: np.ndarray) -> float | np.ndarray:
-    """norm_H_sq of each pair of an array (..., 2, n), unvalidated: the
-    gradient sum of u plus that of v, plus the mass sum of u^2 + v^2."""
-    return dirichlet_energy_sq(g, w).sum(axis=-1) + pair_sum(w * w, g.mu)
 
 
 def check_admissible(d: DirichletProblem, w) -> np.ndarray:

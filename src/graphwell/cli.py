@@ -99,7 +99,7 @@ def _usage_error(message) -> int:
 
 
 def _emit_solution(args, pf: ProblemFile, result) -> int:
-    write_solution(pf.graph, result, args.out if args.out else sys.stdout)
+    write_solution(pf.graph, result.pair, args.out if args.out else sys.stdout)
     print(f"energy {result.energy:.12g}  residual {result.residual_norm:.3e}  "
           f"iterations {result.iterations}  restart {result.restart_index}  "
           f"converged {str(result.converged).lower()}", file=sys.stderr)

@@ -15,12 +15,12 @@ masks, and the Hessian's matrix, the identity off the masks. Mass, Laplacian,
 masking and reductions act on both components at once; only the coupling
 terms index a component. The kernels broadcast coef against the pairs: a
 problem's is (2, n), and the solver gives every batch (k, 2, n), one row per
-pair. The kernels trust their input; energy_J_lambda, grad_J_lambda,
-norm_H_lambda_sq (bound also as the _Omega names) and nehari_diagnostics
-validate the pair once, by the problem's check_pair, and then call them.
-Given a batch, the kernels return one value or residual per pair;
-_nehari_rows is nehari_diagnostics for the norms and couplings of a trusted
-batch, the form in which the solver certifies its results.
+pair. The kernels trust their input; energy_J_lambda, grad_J_lambda (bound
+also as energy_J_Omega and grad_J_Omega) and norm_H_lambda_sq validate the
+pair once, by the problem's check_pair, and then call them. Given a batch,
+the kernels return one value or residual per pair; _nehari_rows turns the
+norms and couplings of a trusted batch into NehariDiagnostics, the form in
+which the solver certifies its results.
 
 The masked-kernel identity: on admissible pairs (u = 0 off Omega_a, v = 0 off
 Omega_b, with the wells the zero sets of a and b) the lam a, lam b terms drop
@@ -319,9 +319,9 @@ def nehari_scale(p: Problem, w) -> float | np.ndarray:
 
 def norm_H_lambda_sq(p: Problem, w) -> float:
     """Squared H norm of a pair: the all-edge gradient sum plus coef-weighted
-    mass. As norm_H_Omega_sq, on a DirichletProblem, the mass is unit and the
-    pair must vanish off the wells, so this equals the gradient form summed
-    over the closed wells plus the mass over the open wells."""
+    mass. On a DirichletProblem the mass is unit and the pair must vanish off
+    the wells, so this equals the gradient form summed over the closed wells
+    plus the mass over the open wells."""
     return norm_sq_of(p, p.check_pair(w))
 
 
@@ -336,7 +336,7 @@ def grad_J_lambda(p: Problem, w) -> PairFunction:
 
 
 # J_Omega is J_lambda on the Dirichlet kernel, whose check_pair requires admissible pairs.
-norm_H_Omega_sq, energy_J_Omega, grad_J_Omega = norm_H_lambda_sq, energy_J_lambda, grad_J_lambda
+energy_J_Omega, grad_J_Omega = energy_J_lambda, grad_J_lambda
 
 
 def _nehari_rows(p: Problem, norm_sq: np.ndarray, coupling: np.ndarray) -> list[NehariDiagnostics]:
@@ -344,8 +344,3 @@ def _nehari_rows(p: Problem, norm_sq: np.ndarray, coupling: np.ndarray) -> list[
     return [NehariDiagnostics(norm_sq=n, coupling=c, defect=n - c, energy=_energy(p, n, c),
                               nontrivial=n > 0.0 and c > 0.0)
             for n, c in zip(norm_sq.tolist(), coupling.tolist())]
-
-
-def nehari_diagnostics(p: Problem, w) -> NehariDiagnostics:
-    w = p.check_pair(w)[None]
-    return _nehari_rows(p, norm_sq_of(p, w), coupling_integral(p, w))[0]

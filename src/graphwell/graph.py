@@ -101,14 +101,13 @@ class WeightedGraph:
         ws = np.concatenate([self.edge_w, self.edge_w])
         order = np.argsort(heads, kind="stable")
         self._nbr = tails[order]
-        self._nbr_w = ws[order]
         counts = np.bincount(heads, minlength=n)
         self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
         # weighted degree: sum of incident weights (diagonal of -Laplacian times mu)
         self.wdeg = np.bincount(heads, weights=ws, minlength=n)
 
-        for arr in (self.edge_i, self.edge_j, self.edge_w, self.mu, self._nbr,
-                    self._nbr_w, self._indptr, self.wdeg):
+        for arr in (self.edge_i, self.edge_j, self.edge_w, self.mu, self._nbr, self._indptr,
+                    self.wdeg):
             arr.setflags(write=False)
         self._batch = (self.edge_i, self.edge_j)
 
@@ -135,12 +134,6 @@ class WeightedGraph:
         if not 0 <= x < self.vertex_count:
             raise UnknownLabelError(f"vertex {x} not in graph of size {self.vertex_count}")
         return x
-
-    def neighbors(self, x: int) -> tuple[np.ndarray, np.ndarray]:
-        """Neighbor ids and the matching edge weights of vertex x."""
-        x = self.check_vertex(x)
-        lo, hi = self._indptr[x], self._indptr[x + 1]
-        return self._nbr[lo:hi], self._nbr_w[lo:hi]
 
     def id_of(self, label: str) -> int:
         try:
@@ -206,8 +199,8 @@ def validate_graph(g: WeightedGraph) -> None:
 
 def _bfs_reach(g: WeightedGraph, source: int) -> np.ndarray:
     """Mask of the vertices reachable from source. It walks the adjacency
-    arrays as Python lists, not through neighbors(): every vertex it pops is
-    in range by construction, so none needs validating."""
+    arrays as Python lists: every vertex it pops is in range by
+    construction, so none needs validating."""
     reached = [False] * g.vertex_count
     reached[source] = True
     queue = deque([source])

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+from .calculus import PairFunction
 from .errors import ParseError
 from .graph import PotentialField, WeightedGraph, validate_graph
-from .solver import SolveResult
 
 _SECTIONS = ("vertices", "edges", "params")
 _BOM = "\ufeff"     # the byte-order mark, which both parsers drop once at the start
@@ -194,10 +194,10 @@ def _write_csv(sink, header: tuple[str, ...], rows: Iterable) -> None:
     out.writerows(rows)
 
 
-def write_solution(graph: WeightedGraph, result: SolveResult, sink) -> None:
+def write_solution(graph: WeightedGraph, pair: PairFunction, sink) -> None:
     """CSV rows vertex,u,v in declaration order, 17 significant digits."""
     _write_csv(sink, ("vertex", "u", "v"),
-               ((lab, _fmt(u), _fmt(v)) for lab, u, v in zip(graph.labels, *result.pair)))
+               ((lab, _fmt(u), _fmt(v)) for lab, u, v in zip(graph.labels, *pair)))
 
 
 def write_sweep(records: Iterable, sink) -> None:

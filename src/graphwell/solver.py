@@ -446,12 +446,13 @@ def _finish(p: Problem, cfg: SolverConfig, w: np.ndarray, iters: np.ndarray,
     return out
 
 
-def _no_projection(p: Problem, cfg: SolverConfig, warm: list[np.ndarray]) -> Exception:
+def _no_projection(p: Problem, cfg: SolverConfig, warm: list[PairFunction]) -> Exception:
     """The error of a solve none of whose starts, the warm starts warm and the
     seeded restarts, has a Nehari projection: EnergyOverflowError when the
     projection of some start overflowed, else DegeneratePairError."""
+    starts = np.array(_masked(p, warm) + _cold_starts(p, cfg))
     with np.errstate(all="ignore"):
-        overflowed = np.isinf(nehari_scale(p, np.array(warm + _cold_starts(p, cfg)))).any()
+        overflowed = np.isinf(nehari_scale(p, starts)).any()
     if overflowed:
         return EnergyOverflowError(
             f"the Nehari projection of every start overflowed (alpha {p.alpha}, beta {p.beta})")
@@ -568,6 +569,11 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
     return out
 
 
+def _masked(p: Problem, pairs: Sequence[PairFunction]) -> list[np.ndarray]:
+    """Each pair validated by as_pair and set to zero off p's masks."""
+    return [np.where(p.mask, as_pair(p.graph, w), 0.0) for w in pairs]
+
+
 def _cold_starts(p: Problem, cfg: SolverConfig) -> list[np.ndarray]:
     return [_initial_pair(p, np.random.default_rng([cfg.rng_seed, i])) for i in range(cfg.restarts)]
 
@@ -616,7 +622,7 @@ def _seeded_restarts(problems: Sequence[LambdaProblem], cfg: SolverConfig,
     p = problems[0]
     size = len(problems) if p.graph.vertex_count <= _EXACT_METRIC_MAX_N else 1
     # The starts take nothing from lambda, so every problem has the same.
-    starts = np.array([np.where(p.mask, as_pair(p.graph, ref), 0.0), *_cold_starts(p, cfg)])
+    starts = np.array(_masked(p, [ref]) + _cold_starts(p, cfg))
     indices = range(-1, cfg.restarts)
     out = []
     for i in range(0, len(problems), size):
@@ -629,13 +635,13 @@ def _solve(p: Problem, cfg: SolverConfig, warm_starts: Sequence[PairFunction],
            restarts: list[SolveResult] | None = None) -> SolveResult:
     """The best result over the warm starts and the seeded restarts; restarts,
     when given, are the last warm start and the seeded restarts already
-    descended (_seeded_restarts), and only the other warm starts descend
-    here."""
-    warm = [np.where(p.mask, as_pair(p.graph, w0), 0.0) for w0 in warm_starts]
+    descended (_seeded_restarts), and only the other warm starts are
+    validated and descend here."""
+    warm = list(warm_starts)
     if restarts is None:
-        starts, indices = warm + _cold_starts(p, cfg), range(-len(warm), cfg.restarts)
+        starts, indices = _masked(p, warm) + _cold_starts(p, cfg), range(-len(warm), cfg.restarts)
     else:
-        starts, indices = warm[:-1], range(-len(warm), -1)
+        starts, indices = _masked(p, warm[:-1]), range(-len(warm), -1)
     [results] = _descend([p], cfg, [np.array(starts)], [indices]) if starts else [[]]
     # Each list holds its first passes ahead of their re-descents, so that an
     # energy tie goes to the first pass of the lowest index.

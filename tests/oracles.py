@@ -44,6 +44,28 @@ def dense_norm_coupling(n, edges, mu, a, b, lam, alpha, beta, u, v):
     return norm, coup
 
 
+def graph_edges(g):
+    """The (i, j, w) triples of a WeightedGraph, read off its edge arrays."""
+    return list(zip(g.edge_i.tolist(), g.edge_j.tolist(), g.edge_w.tolist()))
+
+
+def neighbours(g, x):
+    """Neighbour ids of vertex x of a WeightedGraph and the matching edge
+    weights, gathered edge by edge."""
+    found = [(j if i == x else i, w) for i, j, w in graph_edges(g) if x in (i, j)]
+    return (np.array([y for y, _ in found], dtype=np.int64),
+            np.array([w for _, w in found], dtype=float))
+
+
+def unit_h_norm_sq(g, u, v):
+    """Squared H norm of (u, v) on a WeightedGraph with unit mass
+    coefficients, summed edge by edge and vertex by vertex: the norm in which
+    the lambda-states converge to the Dirichlet state."""
+    n = g.vertex_count
+    zero = np.zeros(n)
+    return dense_norm_coupling(n, graph_edges(g), g.mu, zero, zero, 0.0, 2.0, 2.0, u, v)[0]
+
+
 def _newton_polish(n, edges, mu, a, b, lam, alpha, beta, z0, iters=120):
     """Damped Newton with a central-difference Jacobian on the stacked system."""
 

@@ -9,28 +9,31 @@ from graphwell import (
     LambdaProblem,
     PotentialField,
     WeightedGraph,
-    dirichlet_energy_sq,
     gradient_form_all,
     integrate,
     laplacian_all,
-    norm_H_Omega_sq,
     norm_H_lambda_sq,
-    norm_H_sq,
     norm_Lq,
 )
 from tests.conftest import random_connected_graph
+from tests.oracles import graph_edges, neighbours, unit_h_norm_sq
 
 
 def laplacian(g, u, x):
     """Reference mu-Laplacian at x: (1/mu(x)) sum_{y~x} w_xy (u(y) - u(x))."""
-    nbr, w = g.neighbors(x)
+    nbr, w = neighbours(g, x)
     return float(np.dot(w, u[nbr] - u[x]) / g.mu[x])
 
 
 def gradient_form(g, u, v, x):
     """Reference Gamma(u,v)(x) = (1/(2 mu(x))) sum_{y~x} w_xy (u(y)-u(x))(v(y)-v(x))."""
-    nbr, w = g.neighbors(x)
+    nbr, w = neighbours(g, x)
     return float(np.dot(w, (u[nbr] - u[x]) * (v[nbr] - v[x])) / (2.0 * g.mu[x]))
+
+
+def edge_energy(g, u):
+    """Reference sum over edges of w (du)^2, edge by edge."""
+    return sum(w * (u[j] - u[i]) ** 2 for i, j, w in graph_edges(g))
 
 
 def two_vertex():
@@ -123,7 +126,7 @@ class TestIntegration:
         g = random_connected_graph(rng)
         u = rng.normal(size=g.vertex_count)
         via_gamma = integrate(g, gradient_form_all(g, u, u))
-        assert via_gamma == pytest.approx(dirichlet_energy_sq(g, u), rel=1e-12)
+        assert via_gamma == pytest.approx(edge_energy(g, u), rel=1e-12)
 
     def test_integration_by_parts(self):
         rng = np.random.default_rng(11)
@@ -173,7 +176,7 @@ class TestNorms:
     def test_norm_H_matches_unit_coefficients(self):
         g = two_vertex()
         w = (np.array([1.0, 0.0]), np.zeros(2))
-        assert norm_H_sq(g, w) == pytest.approx(2.0, abs=1e-15)
+        assert unit_h_norm_sq(g, *w) == pytest.approx(2.0, abs=1e-15)
         # with a = b = 0 the lambda norm collapses to the H norm for every lambda
         rng = np.random.default_rng(13)
         gr = random_connected_graph(rng)
@@ -181,7 +184,7 @@ class TestNorms:
         wr = (rng.normal(size=gr.vertex_count), rng.normal(size=gr.vertex_count))
         for lam in (1e-3, 1.0, 1e5):
             p = self.problem(gr, zero, zero, lam)
-            assert norm_H_lambda_sq(p, wr) == pytest.approx(norm_H_sq(gr, wr), rel=1e-13)
+            assert norm_H_lambda_sq(p, wr) == pytest.approx(unit_h_norm_sq(gr, *wr), rel=1e-13)
 
     def test_lambda_monotonicity(self):
         rng = np.random.default_rng(15)
@@ -203,7 +206,7 @@ class TestNorms:
         d = DirichletProblem(g, frozenset({0}), frozenset({0}), alpha=2.0, beta=2.0)
         u = np.zeros(k + 1)
         u[0] = 1.0
-        assert norm_H_Omega_sq(d, (u, np.zeros(k + 1))) == pytest.approx(k + 1.0, abs=1e-14)
+        assert norm_H_lambda_sq(d, (u, np.zeros(k + 1))) == pytest.approx(k + 1.0, abs=1e-14)
 
     def test_norm_H_Omega_matches_edge_sum(self):
         g = WeightedGraph(6, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5),
@@ -216,10 +219,10 @@ class TestNorms:
         u[[1, 2]] = rng.normal(size=2)
         v = np.zeros(6)
         v[[2, 3]] = rng.normal(size=2)
-        expected = dirichlet_energy_sq(g, u) + dirichlet_energy_sq(g, v)
+        expected = edge_energy(g, u) + edge_energy(g, v)
         expected += float(np.dot(g.mu[[1, 2]], u[[1, 2]] ** 2))
         expected += float(np.dot(g.mu[[2, 3]], v[[2, 3]] ** 2))
-        assert norm_H_Omega_sq(d, (u, v)) == pytest.approx(expected, rel=1e-13)
+        assert norm_H_lambda_sq(d, (u, v)) == pytest.approx(expected, rel=1e-13)
 
     def test_norm_H_Omega_rejects_escape(self):
         g = star(3)
@@ -227,7 +230,7 @@ class TestNorms:
         u = np.zeros(4)
         u[2] = 1e-9
         with pytest.raises(DomainViolationError, match="2"):
-            norm_H_Omega_sq(d, (u, np.zeros(4)))
+            norm_H_lambda_sq(d, (u, np.zeros(4)))
 
 
 class TestLqNorms:
@@ -275,7 +278,7 @@ class TestLqNorms:
             v[[2, 3]] = rng.normal(size=2)
             # u vanishes off {1, 2} and v off {2, 3}: these are the well integrals
             l1 = integrate(g, np.abs(u)) + integrate(g, np.abs(v))
-            bound = (math.sqrt(vol_a) + math.sqrt(vol_b)) * math.sqrt(norm_H_Omega_sq(d, (u, v)))
+            bound = (math.sqrt(vol_a) + math.sqrt(vol_b)) * math.sqrt(norm_H_lambda_sq(d, (u, v)))
             assert l1 <= bound + 1e-12
 
 

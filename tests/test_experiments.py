@@ -27,8 +27,6 @@ from graphwell import (
     g22_reference_values,
     lambda_sweep,
     grad_J_Omega,
-    nehari_diagnostics,
-    norm_H_sq,
     parse_problem,
     solve_dirichlet,
     solve_ground_state,
@@ -38,15 +36,31 @@ from graphwell.errors import DegeneratePairError, EnergyOverflowError
 from graphwell.experiments import (
     G22_BOUNDARY_A,
     G22_BOUNDARY_B,
-    G22_MIRROR,
     G22_WELL_A,
     G22_WELL_B,
     TABLE1_REFERENCE,
     _g22_instance,
 )
+from graphwell.functional import energy_of, norm_sq_of
 from tests.conftest import load_workloads
+from tests.oracles import unit_h_norm_sq
 
 G22_TEXT = resources.files("graphwell").joinpath("data/g22.graph").read_text(encoding="utf-8")
+
+
+# Well-swapping graph symmetry of G22; the ground state satisfies u(x) = v(mirror(x)).
+G22_MIRROR = {
+    "x1": "x1", "x2": "x5", "x3": "x6", "x4": "x4", "x5": "x2", "x6": "x3",
+    "x7": "x10", "x8": "x11", "x9": "x12", "x10": "x7", "x11": "x8", "x12": "x9",
+    "x13": "x13", "x14": "x19", "x15": "x15", "x16": "x21", "x17": "x17",
+    "x18": "x18", "x19": "x14", "x20": "x20", "x21": "x16", "x22": "x22",
+}
+
+
+def whole_graph_problem(g):
+    """A Dirichlet problem on g whose wells are every vertex."""
+    every = frozenset(range(g.vertex_count))
+    return DirichletProblem(g, every, every, alpha=2.0, beta=2.0)
 
 
 def small_family(alpha=2.0, beta=2.0):
@@ -151,7 +165,7 @@ class TestDirichletGroundState:
             v = -v
         assert float(np.max(np.abs(u - ref_u))) < 1e-6
         assert float(np.max(np.abs(v - ref_v))) < 1e-6
-        ref_energy = nehari_diagnostics(d, PairFunction(ref_u, ref_v)).energy
+        ref_energy = energy_of(d, d.check_pair((ref_u, ref_v)))
         assert g22_dirichlet.energy == pytest.approx(ref_energy, rel=1e-8)
 
     def test_reference_table_complete(self, g22):
@@ -202,41 +216,53 @@ class TestGrids:
 
 class TestAlignment:
     def test_sign_flips_ignored(self):
-        g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        d = whole_graph_problem(WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)]))
         rng = np.random.default_rng(31)
         w = PairFunction(rng.normal(size=3), rng.normal(size=3))
-        assert aligned_h_distance(g, w, w) == 0.0
+        assert aligned_h_distance(d, w, w) == 0.0
         flipped = PairFunction(-w.u, w.v)
-        assert aligned_h_distance(g, flipped, w) == 0.0
+        assert aligned_h_distance(d, flipped, w) == 0.0
         both = PairFunction(-w.u, -w.v)
-        assert aligned_h_distance(g, both, w) == 0.0
+        assert aligned_h_distance(d, both, w) == 0.0
 
     def test_detects_real_difference(self):
-        g = WeightedGraph(2, [(0, 1, 1.0)])
+        d = whole_graph_problem(WeightedGraph(2, [(0, 1, 1.0)]))
         w1 = PairFunction(np.array([1.0, 0.0]), np.zeros(2))
         w2 = PairFunction(np.array([0.0, 1.0]), np.zeros(2))
         # best alignment flips u, leaving the constant difference (-1, -1):
         # no gradient, mass 2
-        assert aligned_h_distance(g, w1, w2) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        assert aligned_h_distance(d, w1, w2) == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_same_bits_as_the_four_flips_alone(self, g22):
-        g, _pots, _d = g22
+        _g, _pots, d = g22
         rng = np.random.default_rng(5)
         for _ in range(5):
             w = PairFunction(*rng.normal(size=(2, 22)))
             ref = PairFunction(*rng.normal(size=(2, 22)))
-            flips = [norm_H_sq(g, (su * w.u - ref.u, sv * w.v - ref.v))
+            flips = [norm_sq_of(d, np.array((su * w.u - ref.u, sv * w.v - ref.v)))
                      for su in (1.0, -1.0) for sv in (1.0, -1.0)]
-            assert aligned_h_distance(g, w, ref) == math.sqrt(min(flips))
+            assert aligned_h_distance(d, w, ref) == math.sqrt(min(flips))
+
+    def test_measured_in_the_limit_norm(self, g22, g22_dirichlet):
+        # A lambda-state is nonzero off the wells, so it is not admissible;
+        # its distance to the Dirichlet state still counts unit mass on every
+        # vertex and every edge, the H norm in which w_lambda -> w_Omega.
+        g, pots, d = g22
+        ref = g22_dirichlet.pair
+        w = solve_ground_state(LambdaProblem(g, pots, 1.0, d.alpha, d.beta)).pair
+        assert np.abs(w.u[~d.mask_a]).min() > 0.0 and np.abs(w.v[~d.mask_b]).min() > 0.0
+        flips = [unit_h_norm_sq(g, su * w.u - ref.u, sv * w.v - ref.v)
+                 for su in (1.0, -1.0) for sv in (1.0, -1.0)]
+        assert aligned_h_distance(d, w, ref) == pytest.approx(math.sqrt(min(flips)), rel=1e-14)
 
     @pytest.mark.parametrize("bad", [np.array([1.0, math.nan]), np.zeros(3)])
     def test_pairs_validated(self, bad):
-        g = WeightedGraph(2, [(0, 1, 1.0)])
+        d = whole_graph_problem(WeightedGraph(2, [(0, 1, 1.0)]))
         good = PairFunction(np.ones(2), np.ones(2))
         with pytest.raises(ValueError):
-            aligned_h_distance(g, PairFunction(bad, np.ones(2)), good)
+            aligned_h_distance(d, PairFunction(bad, np.ones(2)), good)
         with pytest.raises(ValueError):
-            aligned_h_distance(g, good, PairFunction(np.ones(2), bad))
+            aligned_h_distance(d, good, PairFunction(np.ones(2), bad))
 
 
 class TestSweep:
@@ -479,6 +505,22 @@ class TestSeededBatch:
         callers.clear()
         assert solve_ground_state(LambdaProblem(graph, pots, 100.0, 2.0, 2.0)).converged
         assert callers and set(callers) <= {"_run_descent", "_finish"}
+
+    def test_each_warm_start_is_validated_once(self, monkeypatch):
+        # The sweep validates the Dirichlet state once, for the batch of
+        # seeded restarts, and each lambda-solve only the previous solution
+        # it descends itself: one validation per lambda in all.
+        seen = []
+        check = solver.as_pair
+
+        def spy(g, w):
+            seen.append(w)
+            return check(g, w)
+
+        monkeypatch.setattr(solver, "as_pair", spy)
+        pots, d = small_family()
+        lambda_sweep(pots, d, SweepConfig(lambdas=(1.0, 10.0, 100.0)))
+        assert len(seen) == 3
 
     def test_first_pass_stays_ahead_of_its_re_descent(self, monkeypatch):
         # Without descent steps or polish no restart converges, so every one

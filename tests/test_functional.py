@@ -22,12 +22,11 @@ from graphwell import (
     gradient_form_all,
     integrate,
     laplacian_all,
-    nehari_diagnostics,
     norm_H_lambda_sq,
-    norm_H_Omega_sq,
 )
 from graphwell.functional import (
     _hessian_terms,
+    _nehari_rows,
     coupling_integral,
     energy_of,
     hessian_matrix,
@@ -37,6 +36,7 @@ from graphwell.functional import (
     residual_of,
 )
 from tests.conftest import load_workloads, make_problem, random_connected_graph
+from tests.oracles import neighbours
 
 
 def single_vertex_problem(lam=1.0, alpha=2.0, beta=2.0, mu=1.0):
@@ -137,23 +137,21 @@ class TestEnergyAndCoupling:
         u = np.array([2.0, 5.0, 0.0])
         v = np.array([3.0, 0.0, 7.0])
         with pytest.raises(DomainViolationError):
-            nehari_diagnostics(d, (u, v))
-        inside = (np.array([2.0, 0.0, 0.0]), np.array([3.0, 0.0, 0.0]))
-        assert nehari_diagnostics(d, inside).coupling == pytest.approx(36.0, abs=1e-12)
+            energy_J_Omega(d, (u, v))
+        inside = d.check_pair((np.array([2.0, 0.0, 0.0]), np.array([3.0, 0.0, 0.0])))
+        assert coupling_integral(d, inside) == pytest.approx(36.0, abs=1e-12)
 
     # The _Omega names are bound to the _lambda functions, whose __name__
     # pytest would take for the ids.
-    @pytest.mark.parametrize("public", [
-        energy_J_Omega, grad_J_Omega, norm_H_Omega_sq, nehari_diagnostics],
-        ids=["energy_J_Omega", "grad_J_Omega", "norm_H_Omega_sq", "nehari_diagnostics"])
+    @pytest.mark.parametrize("public", [energy_J_Omega, grad_J_Omega, norm_H_lambda_sq],
+                             ids=["energy_J_Omega", "grad_J_Omega", "norm_H_lambda_sq"])
     def test_omega_boundary_rejects_exterior(self, public):
         g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         d = DirichletProblem(g, frozenset({0, 1}), frozenset({1}), alpha=2.0, beta=2.0)
         with pytest.raises(DomainViolationError):
             public(d, (np.array([1.0, 1.0, 0.0]), np.array([0.0, 1.0, 0.5])))
 
-    @pytest.mark.parametrize("public", [
-        energy_J_lambda, grad_J_lambda, norm_H_lambda_sq, nehari_diagnostics])
+    @pytest.mark.parametrize("public", [energy_J_lambda, grad_J_lambda, norm_H_lambda_sq])
     def test_lambda_boundary_rejects_nonfinite(self, public):
         p = random_problem(np.random.default_rng(29))
         u = np.ones(p.graph.vertex_count)
@@ -285,21 +283,20 @@ class TestNehari:
             w = (rng.uniform(0.1, 2.0, size=n), rng.uniform(0.1, 2.0, size=n))
             proj = projected(p, w)
             assert nehari_scale(p, proj) == pytest.approx(1.0, rel=1e-12)
-            diag = nehari_diagnostics(p, proj)
-            assert abs(diag.defect) <= 1e-12 * diag.norm_sq
+            norm_sq = norm_sq_of(p, proj)
+            assert abs(norm_sq - coupling_integral(p, proj)) <= 1e-12 * norm_sq
 
     def test_scaling_law(self):
         # defect(t w) = t^2 N - t^gamma C exactly, for both problem flavors
         rng = np.random.default_rng(26)
         p = random_problem(rng, alpha=2.4, beta=3.1)
         n = p.graph.vertex_count
-        u = rng.uniform(0.2, 1.5, size=n)
-        v = rng.uniform(0.2, 1.5, size=n)
-        base = nehari_diagnostics(p, (u, v))
+        w = rng.uniform(0.2, 1.5, size=(2, n))
+        norm_sq, coupling = norm_sq_of(p, w), coupling_integral(p, w)
         for t in np.linspace(0.1, 2.8, 10):
-            d_t = nehari_diagnostics(p, (t * u, t * v))
-            predicted = t ** 2 * base.norm_sq - t ** p.gamma * base.coupling
-            assert d_t.defect == pytest.approx(predicted, rel=1e-12, abs=1e-12)
+            defect = norm_sq_of(p, t * w) - coupling_integral(p, t * w)
+            predicted = t ** 2 * norm_sq - t ** p.gamma * coupling
+            assert defect == pytest.approx(predicted, rel=1e-12, abs=1e-12)
 
     def test_level_identity_on_manifold(self):
         rng = np.random.default_rng(27)
@@ -307,9 +304,8 @@ class TestNehari:
             p = random_problem(rng, alpha=2.2, beta=2.6)
             n = p.graph.vertex_count
             w = projected(p, (rng.uniform(0.1, 2, size=n), rng.uniform(0.1, 2, size=n)))
-            diag = nehari_diagnostics(p, w)
-            level = (0.5 - 1.0 / p.gamma) * diag.coupling
-            assert diag.energy == pytest.approx(level, rel=1e-12)
+            level = (0.5 - 1.0 / p.gamma) * coupling_integral(p, w)
+            assert energy_of(p, w) == pytest.approx(level, rel=1e-12)
 
     def test_projection_maximizes_energy_on_ray(self):
         rng = np.random.default_rng(28)
@@ -322,21 +318,22 @@ class TestNehari:
             assert e_t < e_star
 
     def test_diagnostics_trivial_flag(self):
+        # The rows the solver certifies its results with, from the kernels.
         p = single_vertex_problem()
-        diag = nehari_diagnostics(p, (np.zeros(1), np.zeros(1)))
+        w = np.array([np.zeros((2, 1)), np.ones((2, 1))])
+        diag, good = _nehari_rows(p, norm_sq_of(p, w), coupling_integral(p, w))
         assert not diag.nontrivial
         assert diag.norm_sq == 0.0 and diag.coupling == 0.0 and diag.energy == 0.0
-        good = nehari_diagnostics(p, (np.ones(1), np.ones(1)))
         assert good.nontrivial
 
     def test_nehari_on_dirichlet_problem(self):
         g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         d = DirichletProblem(g, frozenset({1}), frozenset({1}), alpha=2.0, beta=2.0)
         u = np.array([0.0, 1.0, 0.0])
-        w = projected(d, (u, u))
-        diag = nehari_diagnostics(d, w)
-        assert abs(diag.defect) <= 1e-13 * diag.norm_sq
-        assert diag.energy == pytest.approx(0.25 * diag.coupling, rel=1e-12)
+        w = d.check_pair(projected(d, (u, u)))
+        norm_sq, coupling = norm_sq_of(d, w), coupling_integral(d, w)
+        assert abs(norm_sq - coupling) <= 1e-13 * norm_sq
+        assert energy_of(d, w) == pytest.approx(0.25 * coupling, rel=1e-12)
 
 
 @st.composite
@@ -382,7 +379,7 @@ class TestMaskedKernel:
             opened = sorted(well)
             expected += float(np.dot(g.mu[closed], gradient_form_all(g, f, f)[closed]))
             expected += float(np.dot(g.mu[opened], f[opened] ** 2))
-        assert norm_H_Omega_sq(d, w) == pytest.approx(expected, rel=1e-12)
+        assert norm_H_lambda_sq(d, w) == pytest.approx(expected, rel=1e-12)
 
 
 def stacked_residual(p, w):
@@ -454,7 +451,7 @@ class TestHessian:
             warnings.simplefilter("error")
             out = hessian_operator(p, w)(d)[k]
         assert np.all(np.isfinite(out))
-        nbr, wts = g.neighbors(0)
+        nbr, wts = neighbours(g, 0)
         coef = p.coef[k][0]
         linear = float(np.dot(wts, d[k, 0] - d[k, nbr])) + g.mu[0] * coef * d[k, 0]
         assert out[0] == pytest.approx(linear, rel=1e-13, abs=1e-13)

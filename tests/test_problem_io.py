@@ -8,10 +8,8 @@ import pytest
 
 from graphwell import (
     GraphValidationError,
-    NehariDiagnostics,
     PairFunction,
     ParseError,
-    SolveResult,
     decade_grid,
     parse_problem,
     parse_problem_file,
@@ -35,12 +33,8 @@ lambda 1 10
 """
 
 
-def fake_result(u, v):
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    nd = NehariDiagnostics(1.0, 1.0, 0.0, 0.25, True)
-    return SolveResult(pair=PairFunction(u, v), energy=0.25, residual_norm=1e-12,
-                       nehari=nd, iterations=3, restart_index=0, converged=True)
+def pair_of(u, v):
+    return PairFunction(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
 
 
 class TestParse:
@@ -152,9 +146,9 @@ class TestSolutionRoundTrip:
         vals_u = [0.1, 1.0 / 3.0]
         vals_v = [1e-300, -2.5e-17]
         pf = parse_problem(MINIMAL)
-        res = fake_result(vals_u, vals_v)
+        pair = pair_of(vals_u, vals_v)
         path = tmp_path / "sol.csv"
-        write_solution(pf.graph, res, path)
+        write_solution(pf.graph, pair, path)
         back = read_solution(path)
         assert back["p"] == (0.1, 1e-300)
         assert back["q"] == (1.0 / 3.0, -2.5e-17)
@@ -165,24 +159,24 @@ class TestSolutionRoundTrip:
         pf = parse_problem('[vertices]\np,1 1 0 0\n"q" 2 0.5 0\n[edges]\np,1 "q" 1.5\n'
                            '[params]\nalpha 2\nbeta 2\n')
         buf = io.StringIO()
-        write_solution(pf.graph, fake_result([1.25, 0.0], [-3.5, 2.0]), buf)
+        write_solution(pf.graph, pair_of([1.25, 0.0], [-3.5, 2.0]), buf)
         buf.seek(0)
         assert read_solution(buf) == {"p,1": (1.25, -3.5), '"q"': (0.0, 2.0)}
 
     def test_stringio_and_path_agree(self, tmp_path):
         pf = parse_problem(MINIMAL)
-        res = fake_result([1.25, 0.0], [-3.5, 2.0])
+        pair = pair_of([1.25, 0.0], [-3.5, 2.0])
         buf = io.StringIO()
-        write_solution(pf.graph, res, buf)
+        write_solution(pf.graph, pair, buf)
         path = tmp_path / "sol.csv"
-        write_solution(pf.graph, res, path)
+        write_solution(pf.graph, pair, path)
         assert buf.getvalue() == path.read_text()
         assert buf.getvalue().splitlines()[0] == "vertex,u,v"
 
     def test_declaration_order_preserved(self):
         pf = parse_problem(MINIMAL)
         buf = io.StringIO()
-        write_solution(pf.graph, fake_result([1.0, 2.0], [3.0, 4.0]), buf)
+        write_solution(pf.graph, pair_of([1.0, 2.0], [3.0, 4.0]), buf)
         rows = buf.getvalue().splitlines()
         assert rows[1].startswith("p,") and rows[2].startswith("q,")
 

@@ -23,7 +23,8 @@ from graphwell import (
     solver,
 )
 from graphwell.calculus import edge_laplacian
-from graphwell.functional import hessian_operator, nehari_diagnostics, nehari_scale, residual_of
+from graphwell.functional import (coupling_integral, energy_of, hessian_operator, nehari_scale,
+                                  norm_sq_of, residual_of)
 from tests.conftest import load_soak, load_workloads, make_problem, random_connected_graph
 
 
@@ -788,19 +789,20 @@ class TestCertificate:
                                warm_starts=[PairFunction(*zero[0])])
 
     @pytest.mark.parametrize("flavour", ["dirichlet", "lambda"])
-    def test_batched_certificate_matches_nehari_diagnostics(self, g22, flavour):
+    def test_batched_certificate_matches_the_kernels(self, g22, flavour):
         p = g22_problem(g22, flavour)
         cfg = SolverConfig()
         eps = np.finfo(np.float64).eps
         rows = solver._run_descent(p, cfg, np.array(cold_starts(p, 8)), range(8))
         assert len(rows) == 8
         for row in rows:
-            nd, ref = row.nehari, nehari_diagnostics(p, row.pair)
+            nd, w = row.nehari, p.check_pair(row.pair)
             assert [type(x) for x in nd] == [float, float, float, float, bool]
             assert type(row.energy) is float and type(row.residual_norm) is float
-            for name in ("norm_sq", "coupling", "energy"):
-                assert getattr(nd, name) == getattr(ref, name)
-            assert nd.nontrivial == ref.nontrivial
+            assert (nd.norm_sq, nd.coupling, nd.energy) == (
+                norm_sq_of(p, w), coupling_integral(p, w), energy_of(p, w))
+            assert nd.defect == nd.norm_sq - nd.coupling
+            assert nd.nontrivial == (nd.norm_sq > 0.0 and nd.coupling > 0.0)
             assert row.energy == nd.energy
             tol = max(cfg.grad_tol, 64 * eps * math.sqrt(nd.norm_sq))
             assert row.converged == (row.residual_norm <= tol

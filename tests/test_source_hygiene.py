@@ -131,3 +131,41 @@ def test_one_reduction_primitive(path):
     found += [f"@ (line {node.lineno})" for node in ast.walk(tree)
               if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)]
     assert not found, f"{path.name} sums with a matrix product: {', '.join(found)}"
+
+
+def names_loaded(trees: dict[str, ast.Module]) -> set[str]:
+    """Every name the modules read, as a name or an attribute; imports alone
+    do not count."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+ACCEPTANCE = [Path(__file__).with_name(name) for name in ("test_acceptance.py", "conftest.py")]
+
+# Nothing in the package reads the frozen oracle values of the G22 Dirichlet
+# state, and acceptance does not import them; the tests that compare solves
+# against them do.
+EXPORT_EXEMPT = {"g22_reference_values"}
+
+
+def test_every_export_has_a_user():
+    # The public surface is cut to its users: each name graphwell/__init__.py
+    # imports is read by another package module, or imported by the
+    # acceptance suite (tests/test_acceptance.py and tests/conftest.py).
+    trees = package_trees()
+    exports = {alias.asname or alias.name for node in trees.pop("__init__.py").body
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    imported = {alias.name for path in ACCEPTANCE
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) and node.module == "graphwell"
+                for alias in node.names}
+    unused = sorted(exports - names_loaded(trees) - imported - EXPORT_EXEMPT)
+    assert not unused, f"exports with no user in the package or acceptance: {', '.join(unused)}"
+
+
+def test_problem_io_does_not_import_the_solver():
+    # The I/O layer reads and writes pairs and records; it needs no solver.
+    tree = package_trees()["problem_io.py"]
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "solver" not in modules
