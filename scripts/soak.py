@@ -18,9 +18,10 @@ Each draw is solved with the default SolverConfig. Its line holds index,
 kind ("lambda" or "dirichlet"), n, alpha, beta, lam (null for a Dirichlet
 draw), energy, converged, iterations and exit: "converged", "unconverged", or
 the name of the error the solve raised. The gate passes a draw that converged
-or exits by EnergyOverflowError or DegeneratePairError; the script prints a
-count per exit, and every draw that fails the gate, to stderr, and exits 1 if
-any draw fails it.
+or exits by EnergyOverflowError or DegeneratePairError. To stderr the script
+prints one summary line, a count per exit and then the CPU seconds of the soak
+(time.process_time), and every draw that fails the gate; it exits 1 if any
+draw fails it.
 
 Usage: python3 scripts/soak.py [--meta-seed M] [--draws N] > soak.jsonl
 """
@@ -31,6 +32,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from collections import Counter
 
 import numpy as np
@@ -99,6 +101,7 @@ def main(argv=None) -> int:
     parser.add_argument("--meta-seed", type=int, default=1)
     parser.add_argument("--draws", type=int, default=1500)
     args = parser.parse_args(argv)
+    start = time.process_time()
     exits = Counter()
     failed = []
     for index in range(args.draws):
@@ -108,8 +111,8 @@ def main(argv=None) -> int:
         if row["exit"] not in STATED_EXITS:
             failed.append(row)
     print(f"meta-seed {args.meta_seed}, {args.draws} draws: "
-          + ", ".join(f"{cause} {count}" for cause, count in sorted(exits.items())),
-          file=sys.stderr)
+          + ", ".join(f"{cause} {count}" for cause, count in sorted(exits.items()))
+          + f"; CPU {time.process_time() - start:.2f} s", file=sys.stderr)
     for row in failed:
         print(f"FAILED {json.dumps(row)}", file=sys.stderr)
     return 1 if failed else 0

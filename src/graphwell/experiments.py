@@ -14,7 +14,6 @@ compared diagnostically rather than gated on; see compare_reference.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping
@@ -71,18 +70,15 @@ def build_g22() -> tuple[WeightedGraph, PotentialField, DirichletProblem]:
     return _g22_instance(parse_problem_file(resources.files(__package__).joinpath("data/g22.graph")))
 
 
-def decade_grid(start_exp: float = 0.0, stop_exp: float = 7.0, per_decade: int = 1) -> tuple[float, ...]:
-    """Logarithmic lambda grid, per_decade points in each factor-of-ten span.
-
-    per_decade must be a positive integer, and the span from 10^start_exp to
-    10^stop_exp a nonnegative whole number of its steps (to rounding).
+def decade_grid(start_exp: float = 0.0, stop_exp: float = 7.0) -> tuple[float, ...]:
+    """Logarithmic lambda grid, one point per factor of ten from 10^start_exp
+    to 10^stop_exp, a span that must be a nonnegative whole number of decades
+    (to rounding).
     """
-    if not (isinstance(per_decade, numbers.Integral) and per_decade >= 1):
-        raise ValueError(f"per_decade must be a positive integer, got {per_decade!r}")
-    steps = (stop_exp - start_exp) * per_decade
+    steps = stop_exp - start_exp
     if not (0 <= steps < math.inf and abs(steps - round(steps)) <= 1e-9 * max(1.0, steps)):
         raise ValueError(f"exponents {start_exp} to {stop_exp} are not a nonnegative whole "
-                         f"number of steps of 1/{per_decade} decade")
+                         "number of decades")
     return tuple(float(10.0 ** e) for e in np.linspace(start_exp, stop_exp, round(steps) + 1))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .calculus import PairFunction
+from .calculus import PairFunction, as_pair
 from .errors import ParseError
 from .graph import PotentialField, WeightedGraph, validate_graph
 
@@ -195,9 +195,11 @@ def _write_csv(sink, header: tuple[str, ...], rows: Iterable) -> None:
 
 
 def write_solution(graph: WeightedGraph, pair: PairFunction, sink) -> None:
-    """CSV rows vertex,u,v in declaration order, 17 significant digits."""
+    """CSV rows vertex,u,v in declaration order, 17 significant digits. The
+    pair is validated by as_pair before a path sink is opened."""
+    u, v = as_pair(graph, pair)
     _write_csv(sink, ("vertex", "u", "v"),
-               ((lab, _fmt(u), _fmt(v)) for lab, u, v in zip(graph.labels, *pair)))
+               ((lab, _fmt(x), _fmt(y)) for lab, x, y in zip(graph.labels, u, v)))
 
 
 def write_sweep(records: Iterable, sink) -> None:

@@ -77,11 +77,11 @@ residual has shrunk since one window earlier, but by less than the factor
 _PROGRESS_RATIO, so that a descent crawling through a basin stops long before
 it reaches the switch; a residual that grew is crossing a saddle plateau, and
 descent goes on. A restart leaves with the point of its last loop head,
-whichever rule stopped it. The stall rule pays on large graphs (without it,
-12 random 300-vertex solves took 1.6 times the CPU), but it can stop a
-restart in a basin where the polish then stagnates at a near-singular
-Hessian. So the starts of the restarts that end unconverged descend once
-more, as one batch, with the stall rule off; only they pay for it.
+whichever rule stopped it. The stall rule speeds up some solves and slows
+down others (README.md gives the measurements), and it can stop a restart in
+a basin where the polish then stagnates at a near-singular Hessian. So the
+starts of the restarts that end unconverged descend once more, as one batch,
+with the stall rule off; only they pay for it.
 
 The residual target of a restart, of its polish and of its certificate is
 grad_tol, raised to a rounding floor for solutions so large (exponents near
@@ -450,7 +450,7 @@ def _no_projection(p: Problem, cfg: SolverConfig, warm: list[PairFunction]) -> E
     """The error of a solve none of whose starts, the warm starts warm and the
     seeded restarts, has a Nehari projection: EnergyOverflowError when the
     projection of some start overflowed, else DegeneratePairError."""
-    starts = np.array(_masked(p, warm) + _cold_starts(p, cfg))
+    starts = np.array(_validated(p, warm) + _cold_starts(p, cfg))
     with np.errstate(all="ignore"):
         overflowed = np.isinf(nehari_scale(p, starts)).any()
     if overflowed:
@@ -569,9 +569,10 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
     return out
 
 
-def _masked(p: Problem, pairs: Sequence[PairFunction]) -> list[np.ndarray]:
-    """Each pair validated by as_pair and set to zero off p's masks."""
-    return [np.where(p.mask, as_pair(p.graph, w), 0.0) for w in pairs]
+def _validated(p: Problem, pairs: Sequence[PairFunction]) -> list[np.ndarray]:
+    """Each warm start validated by as_pair. Only lambda-problems take warm
+    starts, and their masks are all true, so none needs masking."""
+    return [as_pair(p.graph, w) for w in pairs]
 
 
 def _cold_starts(p: Problem, cfg: SolverConfig) -> list[np.ndarray]:
@@ -622,7 +623,7 @@ def _seeded_restarts(problems: Sequence[LambdaProblem], cfg: SolverConfig,
     p = problems[0]
     size = len(problems) if p.graph.vertex_count <= _EXACT_METRIC_MAX_N else 1
     # The starts take nothing from lambda, so every problem has the same.
-    starts = np.array(_masked(p, [ref]) + _cold_starts(p, cfg))
+    starts = np.array(_validated(p, [ref]) + _cold_starts(p, cfg))
     indices = range(-1, cfg.restarts)
     out = []
     for i in range(0, len(problems), size):
@@ -639,9 +640,9 @@ def _solve(p: Problem, cfg: SolverConfig, warm_starts: Sequence[PairFunction],
     validated and descend here."""
     warm = list(warm_starts)
     if restarts is None:
-        starts, indices = _masked(p, warm) + _cold_starts(p, cfg), range(-len(warm), cfg.restarts)
+        starts, indices = _validated(p, warm) + _cold_starts(p, cfg), range(-len(warm), cfg.restarts)
     else:
-        starts, indices = _masked(p, warm[:-1]), range(-len(warm), -1)
+        starts, indices = _validated(p, warm[:-1]), range(-len(warm), -1)
     [results] = _descend([p], cfg, [np.array(starts)], [indices]) if starts else [[]]
     # Each list holds its first passes ahead of their re-descents, so that an
     # energy tie goes to the first pass of the lowest index.
@@ -675,10 +676,9 @@ def solve_ground_state(p: LambdaProblem, cfg: SolverConfig | None = None,
     return _solve(p, cfg or SolverConfig(), warm_starts, _restarts)
 
 
-def solve_dirichlet(d: DirichletProblem, cfg: SolverConfig | None = None,
-                    warm_starts: Sequence[PairFunction] = ()) -> SolveResult:
+def solve_dirichlet(d: DirichletProblem, cfg: SolverConfig | None = None) -> SolveResult:
     """Ground state of the Dirichlet system, restricted to admissible pairs."""
     if not isinstance(d, DirichletProblem):
         raise TypeError(f"expected DirichletProblem, got {type(d).__name__}")
-    return _solve(d, cfg or SolverConfig(), warm_starts)
+    return _solve(d, cfg or SolverConfig(), ())
 

@@ -180,6 +180,20 @@ class TestSolutionRoundTrip:
         rows = buf.getvalue().splitlines()
         assert rows[1].startswith("p,") and rows[2].startswith("q,")
 
+    @pytest.mark.parametrize("u,v,fragment", [
+        ([1.0], [2.0], r"shape \(2,\), got \(1,\)"),
+        ([1.0, np.nan], [2.0, 3.0], "must be finite"),
+    ], ids=["one-vertex-short", "nan"])
+    def test_invalid_pair_writes_nothing(self, tmp_path, u, v, fragment):
+        # A pair one vertex short wrote a CSV without the last vertex, and a
+        # NaN wrote a file that read_solution then refused; both raised
+        # nothing. The pair is checked before the path is even created.
+        pf = parse_problem(MINIMAL)
+        path = tmp_path / "sol.csv"
+        with pytest.raises(ValueError, match=fragment):
+            write_solution(pf.graph, pair_of(u, v), path)
+        assert not path.exists()
+
     def test_wrong_header_names_line_1(self):
         with pytest.raises(ParseError, match="header") as exc:
             read_solution(io.StringIO("label,u,v\np,1,2\n"))

@@ -2,6 +2,7 @@
 meta-seed 1, a slice fixed before any outcome was seen."""
 
 import json
+import re
 
 from tests.conftest import load_soak
 
@@ -9,11 +10,15 @@ from tests.conftest import load_soak
 def test_first_draws_of_meta_seed_1_pass_the_gate(capsys):
     soak = load_soak()
     assert soak.main(["--meta-seed", "1", "--draws", "300"]) == 0
-    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    out, err = capsys.readouterr()
+    rows = [json.loads(line) for line in out.splitlines()]
     assert [r["index"] for r in rows] == list(range(300))
     assert {r["exit"] for r in rows} <= set(soak.STATED_EXITS)
     assert {r["kind"] for r in rows} == {"lambda", "dirichlet"}
     assert all(r["converged"] == (r["exit"] == "converged") for r in rows)
+    # The summary line ends with the soak's CPU seconds.
+    [summary] = err.splitlines()
+    assert float(re.fullmatch(r"meta-seed 1, 300 draws: .*; CPU (\d+\.\d\d) s", summary)[1]) > 0
 
 
 def test_an_unconverged_draw_fails_the_gate(capsys, monkeypatch):

@@ -16,6 +16,7 @@ from graphwell import (
     PotentialField,
     SolverConfig,
     WeightedGraph,
+    decade_grid,
     functional,
     lambda_sweep,
     solve_dirichlet,
@@ -713,7 +714,8 @@ class TestCertificate:
     def test_solve_validates_only_its_warm_starts(self, g22, g22_dirichlet, monkeypatch,
                                                   flavour):
         # Pairs are validated once, where they enter through the public API;
-        # the solver's own iterates are never checked or copied again.
+        # the solver's own iterates are never checked or copied again. A
+        # Dirichlet solve takes no pair, so it validates none.
         p = g22_problem(g22, flavour)
         calls = Counter()
 
@@ -731,10 +733,12 @@ class TestCertificate:
         count(solver, "as_pair")
         ground = g22_dirichlet.pair
         warm = [ground, PairFunction(0.5 * ground.u, 0.5 * ground.v)]
-        solve = solve_dirichlet if flavour == "dirichlet" else solve_ground_state
-        out = solve(p, warm_starts=warm)
+        if flavour == "dirichlet":
+            out, validated = solve_dirichlet(p), 0
+        else:
+            out, validated = solve_ground_state(p, warm_starts=warm), len(warm)
         assert out.converged
-        assert calls == {"graphwell.solver.as_pair": 2}
+        assert sum(calls.values()) == calls["graphwell.solver.as_pair"] == validated
 
     def test_finish_evaluates_each_set_of_points_once(self, g22, monkeypatch):
         # The rows that left the descent and the re-projected polish
@@ -954,6 +958,40 @@ class TestDeterminism:
         r1 = solve_ground_state(p, SolverConfig(rng_seed=1))
         r2 = solve_ground_state(p, SolverConfig(rng_seed=2))
         assert r1.energy == pytest.approx(r2.energy, rel=1e-10)
+
+
+def swapped(p):
+    """p with its components swapped: potentials or wells, and exponents."""
+    if isinstance(p, DirichletProblem):
+        return DirichletProblem(p.graph, p.omega_b, p.omega_a, p.beta, p.alpha)
+    pots = p.potentials
+    return LambdaProblem(p.graph, PotentialField(pots.b, pots.a), p.lam, p.beta, p.alpha)
+
+
+class TestComponentSwap:
+    # Swapping u and v maps the system to itself with the roles of a and b,
+    # and of alpha and beta, exchanged, so every ground state keeps its
+    # energy. The problems: the 20 tail-corpus instances and G22 at the
+    # default decades, and their Dirichlet limits.
+    @pytest.mark.parametrize("flavour", ["dirichlet", "lambda"])
+    def test_swap_keeps_energy_and_flag(self, g22, flavour):
+        workloads = load_workloads()
+        corpus = workloads.TailCorpus
+        rng = np.random.default_rng(corpus.DESIGN_SEED)
+        tail = [workloads.random_instance(rng) for _ in range(corpus.SIZE)]
+        graph, pots, d = g22
+        if flavour == "dirichlet":
+            problems = [DirichletProblem(q.graph, q.potentials.omega_a, q.potentials.omega_b,
+                                         q.alpha, q.beta) for q in tail] + [d]
+            solve = solve_dirichlet
+        else:
+            problems = tail + [LambdaProblem(graph, pots, lam, d.alpha, d.beta)
+                               for lam in decade_grid()]
+            solve = solve_ground_state
+        for p in problems:
+            out, mirror = solve(p), solve(swapped(p))
+            assert mirror.energy == pytest.approx(out.energy, rel=1e-12)
+            assert mirror.converged == out.converged
 
 
 class TestWarmStarts:

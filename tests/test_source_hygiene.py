@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -162,6 +163,43 @@ def test_every_export_has_a_user():
                 for alias in node.names}
     unused = sorted(exports - names_loaded(trees) - imported - EXPORT_EXEMPT)
     assert not unused, f"exports with no user in the package or acceptance: {', '.join(unused)}"
+
+
+def passes(call: ast.Call, index: int, param: inspect.Parameter) -> bool:
+    """Whether call passes param, the index-th parameter of its callee, by
+    keyword, by position, or through * or ** unpacking."""
+    if any(k.arg in (param.name, None) for k in call.keywords):
+        return True
+    if param.kind not in (param.POSITIONAL_ONLY, param.POSITIONAL_OR_KEYWORD):
+        return False
+    return len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    # The public surface is cut to its users parameter by parameter too: for
+    # each callable graphwell/__init__.py exports, every parameter with a
+    # default is passed by some call of that name in the package or the
+    # acceptance suite. A default that no one overrides is a constant.
+    trees = package_trees()
+    exports = [alias.asname or alias.name for node in trees.pop("__init__.py").body
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    trees.update((path.name, ast.parse(path.read_text(encoding="utf-8"))) for path in ACCEPTANCE)
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(node)
+    uncalled = []
+    for name in exports:
+        try:
+            params = inspect.signature(getattr(graphwell, name)).parameters.values()
+        except (TypeError, ValueError):  # a constant, or an exception's builtin __init__
+            continue
+        uncalled += [f"{name}.{param.name}" for index, param in enumerate(params)
+                     if param.default is not param.empty
+                     and not any(passes(call, index, param) for call in calls.get(name, []))]
+    assert not uncalled, f"defaulted parameters no caller passes: {', '.join(uncalled)}"
 
 
 def test_problem_io_does_not_import_the_solver():
