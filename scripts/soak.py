@@ -17,13 +17,16 @@ compared line by line. The envelope:
 Each draw is solved with the default SolverConfig. Its line holds index,
 kind ("lambda" or "dirichlet"), n, alpha, beta, lam (null for a Dirichlet
 draw), energy, converged, iterations and exit: "converged", "unconverged", or
-the name of the error the solve raised. The gate passes a draw that converged
-or exits by EnergyOverflowError or DegeneratePairError. To stderr the script
-prints one summary line, a count per exit and then the CPU seconds of the soak
+the class name of the exception the solve raised. The gate passes a draw that
+converged or exits by EnergyOverflowError or DegeneratePairError. To stderr
+the script prints the traceback of every other exception as it is raised,
+then one summary line, a count per exit and then the CPU seconds of the soak
 (time.process_time), and every draw that fails the gate; it exits 1 if any
 draw fails it.
 
 Usage: python3 scripts/soak.py [--meta-seed M] [--draws N] > soak.jsonl
+
+M must be nonnegative and N positive; argparse rejects anything else (exit 2).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from collections import Counter
 
 import numpy as np
@@ -91,15 +95,28 @@ def run_draw(meta_seed: int, index: int) -> dict:
         out = solve_dirichlet(p) if dirichlet else solve_ground_state(p)
     except (EnergyOverflowError, DegeneratePairError) as exc:
         return {**row, "exit": type(exc).__name__}
+    except Exception as exc:     # fails the gate, but the soak goes on to its summary
+        traceback.print_exc()
+        return {**row, "exit": type(exc).__name__}
     return {**row, "energy": out.energy if math.isfinite(out.energy) else None,
             "converged": out.converged, "iterations": out.iterations,
             "exit": "converged" if out.converged else "unconverged"}
 
 
+def at_least(low: int):
+    """An argparse type: an integer of at least low."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--meta-seed", type=int, default=1)
-    parser.add_argument("--draws", type=int, default=1500)
+    parser.add_argument("--meta-seed", type=at_least(0), default=1)
+    parser.add_argument("--draws", type=at_least(1), default=1500)
     args = parser.parse_args(argv)
     start = time.process_time()
     exits = Counter()

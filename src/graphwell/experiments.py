@@ -141,14 +141,14 @@ def lambda_sweep(potentials: PotentialField, d: DirichletProblem,
     the energy below the limit level); the seeded runs compete against the
     usual cold restarts and the best energy wins.
 
-    The cold restarts and the Dirichlet warm start take nothing from the
-    previous lambda, so after the Dirichlet solve those of every lambda
-    descend first, as the rows of one lockstep batch on graphs of at most
-    solver._EXACT_METRIC_MAX_N vertices, one batch per lambda above.
-    solve_ground_state is then called once per lambda with that lambda's
-    finished rows and descends only the previous solution. A row's arithmetic
-    does not depend on the rows beside it, so every record has the bits of
-    the lambda-solve that descends all its starts itself.
+    On graphs of at most solver._EXACT_METRIC_MAX_N vertices the cold
+    restarts and the Dirichlet warm start, which take nothing from the
+    previous lambda, descend first, those of every lambda as the rows of one
+    lockstep batch. solve_ground_state is then called once per lambda with
+    that lambda's finished rows and descends only the previous solution. A
+    row's arithmetic does not depend on the rows beside it, so every record
+    has the bits of the lambda-solve that descends all its starts itself,
+    which is how each lambda is solved on larger graphs.
     """
     cfg = cfg or SweepConfig()
     problems = [LambdaProblem(d.graph, potentials, lam, d.alpha, d.beta) for lam in cfg.lambdas]

@@ -55,17 +55,18 @@ restart's result has the same bits as its start solved alone. One exception: a
 dense Newton step whose batch holds an exactly singular Hessian is taken by
 MINRES for every row of it.
 
-A lambda sweep batches across problems too. Its seeded restarts and its warm
-start at the Dirichlet minimizer take nothing from the previous lambda, so
-lambda_sweep descends those of all its lambda-problems, which differ in coef
-alone, as the rows of one batch (_seeded_restarts), each row with its own
-problem's coef; A is inverted once per problem, in one batched inversion, and
-gathered per row. Each lambda's solve then descends only its other warm start,
-the previous solution, and picks its winner from both sets in the order of a
+A lambda sweep batches across problems too, on graphs of at most
+_EXACT_METRIC_MAX_N vertices. Its seeded restarts and its warm start at the
+Dirichlet minimizer take nothing from the previous lambda, so lambda_sweep
+descends those of all its lambda-problems, which differ in coef alone, as the
+rows of one batch (_seeded_restarts), each row with its own problem's coef;
+A is inverted once per problem, in one batched inversion, and gathered per
+row. Each lambda's solve then descends only its other warm start, the
+previous solution, and picks its winner from both sets in the order of a
 solve of all its starts at once. By the row independence above, every record
-is the one each lambda-solve gives alone, bit for bit. Only graphs of at most
-_EXACT_METRIC_MAX_N vertices batch their lambdas: on a 50 x 50 grid one batch
-of 64 rows took 2.5 times as long as eight batches of 8 (README.md).
+is the one each lambda-solve gives alone, bit for bit. Larger graphs solve
+each lambda as an ordinary solve of all its starts: on a 50 x 50 grid one
+batch of 64 rows took 2.5 times as long as eight batches of 8 (README.md).
 
 A restart stops at a loop head once its residual reaches
 max(grad_tol, _POLISH_SWITCH * max(1, ||w||)). Every iterate is an exact
@@ -450,7 +451,7 @@ def _no_projection(p: Problem, cfg: SolverConfig, warm: list[PairFunction]) -> E
     """The error of a solve none of whose starts, the warm starts warm and the
     seeded restarts, has a Nehari projection: EnergyOverflowError when the
     projection of some start overflowed, else DegeneratePairError."""
-    starts = np.array(_validated(p, warm) + _cold_starts(p, cfg))
+    starts = np.array([as_pair(p.graph, w) for w in warm] + _cold_starts(p, cfg))
     with np.errstate(all="ignore"):
         overflowed = np.isinf(nehari_scale(p, starts)).any()
     if overflowed:
@@ -569,12 +570,6 @@ def _run_descent(p: Problem, cfg: SolverConfig, starts: np.ndarray,
     return out
 
 
-def _validated(p: Problem, pairs: Sequence[PairFunction]) -> list[np.ndarray]:
-    """Each warm start validated by as_pair. Only lambda-problems take warm
-    starts, and their masks are all true, so none needs masking."""
-    return [as_pair(p.graph, w) for w in pairs]
-
-
 def _cold_starts(p: Problem, cfg: SolverConfig) -> list[np.ndarray]:
     return [_initial_pair(p, np.random.default_rng([cfg.rng_seed, i])) for i in range(cfg.restarts)]
 
@@ -612,24 +607,22 @@ def _descend(problems: Sequence[Problem], cfg: SolverConfig, starts: Sequence[np
 
 
 def _seeded_restarts(problems: Sequence[LambdaProblem], cfg: SolverConfig,
-                     ref: PairFunction) -> list[list[SolveResult]]:
+                     ref: PairFunction) -> list[list[SolveResult] | None]:
     """The warm start ref, as restart -1, and the seeded restarts of each of a
     sweep's lambda-problems, descended for solve_ground_state's _restarts.
     The problems must differ in coef alone. On graphs of at most
     _EXACT_METRIC_MAX_N vertices the starts of all of them are the rows of
-    one batch, which pays numpy's per-call cost once for all lambdas; on
-    larger graphs each batch holds one problem, since from some n between 400
-    and 900 one batch takes longer than several (README.md)."""
+    one batch, which pays numpy's per-call cost once for all lambdas. On
+    larger graphs, where from some n between 400 and 900 one batch takes
+    longer than several (README.md), every entry is None, and each lambda's
+    solve descends all its starts itself."""
     p = problems[0]
-    size = len(problems) if p.graph.vertex_count <= _EXACT_METRIC_MAX_N else 1
+    if p.graph.vertex_count > _EXACT_METRIC_MAX_N:
+        return [None] * len(problems)
     # The starts take nothing from lambda, so every problem has the same.
-    starts = np.array(_validated(p, [ref]) + _cold_starts(p, cfg))
-    indices = range(-1, cfg.restarts)
-    out = []
-    for i in range(0, len(problems), size):
-        group = problems[i:i + size]
-        out += _descend(group, cfg, [starts] * len(group), [indices] * len(group))
-    return out
+    starts = np.array([as_pair(p.graph, ref)] + _cold_starts(p, cfg))
+    k = len(problems)
+    return _descend(problems, cfg, [starts] * k, [range(-1, cfg.restarts)] * k)
 
 
 def _solve(p: Problem, cfg: SolverConfig, warm_starts: Sequence[PairFunction],
@@ -638,11 +631,14 @@ def _solve(p: Problem, cfg: SolverConfig, warm_starts: Sequence[PairFunction],
     when given, are the last warm start and the seeded restarts already
     descended (_seeded_restarts), and only the other warm starts are
     validated and descend here."""
+    # Only lambda-problems take warm starts, and their masks are all true, so
+    # as_pair's validation is all a warm start needs.
     warm = list(warm_starts)
     if restarts is None:
-        starts, indices = _validated(p, warm) + _cold_starts(p, cfg), range(-len(warm), cfg.restarts)
+        starts = [as_pair(p.graph, w) for w in warm] + _cold_starts(p, cfg)
+        indices = range(-len(warm), cfg.restarts)
     else:
-        starts, indices = _validated(p, warm[:-1]), range(-len(warm), -1)
+        starts, indices = [as_pair(p.graph, w) for w in warm[:-1]], range(-len(warm), -1)
     [results] = _descend([p], cfg, [np.array(starts)], [indices]) if starts else [[]]
     # Each list holds its first passes ahead of their re-descents, so that an
     # energy tie goes to the first pass of the lowest index.
@@ -668,8 +664,8 @@ def solve_ground_state(p: LambdaProblem, cfg: SolverConfig | None = None,
     Extra deterministic starting pairs (warm starts) may be supplied; they are
     run before the seeded random restarts and win energy ties. _restarts is
     private to lambda_sweep: the results of p's last warm start and its
-    seeded restarts, already descended with cfg by _seeded_restarts; only the
-    other warm starts descend here.
+    seeded restarts, already descended with cfg by _seeded_restarts, so that
+    only the other warm starts descend here, or None for an ordinary solve.
     """
     if not isinstance(p, LambdaProblem):
         raise TypeError(f"expected LambdaProblem, got {type(p).__name__}")

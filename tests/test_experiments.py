@@ -340,12 +340,22 @@ def instance_sweep(key):
     return pots, DirichletProblem(p.graph, pots.omega_a, pots.omega_b, p.alpha, p.beta)
 
 
+def assert_grid_sweep_is_the_chain(monkeypatch, grid):
+    """The decades 1 to 10^4 of grid's sweep converge and equal the chain's."""
+    pots = grid.potentials
+    d = DirichletProblem(grid.graph, pots.omega_a, pots.omega_b, 2.0, 2.0)
+    cfg = SweepConfig(lambdas=decade_grid(0.0, 4.0))
+    records = lambda_sweep(pots, d, cfg)
+    assert all(r.converged for r in records)
+    assert records == chain_sweep(monkeypatch, pots, d, cfg)
+
+
 class TestSeededBatch:
-    # lambda_sweep descends the seeded restarts and the Dirichlet warm start
-    # of all its lambdas as one batch, then solves each lambda from its
-    # previous solution alone, handing over its finished rows. A row's bits
-    # do not depend on its batch, so the records are those of the per-lambda
-    # chain, field for field.
+    # Up to solver._EXACT_METRIC_MAX_N vertices lambda_sweep descends the
+    # seeded restarts and the Dirichlet warm start of all its lambdas as one
+    # batch, then solves each lambda from its previous solution alone,
+    # handing over its finished rows. A row's bits do not depend on its
+    # batch, so the records are those of the per-lambda chain, field for field.
     @pytest.mark.parametrize("seed", [1, 7])
     def test_g22_records_equal_the_per_lambda_chain(self, g22, monkeypatch, seed):
         _graph, pots, d = g22
@@ -397,12 +407,13 @@ class TestSeededBatch:
         # inverse, and polishes by MINRES with a per-row preconditioner.
         grid = load_workloads().grid_problem(9, 1.0, 2)
         assert solver._DIRECT_NEWTON_MAX_N < grid.graph.vertex_count <= solver._EXACT_METRIC_MAX_N
-        pots = grid.potentials
-        d = DirichletProblem(grid.graph, pots.omega_a, pots.omega_b, 2.0, 2.0)
-        cfg = SweepConfig(lambdas=decade_grid(0.0, 4.0))
-        records = lambda_sweep(pots, d, cfg)
-        assert all(r.converged for r in records)
-        assert records == chain_sweep(monkeypatch, pots, d, cfg)
+        assert_grid_sweep_is_the_chain(monkeypatch, grid)
+
+    def test_records_above_the_bounds_equal_the_per_lambda_chain(self, monkeypatch):
+        # n = 144 solves each lambda as an ordinary solve of all its starts.
+        grid = load_workloads().grid_problem(12, 1.0, 2)
+        assert grid.graph.vertex_count > solver._EXACT_METRIC_MAX_N
+        assert_grid_sweep_is_the_chain(monkeypatch, grid)
 
     def test_small_graphs_batch_every_lambda_and_large_graphs_one(self, g22, monkeypatch):
         calls = []
@@ -425,12 +436,11 @@ class TestSeededBatch:
         d = DirichletProblem(grid.graph, pots.omega_a, pots.omega_b, 2.0, 2.0)
         assert d.graph.vertex_count > solver._EXACT_METRIC_MAX_N
         lambda_sweep(pots, d, SweepConfig(lambdas=(1.0, 100.0), solver=SolverConfig(restarts=2)))
-        # The Dirichlet solve, then each lambda's ref and restarts in a batch
-        # of their own, each with one distinct coef for all its rows; then the
-        # second lambda's previous solution. The first lambda has no other
-        # warm start.
+        # The Dirichlet solve, then each lambda's ordinary solve, its warm
+        # starts and restarts in a batch of their own with one distinct coef
+        # for all its rows. The first lambda has no previous solution.
         assert all(coefs == 1 for _rows, _ndim, coefs in calls)
-        assert [rows for rows, _ndim, _coefs in calls] == [2, 3, 3, 1]
+        assert [rows for rows, _ndim, _coefs in calls] == [2, 3, 4]
 
     def test_a_warm_start_alone_still_wins(self, monkeypatch):
         # With zero seeded starts no restart has a projection, so each lambda

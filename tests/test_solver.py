@@ -968,6 +968,32 @@ def swapped(p):
     return LambdaProblem(p.graph, PotentialField(pots.b, pots.a), p.lam, p.beta, p.alpha)
 
 
+def corpus_problems(g22, flavour):
+    """The 20 tail-corpus instances and G22 at the default decades, or their
+    Dirichlet limits, with the solver of that flavour."""
+    workloads = load_workloads()
+    corpus = workloads.TailCorpus
+    rng = np.random.default_rng(corpus.DESIGN_SEED)
+    tail = [workloads.random_instance(rng) for _ in range(corpus.SIZE)]
+    graph, pots, d = g22
+    if flavour == "dirichlet":
+        return [DirichletProblem(q.graph, q.potentials.omega_a, q.potentials.omega_b,
+                                 q.alpha, q.beta) for q in tail] + [d], solve_dirichlet
+    return tail + [LambdaProblem(graph, pots, lam, d.alpha, d.beta)
+                   for lam in decade_grid()], solve_ground_state
+
+
+def scaled(p, factor):
+    """p on its graph with every edge weight and every measure value times
+    factor."""
+    g = p.graph
+    edges = zip(g.edge_i.tolist(), g.edge_j.tolist(), (factor * g.edge_w).tolist())
+    h = WeightedGraph(g.vertex_count, edges, measure=factor * g.mu)
+    if isinstance(p, DirichletProblem):
+        return DirichletProblem(h, p.omega_a, p.omega_b, p.alpha, p.beta)
+    return LambdaProblem(h, p.potentials, p.lam, p.alpha, p.beta)
+
+
 class TestComponentSwap:
     # Swapping u and v maps the system to itself with the roles of a and b,
     # and of alpha and beta, exchanged, so every ground state keeps its
@@ -975,23 +1001,27 @@ class TestComponentSwap:
     # default decades, and their Dirichlet limits.
     @pytest.mark.parametrize("flavour", ["dirichlet", "lambda"])
     def test_swap_keeps_energy_and_flag(self, g22, flavour):
-        workloads = load_workloads()
-        corpus = workloads.TailCorpus
-        rng = np.random.default_rng(corpus.DESIGN_SEED)
-        tail = [workloads.random_instance(rng) for _ in range(corpus.SIZE)]
-        graph, pots, d = g22
-        if flavour == "dirichlet":
-            problems = [DirichletProblem(q.graph, q.potentials.omega_a, q.potentials.omega_b,
-                                         q.alpha, q.beta) for q in tail] + [d]
-            solve = solve_dirichlet
-        else:
-            problems = tail + [LambdaProblem(graph, pots, lam, d.alpha, d.beta)
-                               for lam in decade_grid()]
-            solve = solve_ground_state
+        problems, solve = corpus_problems(g22, flavour)
         for p in problems:
             out, mirror = solve(p), solve(swapped(p))
             assert mirror.energy == pytest.approx(out.energy, rel=1e-12)
             assert mirror.converged == out.converged
+
+
+class TestScaleInvariance:
+    # Scaling every edge weight and every measure value by c scales J by c
+    # and leaves its critical points where they are, so every ground state's
+    # energy scales by c. Powers of two scale the data exactly. The problems
+    # are those of TestComponentSwap.
+    @pytest.mark.parametrize("flavour", ["dirichlet", "lambda"])
+    def test_scaling_scales_energy_and_keeps_flag(self, g22, flavour):
+        problems, solve = corpus_problems(g22, flavour)
+        for p in problems:
+            out = solve(p)
+            for k in (-20, -6, 6, 20):
+                rescaled = solve(scaled(p, 2.0**k))
+                assert rescaled.energy == pytest.approx(2.0**k * out.energy, rel=1e-12)
+                assert rescaled.converged == out.converged
 
 
 class TestWarmStarts:
